@@ -364,6 +364,46 @@ void BM_ImputeModelBuild(benchmark::State& state) {
 }
 BENCHMARK(BM_ImputeModelBuild)->Arg(1000)->Arg(5000);
 
+/// ImputeOracle::decide — one check-atom estimate against a terminal
+/// attribute with range(0) distinct values (20,000 entities of one class,
+/// `v = i mod distinct`, predicate `v = distinct / 2`). Items are decide()
+/// calls. Watched by tools/check_bench_micro.py: the terminal histogram is
+/// ranked by two ordered searches, so the per-call cost must stay sublinear
+/// in the number of distinct values between ~100 and ~10,000.
+void BM_ImputeDecide(benchmark::State& state) {
+  constexpr int kEntities = 20'000;
+  const std::int64_t distinct = state.range(0);
+  ComponentSchema schema(DbId{1}, "DB1");
+  schema.add_class("T").add_attribute("v", PrimType::Int);
+  auto db = std::make_unique<ComponentDatabase>(std::move(schema));
+  GoidTable goids;
+  for (int i = 0; i < kEntities; ++i)
+    (void)goids.register_entity(
+        "T", {db->insert("T", {{"v", Value(std::int64_t{i} % distinct)}})});
+  GlobalSchema global;
+  GlobalClass cls("T", {{DbId{1}, "T"}});
+  cls.mutable_def().add_attribute("v", PrimType::Int);
+  cls.pad_local_names();
+  cls.bind_local_attr(0, 0, "v");
+  global.add_class(std::move(cls));
+  std::vector<std::unique_ptr<ComponentDatabase>> dbs;
+  dbs.push_back(std::move(db));
+  const Federation federation(std::move(global), std::move(dbs),
+                              std::move(goids));
+  const ImputeModel model = ImputeModel::build(federation);
+  GlobalQuery query;
+  query.range_class = "T";
+  query.where("v", CompOp::Eq, Value(distinct / 2));
+  const GOid item = federation.goids().entities_of("T").front();
+  for (auto _ : state) {
+    const ImputeOracle::Decision decision =
+        model.decide(federation, query, item, 0, 0, DbId{1}, false);
+    benchmark::DoNotOptimize(decision.confidence);
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_ImputeDecide)->Arg(100)->Arg(10'000);
+
 void BM_SimulatorEventThroughput(benchmark::State& state) {
   for (auto _ : state) {
     Simulator sim;

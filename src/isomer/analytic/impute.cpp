@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <set>
@@ -49,15 +50,71 @@ std::size_t bucket_of(const Value& split, const Value& v) {
 /// complex terminal attribute, never histogrammed) degenerates to 1/2 —
 /// maximally uninformative, never confident.
 double satisfaction_rate(const ValueHistogram& hist, const Predicate& pred) {
-  std::uint64_t n = 0, sat = 0;
-  for (const auto& [value, count] : hist) {
-    n += count;
-    if (is_true(apply(pred.op, value, pred.literal))) sat += count;
-  }
+  const std::uint64_t n = hist.empty() ? 0 : hist.rbegin()->second.through;
+  const std::uint64_t sat = satisfying_count(hist, pred.op, pred.literal);
   return (static_cast<double>(sat) + 1.0) / (static_cast<double>(n) + 2.0);
 }
 
 }  // namespace
+
+void accumulate(ValueHistogram& hist) {
+  std::uint64_t through = 0;
+  for (auto& [value, bucket] : hist) bucket.through = through += bucket.count;
+}
+
+std::uint64_t satisfying_count(const ValueHistogram& hist, CompOp op,
+                               const Value& literal) {
+  if (hist.empty()) return 0;
+  // ValueOrder sorts by kind first, so equal first and last kinds mean one
+  // kind throughout, and a NaN real key would be the last one.
+  const Value& low = hist.begin()->first;
+  const Value& high = hist.rbegin()->first;
+  const bool one_kind = low.kind() == high.kind();
+  const bool numbers = one_kind && low.is_numeric() && literal.is_numeric() &&
+                       !std::isnan(high.as_number()) &&
+                       !std::isnan(literal.as_number());
+  const bool strings = one_kind && low.kind() == ValueKind::String &&
+                       literal.kind() == ValueKind::String;
+  if (!numbers && !strings) {
+    std::uint64_t sat = 0;
+    for (const auto& [value, bucket] : hist)
+      if (is_true(apply(op, value, literal))) sat += bucket.count;
+    return sat;
+  }
+
+  // Entities strictly below the bucket `it` starts at (n at the end).
+  const std::uint64_t n = hist.rbegin()->second.through;
+  const auto below = [&](ValueHistogram::const_iterator it) {
+    return it == hist.end() ? n : it->second.through - it->second.count;
+  };
+  // lt: compare_less(value, literal); gt: compare_less(literal, value).
+  std::uint64_t lt = 0, gt = 0;
+  const auto rank = [&](const auto& probe) {
+    lt = below(hist.lower_bound(probe));
+    gt = n - below(hist.upper_bound(probe));
+  };
+  if (numbers)
+    rank(ValueOrder::Number{literal.as_number()});
+  else
+    rank(literal);
+  const std::uint64_t eq = n - lt - gt;
+  // apply()'s definitions (query/query.cpp), counted.
+  switch (op) {
+    case CompOp::Eq:
+      return eq;
+    case CompOp::Ne:
+      return n - eq;
+    case CompOp::Lt:
+      return lt;
+    case CompOp::Ge:
+      return n - lt;
+    case CompOp::Gt:
+      return gt;
+    case CompOp::Le:
+      return n - gt;
+  }
+  return 0;
+}
 
 std::string_view to_string(ImputeMechanism mech) noexcept {
   return mech == ImputeMechanism::MAR ? "mar" : "mcar";
@@ -213,7 +270,7 @@ ImputeModel ImputeModel::build(const Federation& federation) {
         } else {
           ++est[a].observed;
           if (merged[a].is_primitive()) {
-            ++est[a].histogram[merged[a]];
+            ++est[a].histogram[merged[a]].count;
             if (merged[a].is_numeric()) {
               sums[a] += merged[a].as_number();
               ++numeric_n[a];
@@ -247,18 +304,18 @@ ImputeModel ImputeModel::build(const Federation& federation) {
       if (numeric_n[a] > 0)
         est[a].mean = sums[a] / static_cast<double>(numeric_n[a]);
       std::uint64_t total = 0;
-      for (const auto& [value, count] : est[a].histogram) {
-        total += count;
-        if (count > est[a].mode_count) {
+      for (const auto& [value, bucket] : est[a].histogram) {
+        total += bucket.count;
+        if (bucket.count > est[a].mode_count) {
           est[a].mode = value;
-          est[a].mode_count = count;
+          est[a].mode_count = bucket.count;
         }
       }
       if (total > 0) {
         const std::uint64_t target = (total - 1) / 2;  // lower median
         std::uint64_t cumulative = 0;
-        for (const auto& [value, count] : est[a].histogram) {
-          cumulative += count;
+        for (const auto& [value, bucket] : est[a].histogram) {
+          cumulative += bucket.count;
           if (cumulative > target) {
             est[a].median = value;
             break;
@@ -326,10 +383,17 @@ ImputeModel ImputeModel::build(const Federation& federation) {
               merged[c].is_null())
             continue;
           const std::size_t b = bucket_of(est[a].covariate_split, merged[c]);
-          ++est[a].stratum_hist[b][merged[a]];
+          ++est[a].stratum_hist[b][merged[a]].count;
           ++est[a].stratum_n[b];
         }
       });
+    }
+
+    // Running counts, so decide() ranks a literal in two searches.
+    for (AttrEstimator& e : est) {
+      accumulate(e.histogram);
+      accumulate(e.stratum_hist[0]);
+      accumulate(e.stratum_hist[1]);
     }
 
     model.stats_.estimators += attrs;
@@ -424,17 +488,12 @@ ImputeOracle::Decision ImputeModel::decide(const Federation& federation,
   if (mar && step == last && first->covariate.has_value()) {
     const std::optional<LOid> local =
         federation.goids().loid_in(item, home);
-    const GlobalClass* gc =
-        federation.schema().find_class(resolved.steps[step].class_name);
-    const std::optional<std::size_t> ci =
-        gc != nullptr && local.has_value() ? gc->constituent_in(home)
-                                           : std::nullopt;
-    if (ci.has_value()) {
+    if (local.has_value() && home_ci.has_value()) {
       const std::optional<std::string>& local_name =
-          gc->local_attr(*ci, *first->covariate);
+          first_gc->local_attr(*home_ci, *first->covariate);
       if (local_name.has_value()) {
         const Extent& extent = federation.db(home).extent(
-            gc->constituents()[*ci].local_class);
+            first_gc->constituents()[*home_ci].local_class);
         const std::optional<std::size_t> slot =
             extent.cls().find_attribute(*local_name);
         const Object* obj = slot.has_value() ? extent.find(*local) : nullptr;

@@ -69,6 +69,7 @@
 #pragma once
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <map>
 #include <optional>
@@ -80,11 +81,11 @@
 #include "isomer/common/truth.hpp"
 #include "isomer/common/value.hpp"
 #include "isomer/core/strategy.hpp"
+#include "isomer/query/query.hpp"
 
 namespace isomer {
 
 class Federation;
-struct GlobalQuery;
 
 /// Missingness mechanism the estimator is allowed to assume.
 enum class ImputeMechanism : unsigned char { MCAR, MAR };
@@ -115,14 +116,60 @@ struct ImputeSpec {
 
 /// Strict weak order over Values for histogram keys: by variant alternative,
 /// then by the alternative's own ordering (exact, non-SQL: nulls compare
-/// equal to each other and before everything else).
+/// equal to each other and before everything else). NaN reals order after
+/// every other real and equivalent to each other — a catalog may store
+/// `real nan`, and the raw double `<` would not be a strict weak order.
+///
+/// Transparent over `Number`, the probe satisfying_count() searches a
+/// single-kind numeric histogram with: a key is below the probe when its
+/// as_number() is, exactly the numeric comparison compare_less makes.
 struct ValueOrder {
+  using is_transparent = void;
+  struct Number {
+    double x;
+  };
+
   bool operator()(const Value& a, const Value& b) const {
-    return a.storage() < b.storage();
+    const Value::Storage& x = a.storage();
+    const Value::Storage& y = b.storage();
+    if (x.index() != y.index()) return x.index() < y.index();
+    // Same kind. Ints and reals, the common keys, skip the variant visit.
+    if (const auto* i = std::get_if<std::int64_t>(&x))
+      return *i < *std::get_if<std::int64_t>(&y);
+    if (const auto* d = std::get_if<double>(&x)) {
+      const double e = *std::get_if<double>(&y);
+      return std::isnan(e) ? !std::isnan(*d) : *d < e;
+    }
+    return x < y;
+  }
+  bool operator()(const Value& key, Number probe) const {
+    return key.as_number() < probe.x;
+  }
+  bool operator()(Number probe, const Value& key) const {
+    return probe.x < key.as_number();
   }
 };
 
-using ValueHistogram = std::map<Value, std::uint64_t, ValueOrder>;
+/// One histogram bucket: how many entities hold the value, and the running
+/// count through it — every key up to and including this one in ValueOrder.
+struct HistCount {
+  std::uint64_t count = 0;
+  std::uint64_t through = 0;
+};
+
+using ValueHistogram = std::map<Value, HistCount, ValueOrder>;
+
+/// Fills every bucket's running count from the final counts (one pass).
+void accumulate(ValueHistogram& hist);
+
+/// How many of the histogram's entities satisfy `value op literal`, i.e.
+/// have `apply(op, value, literal)` True — needs accumulate()d running
+/// counts. Two ordered searches when the keys are all one kind (Int,
+/// String, or Real without NaN) and the literal compares with them and is
+/// not NaN; otherwise (bools, mixed kinds, null or NaN literals) the linear
+/// apply() walk, which throws QueryError wherever apply() does.
+[[nodiscard]] std::uint64_t satisfying_count(const ValueHistogram& hist,
+                                             CompOp op, const Value& literal);
 
 /// Pair evidence thinner than this leaves an attribute's injection rate
 /// untrusted: the estimators then use the observed gap-conditional rates

@@ -1,10 +1,15 @@
 // Catalog serialization: round-trips, format details, and error handling.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <sstream>
+
+#include "isomer/analytic/impute.hpp"
 #include "isomer/core/strategy.hpp"
 #include "isomer/io/catalog.hpp"
 #include "isomer/workload/paper_example.hpp"
 #include "isomer/workload/synth.hpp"
+#include "report_digest.hpp"
 
 namespace isomer {
 namespace {
@@ -159,6 +164,81 @@ TEST(Catalog, HandEditedCatalogGetsFederationValidation) {
       "    bind \"k\" \"k\"\n"
       "entity \"C\" 1:99\n";
   EXPECT_THROW((void)load_catalog(text), FederationError);
+}
+
+/// Rewrites a saved synthetic catalog so every predicate attribute (p*) and
+/// the first extra attribute (x0, a covariate candidate) is a real, with
+/// every fifth stored value `real nan` — what a hand-written catalog can
+/// hold, since the loader reads reals through std::stod.
+std::string with_nan_reals(const std::string& catalog) {
+  std::istringstream in(catalog);
+  std::ostringstream out;
+  std::size_t values = 0;
+  for (std::string line; std::getline(in, line);) {
+    const bool real_attr = line.rfind("  attr \"p", 0) == 0 ||
+                           line.rfind("  attr \"x0\"", 0) == 0;
+    const bool real_value = line.rfind("  \"p", 0) == 0 ||
+                            line.rfind("  \"x0\"", 0) == 0;
+    if (real_attr && line.size() > 4 &&
+        line.compare(line.size() - 4, 4, " int") == 0) {
+      line.replace(line.size() - 3, 3, "real");
+    } else if (const std::size_t at = line.find("= int ");
+               real_value && at != std::string::npos) {
+      line.replace(at, 6, "= real ");
+      if (values++ % 5 == 0) line = line.substr(0, at + 7) + "nan";
+    }
+    out << line << "\n";
+  }
+  return out.str();
+}
+
+TEST(Catalog, NaNRealsBuildAnImputeModelAndRunImDeterministically) {
+  Rng rng(515);
+  ParamConfig config;
+  config.n_classes = {2, 3};
+  config.n_preds = {1, 3};
+  config.n_objects = {150, 300};
+  config.forced_missing_rate = 0.3;
+  std::uint64_t consulted = 0;
+  for (int trial = 0; trial < 4; ++trial) {
+    const SampleParams sample = draw_sample(config, rng);
+    const SynthFederation synth = materialize_sample(sample);
+    const std::string text = with_nan_reals(save_catalog(*synth.federation));
+    ASSERT_NE(text.find("real nan"), std::string::npos);
+
+    // Two independent loads, models and runs must agree bitwise.
+    const auto run = [&] {
+      const std::unique_ptr<Federation> federation = load_catalog(text);
+      const ImputeModel model = ImputeModel::build(*federation);
+      const std::string& root = synth.query.range_class;
+      const std::optional<std::size_t> p0_attr =
+          federation->schema().find_class(root)->def().find_attribute("p0");
+      EXPECT_TRUE(p0_attr.has_value());
+      const AttrEstimator* p0 =
+          p0_attr ? model.estimator(root, *p0_attr) : nullptr;
+      EXPECT_TRUE(p0 != nullptr && !p0->histogram.empty() &&
+                  std::isnan(p0->histogram.rbegin()->first.as_real()))
+          << "NaN reals must reach the histogram, ordered last";
+      std::string digest;
+      for (const bool mar : {false, true}) {
+        StrategyOptions exec;
+        exec.record_trace = false;
+        exec.impute = &model;
+        exec.impute_threshold = 0.5;
+        exec.impute_mar = mar;
+        const StrategyReport report = execute_strategy(
+            StrategyKind::IM, *federation, synth.query, exec);
+        consulted += report.imputed_atoms + report.impute_declined;
+        digest += testing::report_digest_line(mar ? "mar" : "mcar", report) +
+                  " imputed=" + std::to_string(report.imputed_atoms) + "\n";
+        for (const ResultRow& row : report.result.rows)
+          digest += std::to_string(row.confidence) + ";";
+      }
+      return digest;
+    };
+    EXPECT_EQ(run(), run()) << "trial " << trial;
+  }
+  EXPECT_GT(consulted, 0u) << "IM never consulted the NaN-carrying model";
 }
 
 }  // namespace
