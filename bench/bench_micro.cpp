@@ -7,6 +7,7 @@
 
 #include "isomer/analytic/impute.hpp"
 #include "isomer/core/cert_cache.hpp"
+#include "isomer/core/certify.hpp"
 #include "isomer/core/local_exec.hpp"
 #include "isomer/core/strategy.hpp"
 #include "isomer/federation/goid_table.hpp"
@@ -272,6 +273,79 @@ void BM_GoidProbeReferenceMap(benchmark::State& state) {
                          benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_GoidProbeReferenceMap)->Arg(100'000)->Arg(1'000'000);
+
+/// Cold point lookups through the store: n objects in one database, probed
+/// in shuffled order through ComponentDatabase::fetch with a fresh buffer
+/// pool each pass, so every fetch resolves the LOid and charges the meter —
+/// the navigation step phase P and the check protocol pay per object.
+/// Compared against BM_GoidProbeReferenceMap: one node-based hash probe.
+void BM_StoreFetch(benchmark::State& state) {
+  const std::int64_t n = state.range(0);
+  ComponentSchema schema(DbId{1}, "DB1");
+  schema.add_class("C").add_attribute("v", PrimType::Int);
+  ComponentDatabase db(std::move(schema));
+  db.reserve("C", static_cast<std::size_t>(n));
+  std::vector<LOid> order;
+  order.reserve(static_cast<std::size_t>(n));
+  for (std::int64_t i = 0; i < n; ++i) order.push_back(db.insert("C", {{"v", i}}));
+  Rng rng(5);
+  for (std::size_t i = order.size(); i > 1; --i)
+    std::swap(order[i - 1], order[rng.index(i)]);
+  for (auto _ : state) {
+    AccessMeter meter;
+    FetchCache cache;
+    for (const LOid id : order)
+      benchmark::DoNotOptimize(db.fetch(id, &meter, &cache));
+    benchmark::DoNotOptimize(meter.objects_fetched);
+  }
+  state.SetItemsProcessed(state.iterations() * n);
+}
+BENCHMARK(BM_StoreFetch)->Arg(1'000'000);
+
+/// Phase I alone: certify() over the local rows and check verdicts of every
+/// home database of a synthetic federation (inputs prepared once, outside
+/// the timed loop). Items are local rows certified.
+void BM_Certify(benchmark::State& state) {
+  const SynthFederation synth = make_synth(static_cast<int>(state.range(0)));
+  const Federation& federation = *synth.federation;
+  std::vector<LocalExecution> locals;
+  std::vector<CheckVerdict> verdicts;
+  std::size_t rows = 0;
+  for (const Constituent& home :
+       federation.schema().cls(synth.query.range_class).constituents()) {
+    locals.push_back(run_local_query(federation, synth.query, home.db));
+    rows += locals.back().rows.size();
+    CheckPlan plan =
+        plan_checks(federation, synth.query, home.db,
+                    unsolved_items_of_rows(locals.back().rows));
+    while (plan.task_count() > 0) {  // checks with their cascades
+      CheckPlan next;
+      for (const auto& [target, tasks] : plan.by_target) {
+        const CheckOutcome outcome =
+            run_checks(federation, synth.query, target, tasks);
+        verdicts.insert(verdicts.end(), outcome.verdicts.begin(),
+                        outcome.verdicts.end());
+        for (const auto& [cascade_target, cascade_tasks] :
+             outcome.follow_up.by_target) {
+          auto& bucket = next.by_target[cascade_target];
+          bucket.insert(bucket.end(), cascade_tasks.begin(),
+                        cascade_tasks.end());
+        }
+      }
+      plan = std::move(next);
+    }
+  }
+  for (auto _ : state) {
+    AccessMeter meter;
+    const QueryResult result =
+        certify(federation, synth.query, locals, verdicts, &meter);
+    benchmark::DoNotOptimize(result.rows.size());
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(rows));
+  state.counters["verdicts"] = static_cast<double>(verdicts.size());
+}
+BENCHMARK(BM_Certify)->Arg(2000);
 
 /// Full local query execution, row path vs columnar fast path, on the same
 /// synthetic federation. The two are bitwise-identical in results and meter

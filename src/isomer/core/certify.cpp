@@ -1,8 +1,8 @@
 #include "isomer/core/certify.hpp"
 
 #include <algorithm>
-#include <map>
 #include <set>
+#include <span>
 
 #include "isomer/common/error.hpp"
 
@@ -20,8 +20,8 @@ QueryResult certify(
   std::set<DbId> homes;
   for (const LocalExecution& local : locals) homes.insert(local.db);
 
-  // Entity -> its rows (in ascending DbId order because locals arrive per
-  // database and we visit them in DbId order below).
+  // Entity -> its rows, grouped by one stable sort: rows are appended in
+  // ascending DbId order, and stability keeps that order within an entity.
   std::vector<const LocalExecution*> ordered;
   ordered.reserve(locals.size());
   for (const LocalExecution& local : locals) ordered.push_back(&local);
@@ -30,31 +30,70 @@ QueryResult certify(
               return a->db < b->db;
             });
 
-  std::map<GOid, std::vector<const LocalRow*>> rows_by_entity;
+  using EntityRow = std::pair<GOid, const LocalRow*>;
+  const auto by_entity = [](const EntityRow& a, const EntityRow& b) {
+    return a.first < b.first;
+  };
+  std::vector<EntityRow> rows_by_entity;
   for (const LocalExecution* local : ordered)
     for (const LocalRow& row : local->rows)
-      rows_by_entity[row.entity].push_back(&row);
+      rows_by_entity.emplace_back(row.entity, &row);
+  std::stable_sort(rows_by_entity.begin(), rows_by_entity.end(), by_entity);
 
   // Flat ascending view of the homes for the batched presence probe below.
   const std::vector<DbId> home_list(homes.begin(), homes.end());
 
-  // Verdict index: (item, predicate) -> Kleene-or of all assistant verdicts,
-  // with False dominating (any violating assistant eliminates).
-  std::map<std::pair<GOid, std::size_t>, Truth> verdict_index;
+  // Verdict index, sorted by (item, predicate): the Kleene-or of all
+  // assistant verdicts on that key, with False dominating (any violating
+  // assistant eliminates). The pooling is order-independent, so sorting
+  // first and merging neighbours gives the same index as inserting in
+  // arrival order.
+  using VerdictKey = std::pair<GOid, std::size_t>;
+  std::vector<std::pair<VerdictKey, Truth>> verdict_index;
+  verdict_index.reserve(verdicts.size());
   for (const CheckVerdict& verdict : verdicts) {
     if (meter != nullptr) ++meter->comparisons;
-    auto [it, inserted] = verdict_index.try_emplace(
-        std::pair{verdict.item, verdict.predicate}, verdict.truth);
-    if (!inserted) {
-      if (is_false(verdict.truth) || is_false(it->second))
-        it->second = Truth::False;
-      else
-        it->second = it->second || verdict.truth;
+    verdict_index.emplace_back(VerdictKey{verdict.item, verdict.predicate},
+                               verdict.truth);
+  }
+  std::sort(verdict_index.begin(), verdict_index.end());
+  std::size_t merged = 0;
+  for (const auto& [key, truth] : verdict_index) {
+    if (merged > 0 && verdict_index[merged - 1].first == key) {
+      Truth& pooled = verdict_index[merged - 1].second;
+      pooled = is_false(truth) || is_false(pooled) ? Truth::False
+                                                   : pooled || truth;
+    } else {
+      verdict_index[merged++] = {key, truth};
     }
   }
+  verdict_index.resize(merged);
+  const auto find_verdict = [&verdict_index](GOid item,
+                                             std::size_t p) -> const Truth* {
+    const VerdictKey key{item, p};
+    const auto it = std::lower_bound(
+        verdict_index.begin(), verdict_index.end(), key,
+        [](const auto& entry, const VerdictKey& k) { return entry.first < k; });
+    return it != verdict_index.end() && it->first == key ? &it->second
+                                                         : nullptr;
+  };
+
+  // Scratch reused across entities, so a row whose condition folds to a
+  // constant allocates nothing.
+  std::vector<Truth> truths(query.predicates.size());
+  std::vector<Condition> pooled;
+  std::vector<Condition> per_pred;
+  std::vector<VerdictKey> imputed_used;
+  std::vector<CondAtom> atoms;
 
   QueryResult result;
-  for (const auto& [entity, rows] : rows_by_entity) {
+  for (auto group = rows_by_entity.begin(); group != rows_by_entity.end();) {
+    const GOid entity = group->first;
+    const auto group_end =
+        std::find_if(group, rows_by_entity.end(),
+                     [entity](const EntityRow& e) { return e.first != entity; });
+    const std::span<const EntityRow> rows(group, group_end);
+    group = group_end;
     if (stats != nullptr) ++stats->entities;
     // Row-presence evidence: every home database holding an isomeric root
     // object must have shipped a row, else the object was eliminated locally
@@ -76,71 +115,68 @@ QueryResult certify(
     // Alongside the flat pool, build the row's *condition* (conditional
     // tables, query/condition.hpp): per predicate, a Pool over the same
     // evidence — decided row statuses as constants, Unknown statuses as
-    // leaves — combined in the query's AND/OR shape. Pooled verdicts then
-    // discharge their leaves by substitution, so the condition's truth is,
-    // by construction, the flat pool's answer; the condition additionally
-    // *names* the atoms that kept a maybe row maybe. Building it charges
-    // nothing: the meter sees exactly the comparisons the flat loop makes.
+    // leaves — combined in the query's AND/OR shape. A consulted verdict
+    // is substituted as its leaf is made, and every node is built through
+    // Condition::fold, so the condition arrives simplified and its truth
+    // is, by construction, the flat pool's answer; the condition
+    // additionally *names* the atoms that kept a maybe row maybe. Building
+    // it charges nothing: the meter sees exactly the comparisons the flat
+    // loop makes.
     Truth overall = Truth::True;
     Condition condition;  // constant True
     double confidence = 1.0;  // product over distinct imputed verdicts used
     if (!eliminated) {
-      std::vector<Truth> truths(query.predicates.size(), Truth::Unknown);
-      std::vector<Condition> per_pred;
-      per_pred.reserve(query.predicates.size());
-      std::set<std::pair<GOid, std::size_t>> dischargeable;
-      std::set<std::pair<GOid, std::size_t>> imputed_used;
+      per_pred.clear();
+      imputed_used.clear();
       for (std::size_t p = 0; p < query.predicates.size(); ++p) {
         bool any_true = false, any_false = false;
-        std::vector<Condition> pooled;
-        pooled.reserve(rows.size());
-        for (const LocalRow* row : rows) {
+        pooled.clear();
+        for (const auto& [row_entity, row] : rows) {
           if (meter != nullptr) ++meter->comparisons;
           const PredStatus& status = row->preds[p];
           if (is_true(status.truth)) any_true = true;
           if (is_false(status.truth)) any_false = true;
-          if (is_unknown(status.truth)) {
-            // Step-0 sites are decided by the other rows in this very pool,
-            // never by assistant verdicts — the root_level flag keeps
-            // substitution away from them, mirroring the step > 0 guard.
-            pooled.push_back(Condition::leaf(CondAtom{
-                status.item, p, status.step, status.step == 0}));
-          } else {
+          if (!is_unknown(status.truth)) {
             pooled.push_back(Condition::constant(status.truth));
+            continue;
           }
-          if (is_unknown(status.truth) && status.step > 0) {
-            dischargeable.insert(std::pair{status.item, p});
-            const auto it = verdict_index.find(std::pair{status.item, p});
-            if (it != verdict_index.end()) {
-              if (meter != nullptr) ++meter->comparisons;
-              if (is_false(it->second)) any_false = true;
-              if (is_true(it->second)) any_true = true;
-              // Probabilistic certification (the IM strategy): a consulted
-              // verdict that was synthesized from the population model
-              // discounts the row's confidence — once per distinct atom,
-              // however many rows of the entity it advised.
-              if (imputed != nullptr) {
-                const auto conf = imputed->find(std::pair{status.item, p});
-                if (conf != imputed->end() &&
-                    imputed_used.insert(std::pair{status.item, p}).second)
-                  confidence *= conf->second;
-              }
+          // Step-0 sites are decided by the other rows in this very pool,
+          // never by assistant verdicts — the root_level flag records that.
+          // A step > 0 leaf with a pooled verdict is that verdict: the
+          // leaf is not negated, so substitution would give this constant.
+          const Truth* verdict =
+              status.step > 0 ? find_verdict(status.item, p) : nullptr;
+          if (verdict == nullptr) {
+            pooled.push_back(Condition::leaf(
+                CondAtom{status.item, p, status.step, status.step == 0}));
+            continue;
+          }
+          if (meter != nullptr) ++meter->comparisons;
+          if (is_false(*verdict)) any_false = true;
+          if (is_true(*verdict)) any_true = true;
+          pooled.push_back(Condition::constant(*verdict));
+          // Probabilistic certification (the IM strategy): a consulted
+          // verdict that was synthesized from the population model
+          // discounts the row's confidence — once per distinct atom,
+          // however many rows of the entity it advised.
+          if (imputed != nullptr) {
+            const VerdictKey key{status.item, p};
+            const auto conf = imputed->find(key);
+            if (conf != imputed->end() &&
+                std::find(imputed_used.begin(), imputed_used.end(), key) ==
+                    imputed_used.end()) {
+              imputed_used.push_back(key);
+              confidence *= conf->second;
             }
           }
         }
         truths[p] = any_false  ? Truth::False
                     : any_true ? Truth::True
                                : Truth::Unknown;
-        per_pred.push_back(Condition::pool(std::move(pooled)));
+        per_pred.push_back(Condition::fold(Condition::Kind::Pool, pooled));
       }
       overall = query.combine(truths);
-      condition = combine_conditions(query, std::move(per_pred));
-      for (const auto& [item, p] : dischargeable) {
-        const auto it = verdict_index.find(std::pair{item, p});
-        if (it != verdict_index.end())
-          condition = condition.substitute(item, p, it->second);
-      }
-      condition = condition.simplify();
+      condition = combine_conditions(query, per_pred);
       ensures(condition.truth() == overall,
               "row condition must agree with the flat certification pool");
       if (is_false(overall)) eliminated = true;
@@ -164,14 +200,16 @@ QueryResult certify(
                         : std::move(condition);
     if (stats != nullptr) {
       ++(out.status == ResultStatus::Certain ? stats->certain : stats->maybe);
-      if (out.status == ResultStatus::Maybe)
-        for (const CondAtom& atom : out.condition.atoms()) {
-          ++stats->unresolved_atoms;
-          ++stats->unresolved_by_predicate[atom.predicate];
-        }
+      atoms.clear();
+      out.condition.collect_atoms(atoms);
+      for (const CondAtom& atom : atoms) {
+        ++stats->unresolved_atoms;
+        ++stats->unresolved_by_predicate[atom.predicate];
+      }
     }
     out.targets.assign(query.targets.size(), Value::null());
-    for (const LocalRow* row : rows)  // ascending DbId; first non-null wins
+    // Rows are in ascending DbId order; the first non-null target wins.
+    for (const auto& [row_entity, row] : rows)
       for (std::size_t t = 0; t < query.targets.size(); ++t)
         if (out.targets[t].is_null() && !row->targets[t].is_null())
           out.targets[t] = row->targets[t];
@@ -187,7 +225,9 @@ QueryResult certify(
         std::vector<Truth>(query.predicates.size(), Truth::Unknown));
     for (const GOid entity :
          federation.goids().entities_of(query.range_class)) {
-      if (rows_by_entity.find(entity) != rows_by_entity.end()) continue;
+      if (std::binary_search(rows_by_entity.begin(), rows_by_entity.end(),
+                             EntityRow{entity, nullptr}, by_entity))
+        continue;
       if (meter != nullptr) ++meter->table_probes;
       bool any_live_home = false;
       bool any_dead = false;
@@ -209,13 +249,11 @@ QueryResult certify(
       // entity itself. root_level because no assistant verdict can decide
       // it — the data lives only at unreachable sites.
       if (out.status == ResultStatus::Maybe) {
-        std::vector<Condition> per_pred;
-        per_pred.reserve(query.predicates.size());
+        per_pred.clear();
         for (std::size_t p = 0; p < query.predicates.size(); ++p)
           per_pred.push_back(
               Condition::leaf(CondAtom{entity, p, 0, true}));
-        out.condition =
-            combine_conditions(query, std::move(per_pred)).simplify();
+        out.condition = combine_conditions(query, per_pred);
       }
       if (stats != nullptr) {
         ++stats->entities;

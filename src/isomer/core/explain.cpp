@@ -181,10 +181,10 @@ Explanation explain(const Federation& federation, const GlobalQuery& query,
                 : is_true(overall) ? Outcome::Certain
                                    : Outcome::Maybe;
 
-  // --- The residual condition of a maybe outcome: the per-predicate pools
-  // combined in the query's shape, every checked atom's pooled verdict
-  // substituted, then simplified — certify()'s condition path for one
-  // entity.
+  // --- The residual condition of a maybe outcome: every checked atom's
+  // pooled verdict substituted into its non-root-level leaves, then the
+  // per-predicate pools folded and combined in the query's shape —
+  // certify()'s condition path for one entity.
   if (out.outcome == Outcome::Maybe) {
     Condition::Assignment verdict_index;
     for (const CheckVerdict& verdict : verdicts) {
@@ -199,12 +199,16 @@ Explanation explain(const Federation& federation, const GlobalQuery& query,
     }
     std::vector<Condition> per_pred;
     per_pred.reserve(query.predicates.size());
-    for (std::size_t p = 0; p < query.predicates.size(); ++p)
-      per_pred.push_back(Condition::pool(std::move(pooled[p])));
-    Condition condition = combine_conditions(query, std::move(per_pred));
-    for (const auto& [atom, truth] : verdict_index)
-      condition = condition.substitute(atom.first, atom.second, truth);
-    out.residual = condition.simplify();
+    for (std::size_t p = 0; p < query.predicates.size(); ++p) {
+      for (Condition& child : pooled[p]) {
+        if (child.kind() != Condition::Kind::Leaf || child.atom().root_level)
+          continue;
+        const auto it = verdict_index.find(std::pair{child.atom().item, p});
+        if (it != verdict_index.end()) child = Condition::constant(it->second);
+      }
+      per_pred.push_back(Condition::fold(Condition::Kind::Pool, pooled[p]));
+    }
+    out.residual = combine_conditions(query, per_pred);
     ensures(out.residual.truth() == overall,
             "explanation residual must agree with the pooled evidence");
   }

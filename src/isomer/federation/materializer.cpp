@@ -289,8 +289,7 @@ QueryResult evaluate_global(const MaterializedView& view,
           per_pred.push_back(Condition::constant(truths[p]));
         }
       }
-      row.condition =
-          combine_conditions(query, std::move(per_pred)).simplify();
+      row.condition = combine_conditions(query, per_pred);
     }
     row.targets.reserve(query.targets.size());
     for (const PathExpr& target : query.targets)

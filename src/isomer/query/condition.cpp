@@ -98,19 +98,15 @@ Truth Condition::truth(const Assignment& assignment) const {
   return negated_ ? !base : base;
 }
 
-Condition Condition::substitute(GOid item, std::size_t predicate,
-                                Truth value) const {
+template <typename Match>
+Condition Condition::replace_leaves(const Match& match, Truth value) const {
   switch (kind_) {
     case Kind::Constant:
       return *this;
     case Kind::Leaf:
-      if (!atom_.root_level && atom_.item == item &&
-          atom_.predicate == predicate) {
-        // The negation flag folds into the constant right away — a negated
-        // leaf decided True is the constant False.
-        return constant(negated_ ? !value : value);
-      }
-      return *this;
+      // The negation flag folds into the constant right away — a negated
+      // leaf decided True is the constant False.
+      return match(atom_) ? constant(negated_ ? !value : value) : *this;
     case Kind::And:
     case Kind::Or:
     case Kind::Pool: {
@@ -119,103 +115,99 @@ Condition Condition::substitute(GOid item, std::size_t predicate,
       c.negated_ = negated_;
       c.children_.reserve(children_.size());
       for (const Condition& child : children_)
-        c.children_.push_back(child.substitute(item, predicate, value));
+        c.children_.push_back(child.replace_leaves(match, value));
       return c;
     }
   }
   return *this;
+}
+
+Condition Condition::substitute(GOid item, std::size_t predicate,
+                                Truth value) const {
+  return replace_leaves(
+      [&](const CondAtom& a) {
+        return !a.root_level && a.item == item && a.predicate == predicate;
+      },
+      value);
 }
 
 Condition Condition::substitute_atom(const CondAtom& atom,
                                      Truth value) const {
+  return replace_leaves([&](const CondAtom& a) { return a == atom; }, value);
+}
+
+Condition Condition::simplify() const {
   switch (kind_) {
     case Kind::Constant:
-      return *this;
+      return negated_ ? constant(!value_) : *this;
     case Kind::Leaf:
-      if (atom_ == atom) return constant(negated_ ? !value : value);
       return *this;
     case Kind::And:
     case Kind::Or:
     case Kind::Pool: {
-      Condition c;
-      c.kind_ = kind_;
-      c.negated_ = negated_;
-      c.children_.reserve(children_.size());
+      std::vector<Condition> simplified;
+      simplified.reserve(children_.size());
       for (const Condition& child : children_)
-        c.children_.push_back(child.substitute_atom(atom, value));
-      return c;
+        simplified.push_back(child.simplify());
+      return fold(kind_, simplified, negated_);
     }
   }
   return *this;
 }
 
-Condition Condition::simplify() const {
-  // Folds this node's negation into `base` and returns it.
-  const auto finish = [this](Condition base) -> Condition {
-    if (!negated_) return base;
+Condition Condition::fold(Kind kind, std::span<Condition> children,
+                          bool negated) {
+  expects(kind == Kind::And || kind == Kind::Or || kind == Kind::Pool,
+          "fold builds connectives only");
+  // Folds the node's negation into `base` and returns it.
+  const auto finish = [negated](Condition base) -> Condition {
+    if (!negated) return base;
     if (base.kind_ == Kind::Constant && !base.negated_)
       return constant(!base.value_);
-    return base.negate();
+    base.negated_ = !base.negated_;
+    return base;
   };
 
-  switch (kind_) {
-    case Kind::Constant:
-    case Kind::Leaf: {
-      Condition c = *this;
-      c.negated_ = false;
-      return finish(std::move(c));
+  // Kept children are compacted to the front of `children`.
+  std::size_t kept = 0;
+  const auto keep = [&](Condition& child) {
+    if (&children[kept] != &child) children[kept] = std::move(child);
+    ++kept;
+  };
+  if (kind == Kind::Pool) {
+    bool only_true = true;  // every kept child a True constant
+    for (Condition& child : children) {
+      const bool decided = child.is_constant() && !child.negated_;
+      if (decided && is_false(child.value_))
+        return finish(constant(Truth::False));
+      if (decided && is_unknown(child.value_))
+        continue;  // contributes no evidence
+      // A True child is kept: Pool{True, x} still turns False with x.
+      only_true = only_true && decided;
+      keep(child);
     }
-    case Kind::And:
-    case Kind::Or: {
-      const bool conj = kind_ == Kind::And;
-      const Truth identity = conj ? Truth::True : Truth::False;
-      const Truth annihilator = !identity;
-      std::vector<Condition> kept;
-      kept.reserve(children_.size());
-      for (const Condition& child : children_) {
-        Condition s = child.simplify();
-        if (s.is_constant() && !s.negated_) {
-          if (s.value_ == annihilator) return finish(constant(annihilator));
-          if (s.value_ == identity) continue;  // no effect on min/max
-        }
-        kept.push_back(std::move(s));
+    if (kept == 0) return finish(constant(Truth::Unknown));
+    // Only True constants left: no child can ever turn False.
+    if (only_true) return finish(constant(Truth::True));
+  } else {
+    const Truth identity = kind == Kind::And ? Truth::True : Truth::False;
+    const Truth annihilator = !identity;
+    for (Condition& child : children) {
+      if (child.is_constant() && !child.negated_) {
+        if (child.value_ == annihilator) return finish(constant(annihilator));
+        if (child.value_ == identity) continue;  // no effect on min/max
       }
-      if (kept.empty()) return finish(constant(identity));
-      if (kept.size() == 1) return finish(std::move(kept.front()));
-      Condition c;
-      c.kind_ = kind_;
-      c.children_ = std::move(kept);
-      return finish(std::move(c));
+      keep(child);
     }
-    case Kind::Pool: {
-      bool any_true = false;
-      std::vector<Condition> kept;
-      kept.reserve(children_.size());
-      for (const Condition& child : children_) {
-        Condition s = child.simplify();
-        if (s.is_constant() && !s.negated_) {
-          if (is_false(s.value_)) return finish(constant(Truth::False));
-          if (is_unknown(s.value_)) continue;  // contributes no evidence
-          any_true = true;  // kept: Pool{True, x} still turns False with x
-        }
-        kept.push_back(std::move(s));
-      }
-      if (kept.empty()) return finish(constant(Truth::Unknown));
-      // Only True constants left: no child can ever turn False.
-      if (any_true &&
-          static_cast<std::size_t>(std::count_if(
-              kept.begin(), kept.end(), [](const Condition& c) {
-                return c.is_constant() && !c.negated() && is_true(c.value_);
-              })) == kept.size())
-        return finish(constant(Truth::True));
-      if (kept.size() == 1) return finish(std::move(kept.front()));
-      Condition c;
-      c.kind_ = Kind::Pool;
-      c.children_ = std::move(kept);
-      return finish(std::move(c));
-    }
+    if (kept == 0) return finish(constant(identity));
   }
-  return *this;
+  if (kept == 1) return finish(std::move(children.front()));
+  Condition c;
+  c.kind_ = kind;
+  const std::span<Condition> survivors = children.first(kept);
+  c.children_.assign(std::make_move_iterator(survivors.begin()),
+                     std::make_move_iterator(survivors.end()));
+  return finish(std::move(c));
 }
 
 void Condition::collect_atoms(std::vector<CondAtom>& out) const {
@@ -271,9 +263,11 @@ std::ostream& operator<<(std::ostream& os, const Condition& condition) {
 }
 
 Condition combine_conditions(const GlobalQuery& query,
-                             std::vector<Condition> per_pred) {
+                             std::span<Condition> per_pred) {
   expects(per_pred.size() == query.predicates.size(),
           "combine_conditions needs one condition per predicate");
+  if (query.disjuncts.empty())
+    return Condition::fold(Condition::Kind::And, per_pred);
   // Mirrors GlobalQuery::combine exactly: AND(loose) AND OR(AND(group)).
   std::vector<bool> grouped(per_pred.size(), false);
   std::vector<Condition> alternatives;
@@ -286,14 +280,14 @@ Condition combine_conditions(const GlobalQuery& query,
       grouped[index] = true;
       conjuncts.push_back(per_pred[index]);
     }
-    alternatives.push_back(Condition::make_and(std::move(conjuncts)));
+    alternatives.push_back(
+        Condition::fold(Condition::Kind::And, conjuncts));
   }
   std::vector<Condition> loose;
-  if (!query.disjuncts.empty())
-    loose.push_back(Condition::make_or(std::move(alternatives)));
+  loose.push_back(Condition::fold(Condition::Kind::Or, alternatives));
   for (std::size_t p = 0; p < per_pred.size(); ++p)
     if (!grouped[p]) loose.push_back(std::move(per_pred[p]));
-  return Condition::make_and(std::move(loose));
+  return Condition::fold(Condition::Kind::And, loose);
 }
 
 std::uint64_t predicate_signature(const Predicate& predicate) {

@@ -30,6 +30,7 @@
 #include <cstdint>
 #include <iosfwd>
 #include <map>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -122,8 +123,13 @@ class Condition {
                                           Truth value) const;
 
   /// Sound simplification (idempotent; never changes truth() under any
-  /// assignment):
-  ///  * negated constants fold into their complement,
+  /// assignment): fold() applied post-order, with negated constants folded
+  /// into their complement at the leaves.
+  [[nodiscard]] Condition simplify() const;
+
+  /// The one simplification fold: the `kind` node (And, Or or Pool) over
+  /// `children`, each already simplified, reduced by these rules with
+  /// `negated` folded on top:
   ///  * And drops True children, collapses on a False child,
   ///  * Or drops False children, collapses on a True child,
   ///  * Pool drops Unknown children (they contribute no evidence),
@@ -132,8 +138,12 @@ class Condition {
   ///  * empty And/Or/Pool fold to their identities (True/False/Unknown).
   /// Note Pool *keeps* True children: Pool{True, x} is True even while x is
   /// Unknown, but becomes False if x turns False — dropping the True would
-  /// lose that, and collapsing early would mis-eliminate.
-  [[nodiscard]] Condition simplify() const;
+  /// lose that, and collapsing early would mis-eliminate. The children are
+  /// moved from. Building a tree bottom-up through fold() gives exactly
+  /// simplify() of the same tree built with make_and/make_or/pool, and a
+  /// node that folds to a constant allocates nothing.
+  [[nodiscard]] static Condition fold(Kind kind, std::span<Condition> children,
+                                      bool negated = false);
 
   /// Appends every leaf atom in the tree (duplicates included) to `out`.
   void collect_atoms(std::vector<CondAtom>& out) const;
@@ -145,6 +155,11 @@ class Condition {
   friend bool operator==(const Condition&, const Condition&) = default;
 
  private:
+  /// Every leaf whose atom satisfies `match` becomes the constant `value`,
+  /// with the leaf's negation folded in.
+  template <typename Match>
+  [[nodiscard]] Condition replace_leaves(const Match& match, Truth value) const;
+
   Kind kind_ = Kind::Constant;
   bool negated_ = false;
   Truth value_ = Truth::True;        ///< Constant payload
@@ -154,13 +169,14 @@ class Condition {
 
 std::ostream& operator<<(std::ostream& os, const Condition& condition);
 
-/// Combines per-predicate conditions (aligned with `query.predicates`) into
-/// one row condition with exactly GlobalQuery::combine's shape:
-/// AND(loose predicates) AND OR(AND(group) for each disjunct group). For
-/// every assignment, combine_conditions(q, cs).truth(a) ==
-/// q.combine([c.truth(a) for c in cs]).
+/// Combines simplified per-predicate conditions (aligned with
+/// `query.predicates`, moved from) into one row condition with exactly
+/// GlobalQuery::combine's shape, AND(loose predicates) AND OR(AND(group) for
+/// each disjunct group), built through Condition::fold so the result is
+/// already simplified. For every assignment, combine_conditions(q, cs)
+/// .truth(a) == q.combine([c.truth(a) for c in cs]).
 [[nodiscard]] Condition combine_conditions(const GlobalQuery& query,
-                                           std::vector<Condition> per_pred);
+                                           std::span<Condition> per_pred);
 
 /// Stable signature of a predicate atom for certificate-cache keying: an
 /// FNV-1a hash of the predicate's canonical print (`path op literal`), which

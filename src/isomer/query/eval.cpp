@@ -11,7 +11,7 @@ namespace {
 PredicateOutcome eval_from(const ComponentDatabase& db, const Object& obj,
                            const Predicate& pred, std::size_t step,
                            AccessMeter* meter) {
-  const ClassDef& cls = db.schema().cls(db.class_of(obj.id()));
+  const ClassDef& cls = db.class_def(obj.id());
   const std::string& attr_name = pred.path.step(step);
   const auto index = cls.find_attribute(attr_name);
   if (!index) {
@@ -60,8 +60,8 @@ PredicateOutcome eval_from(const ComponentDatabase& db, const Object& obj,
                    " is primitive but the path continues");
 }
 
-/// Cache-aware twin of eval_from: the current class rides along (resolved
-/// through the deref memo instead of per-object hash lookups) and attribute
+/// Cache-aware twin of eval_from: the current class rides along (returned by
+/// ComponentDatabase::resolve's directory lookup) and attribute
 /// positions come from the path's memoized per-class column table. Identical
 /// outcomes and meter counts by construction.
 PredicateOutcome eval_from_cached(const ComponentDatabase& db, EvalCache& cache,
@@ -86,8 +86,7 @@ PredicateOutcome eval_from_cached(const ComponentDatabase& db, EvalCache& cache,
     return PredicateOutcome{Truth::Unknown, UnsolvedSite{obj.id(), step}};
 
   if (v.kind() == ValueKind::LocalRef) {
-    const ResolvedObject next =
-        db.resolve(v.as_local_ref(), meter, nullptr, &cache.derefs());
+    const ResolvedObject next = db.resolve(v.as_local_ref(), meter);
     if (next.obj == nullptr)
       return PredicateOutcome{Truth::Unknown, UnsolvedSite{obj.id(), step}};
     return eval_from_cached(db, cache, *next.obj, *next.cls, pred, res,
@@ -97,8 +96,7 @@ PredicateOutcome eval_from_cached(const ComponentDatabase& db, EvalCache& cache,
   if (v.kind() == ValueKind::LocalRefSet) {
     PredicateOutcome acc{Truth::False, std::nullopt};
     for (const LOid member : v.as_local_ref_set()) {
-      const ResolvedObject next =
-          db.resolve(member, meter, nullptr, &cache.derefs());
+      const ResolvedObject next = db.resolve(member, meter);
       PredicateOutcome branch =
           next.obj == nullptr
               ? PredicateOutcome{Truth::Unknown,
@@ -116,17 +114,6 @@ PredicateOutcome eval_from_cached(const ComponentDatabase& db, EvalCache& cache,
                    " is primitive but the path continues");
 }
 
-/// The root object's class. class_of throws FederationError for an unknown
-/// root, exactly as the uncached walk's first step does; the name-to-class
-/// hop sits behind the cache's one-entry memo since an extent's objects all
-/// share one class. The deref memo is deliberately not involved: roots are
-/// handed in from outside and never re-resolved, so memoizing them would
-/// only grow the map.
-const ClassDef& root_class(const ComponentDatabase& db, const Object& root,
-                           EvalCache& cache) {
-  return cache.class_by_name(db.class_of(root.id()));
-}
-
 Value eval_path_cached(const ComponentDatabase& db, EvalCache& cache,
                        const Object& root, const ClassDef& root_cls,
                        const PathExpr& path, PathResolution& res,
@@ -141,8 +128,7 @@ Value eval_path_cached(const ComponentDatabase& db, EvalCache& cache,
     if (last) return v;
     if (v.is_null()) return Value::null();
     if (v.kind() == ValueKind::LocalRef) {
-      const ResolvedObject next =
-          db.resolve(v.as_local_ref(), meter, nullptr, &cache.derefs());
+      const ResolvedObject next = db.resolve(v.as_local_ref(), meter);
       if (next.obj == nullptr) return Value::null();
       obj = next.obj;
       cls = next.cls;
@@ -151,8 +137,7 @@ Value eval_path_cached(const ComponentDatabase& db, EvalCache& cache,
     if (v.kind() == ValueKind::LocalRefSet) {
       // Take the first member whose continuation yields a non-null value.
       for (const LOid member : v.as_local_ref_set()) {
-        const ResolvedObject next =
-            db.resolve(member, meter, nullptr, &cache.derefs());
+        const ResolvedObject next = db.resolve(member, meter);
         if (next.obj == nullptr) continue;
         Value rest = eval_path_cached(db, cache, *next.obj, *next.cls, path,
                                       res, step + 1, meter);
@@ -174,7 +159,7 @@ PredicateOutcome eval_predicate(const ComponentDatabase& db, const Object& root,
   expects(pred.path.length() > 0, "predicate with empty path");
   expects(!pred.literal.is_null(), "predicate literal must not be null");
   if (cache == nullptr) return eval_from(db, root, pred, 0, meter);
-  return eval_from_cached(db, *cache, root, root_class(db, root, *cache), pred,
+  return eval_from_cached(db, *cache, root, db.class_def(root.id()), pred,
                           cache->resolution(pred.path), 0, meter);
 }
 
@@ -182,11 +167,11 @@ Value eval_path(const ComponentDatabase& db, const Object& root,
                 const PathExpr& path, AccessMeter* meter, EvalCache* cache) {
   expects(path.length() > 0, "cannot evaluate an empty path");
   if (cache != nullptr)
-    return eval_path_cached(db, *cache, root, root_class(db, root, *cache),
+    return eval_path_cached(db, *cache, root, db.class_def(root.id()),
                             path, cache->resolution(path), 0, meter);
   const Object* obj = &root;
   for (std::size_t step = 0; step < path.length(); ++step) {
-    const ClassDef& cls = db.schema().cls(db.class_of(obj->id()));
+    const ClassDef& cls = db.class_def(obj->id());
     const auto index = cls.find_attribute(path.step(step));
     if (!index) return Value::null();
     const Value& v = obj->value(*index);
@@ -220,7 +205,7 @@ const Object* walk_prefix(const ComponentDatabase& db, const Object& root,
   const Object* obj = &root;
   if (cache != nullptr) {
     if (path.length() == 0) return obj;
-    const ClassDef* cls = &root_class(db, root, *cache);
+    const ClassDef* cls = &db.class_def(root.id());
     PathResolution& res = cache->resolution(path);
     for (std::size_t step = 0; step < path.length(); ++step) {
       const auto index = res.attr_index(step, *cls);
@@ -228,11 +213,10 @@ const Object* walk_prefix(const ComponentDatabase& db, const Object& root,
       const Value& v = obj->value(*index);
       ResolvedObject next;
       if (v.kind() == ValueKind::LocalRef) {
-        next = db.resolve(v.as_local_ref(), meter, nullptr, &cache->derefs());
+        next = db.resolve(v.as_local_ref(), meter);
       } else if (v.kind() == ValueKind::LocalRefSet &&
                  !v.as_local_ref_set().empty()) {
-        next = db.resolve(v.as_local_ref_set().front(), meter, nullptr,
-                          &cache->derefs());
+        next = db.resolve(v.as_local_ref_set().front(), meter);
       } else {
         return nullptr;  // null or primitive: no object to reach
       }
@@ -243,7 +227,7 @@ const Object* walk_prefix(const ComponentDatabase& db, const Object& root,
     return obj;
   }
   for (std::size_t step = 0; step < path.length(); ++step) {
-    const ClassDef& cls = db.schema().cls(db.class_of(obj->id()));
+    const ClassDef& cls = db.class_def(obj->id());
     const auto index = cls.find_attribute(path.step(step));
     if (!index) return nullptr;
     const Value& v = obj->value(*index);

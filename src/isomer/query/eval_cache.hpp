@@ -1,15 +1,16 @@
 // Hot-path resolution cache for the component-level evaluator.
 //
 // Without a cache, every predicate evaluation re-resolves each path step per
-// object: an LOid-hash lookup for the object's class name, a string-hash
+// object: a directory lookup for the object's class name, a string-hash
 // lookup into the schema, and a string-keyed find_attribute over the class's
 // attribute list. Over an extent those answers never change — the resolution
 // depends only on (class, step) — so an EvalCache resolves each path step to
 // its attribute column index once per class and evaluates the rest of the
-// extent with integer indexing, and memoizes LOid dereferences through the
-// store's DerefCache. Cached evaluation is observationally identical to the
-// uncached path: same PredicateOutcomes (truth and unsolved site) and the
-// same AccessMeter counts (see ComponentDatabase::resolve).
+// extent with integer indexing; dereferences go through
+// ComponentDatabase::resolve, which returns the object and its class from
+// one array-indexed directory slot. Cached evaluation is observationally
+// identical to the uncached path: same PredicateOutcomes (truth and unsolved
+// site) and the same AccessMeter counts (see ComponentDatabase::resolve).
 //
 // The cache holds raw pointers into the database; build one per (database,
 // unit of evaluation) and discard it when the database is mutated.
@@ -55,10 +56,8 @@ class PathResolution {
   std::vector<std::vector<std::pair<const ClassDef*, std::size_t>>> by_step_;
 };
 
-/// Evaluation cache for one ComponentDatabase: per-path step resolutions,
-/// a class-name memo for root objects, plus the store-level deref memo
-/// (for navigated branch objects only — roots are looked up per object
-/// anyway, so memoizing them would just bloat the map). Pass to
+/// Evaluation cache for one ComponentDatabase: per-path step resolutions.
+/// Pass to
 /// eval_predicate / eval_path / walk_prefix / eval_conjunction
 /// (query/eval.hpp).
 class EvalCache {
@@ -77,28 +76,12 @@ class EvalCache {
   /// AddressReusePoisoning).
   [[nodiscard]] PathResolution& resolution(const PathExpr& path);
 
-  /// schema().cls(name) behind a one-entry memo (compared by value): an
-  /// extent's objects all share one class, so after the first object the
-  /// root-class lookup is a single short-string comparison.
-  [[nodiscard]] const ClassDef& class_by_name(const std::string& name) {
-    if (last_cls_ == nullptr || name != last_class_name_) {
-      last_cls_ = &db_->schema().cls(name);
-      last_class_name_ = name;
-    }
-    return *last_cls_;
-  }
-
-  [[nodiscard]] DerefCache& derefs() noexcept { return derefs_; }
-
  private:
   const ComponentDatabase* db_;
   std::unordered_map<const PathExpr*, std::unique_ptr<PathResolution>>
       by_path_;
   std::array<std::pair<const PathExpr*, PathResolution*>, 4> mru_{};
   std::size_t mru_next_ = 0;
-  std::string last_class_name_;
-  const ClassDef* last_cls_ = nullptr;
-  DerefCache derefs_;
 };
 
 }  // namespace isomer

@@ -6,6 +6,12 @@
 
 namespace isomer {
 
+Extent::Extent(const ClassDef& cls)
+    : cls_(&cls), mirror_(std::make_unique<Mirror>()) {
+  for (const AttrDef& attr : cls.attributes())
+    ++(is_complex(attr.type) ? ref_slots_ : prim_slots_);
+}
+
 const ClassDef& Extent::cls() const {
   expects(cls_ != nullptr, "Extent used before binding to a class");
   return *cls_;

@@ -25,10 +25,16 @@ namespace isomer {
 class Extent {
  public:
   Extent() : mirror_(std::make_unique<Mirror>()) {}
-  explicit Extent(const ClassDef& cls)
-      : cls_(&cls), mirror_(std::make_unique<Mirror>()) {}
+  explicit Extent(const ClassDef& cls);
 
   [[nodiscard]] const ClassDef& cls() const;
+
+  /// Attribute slots per object, split by kind as the AccessMeter charges
+  /// them (counted once from the class definition).
+  [[nodiscard]] std::uint64_t prim_slots() const noexcept {
+    return prim_slots_;
+  }
+  [[nodiscard]] std::uint64_t ref_slots() const noexcept { return ref_slots_; }
 
   [[nodiscard]] std::size_t size() const noexcept { return objects_.size(); }
   [[nodiscard]] bool empty() const noexcept { return objects_.empty(); }
@@ -72,6 +78,8 @@ class Extent {
 
  private:
   const ClassDef* cls_ = nullptr;
+  std::uint64_t prim_slots_ = 0;
+  std::uint64_t ref_slots_ = 0;
   std::vector<Object> objects_;
   std::unordered_map<LOid, std::size_t> by_id_;
   std::uint64_t version_ = 0;

@@ -8,8 +8,9 @@
 // sim::CostParams.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
-#include <unordered_set>
+#include <vector>
 
 #include "isomer/common/ids.hpp"
 
@@ -46,11 +47,26 @@ struct AccessMeter {
 /// from disk and is charged to the meter; repeated accesses hit memory and
 /// charge nothing. Pass one cache per logical execution (a local query, a
 /// check batch) to the store's fetch/deref/scan.
-struct FetchCache {
-  std::unordered_set<LOid> seen;
-
+///
+/// ComponentDatabase allocates LOids densely from 1, so the pool is one
+/// bitset per database indexed by LOid::local; a cache shared across
+/// databases keeps their objects apart by DbId.
+class FetchCache {
+ public:
   /// True when `id` was not yet cached (caller must charge the read).
-  bool admit(LOid id) { return seen.insert(id).second; }
+  bool admit(LOid id) {
+    if (id.db.value() >= seen_.size()) seen_.resize(id.db.value() + 1u);
+    std::vector<std::uint64_t>& bits = seen_[id.db.value()];
+    const std::size_t word = id.local / 64;
+    if (word >= bits.size()) bits.resize(std::max(word + 1, 2 * bits.size()));
+    const std::uint64_t mask = std::uint64_t{1} << (id.local % 64);
+    const bool fresh = (bits[word] & mask) == 0;
+    bits[word] |= mask;
+    return fresh;
+  }
+
+ private:
+  std::vector<std::vector<std::uint64_t>> seen_;  ///< per DbId, per local
 };
 
 }  // namespace isomer

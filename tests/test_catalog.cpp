@@ -7,6 +7,7 @@
 #include "isomer/analytic/impute.hpp"
 #include "isomer/core/strategy.hpp"
 #include "isomer/io/catalog.hpp"
+#include "isomer/query/parser.hpp"
 #include "isomer/workload/paper_example.hpp"
 #include "isomer/workload/synth.hpp"
 #include "report_digest.hpp"
@@ -164,6 +165,65 @@ TEST(Catalog, HandEditedCatalogGetsFederationValidation) {
       "    bind \"k\" \"k\"\n"
       "entity \"C\" 1:99\n";
   EXPECT_THROW((void)load_catalog(text), FederationError);
+}
+
+TEST(Catalog, DanglingRefsNavigateToNothing) {
+  // A hand-written catalog may store refs to LOids its database never
+  // allocated: local 0 and one past the last object. Navigation through
+  // them finds no object and charges nothing, so the predicate through the
+  // reference stays Unknown at the holder, and every strategy agrees with
+  // the reference answer.
+  const std::string text =
+      "database 1 \"A\"\n"
+      "class \"C\"\n"
+      "  attr \"k\" int\n"
+      "  attr \"next\" ref \"C\"\n"
+      "object \"C\" 1\n"
+      "  \"k\" = int 5\n"
+      "  \"next\" = ref 0\n"
+      "object \"C\" 2\n"
+      "  \"k\" = int 6\n"
+      "  \"next\" = ref 4\n"
+      "object \"C\" 3\n"
+      "  \"k\" = int 7\n"
+      "  \"next\" = ref 1\n"
+      "end database\n"
+      "database 2 \"B\"\n"
+      "class \"C\"\n"
+      "  attr \"k\" int\n"
+      "object \"C\" 1\n"
+      "  \"k\" = int 6\n"
+      "end database\n"
+      "global \"C\"\n"
+      "  attr \"k\" int\n"
+      "  attr \"next\" ref \"C\"\n"
+      "  constituent 1 \"C\"\n"
+      "    bind \"k\" \"k\"\n"
+      "    bind \"next\" \"next\"\n"
+      "  constituent 2 \"C\"\n"
+      "    bind \"k\" \"k\"\n"
+      "entity \"C\" 1:1\n"
+      "entity \"C\" 1:2 2:1\n"
+      "entity \"C\" 1:3\n";
+  const std::unique_ptr<Federation> federation = load_catalog(text);
+  const ComponentDatabase& db = federation->db(DbId{1});
+  AccessMeter meter;
+  for (const std::uint32_t local : {1u, 2u}) {
+    const Object* obj = db.fetch(LOid{DbId{1}, local});
+    ASSERT_NE(obj, nullptr);
+    EXPECT_EQ(db.deref(obj->value(1), &meter), nullptr) << "object " << local;
+  }
+  EXPECT_EQ(meter, AccessMeter{});
+
+  const GlobalQuery query = parse_sqlx("Select X.k From C X Where X.next.k = 5");
+  const QueryResult expected = reference_answer(*federation, query);
+  ASSERT_EQ(expected.rows.size(), 3u);
+  for (const ResultRow& row : expected.rows)
+    EXPECT_EQ(row.status, row.entity == GOid{3} ? ResultStatus::Certain
+                                                : ResultStatus::Maybe);
+  for (const StrategyKind kind : kAllStrategies)
+    EXPECT_EQ(execute_strategy(kind, *federation, query).result, expected)
+        << to_string(kind);
 }
 
 /// Rewrites a saved synthetic catalog so every predicate attribute (p*) and

@@ -3,8 +3,24 @@
 // every intermediate artifact is known in closed form (§2.3, Fig. 7).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdlib>
+#include <cstring>
+#include <fstream>
+#include <sstream>
+#include <string>
+#include <vector>
+
+#include "isomer/analytic/impute.hpp"
 #include "isomer/core/certify.hpp"
+#include "isomer/core/strategy.hpp"
 #include "isomer/workload/paper_example.hpp"
+#include "isomer/workload/synth.hpp"
+#include "report_digest.hpp"
+
+#ifndef ISOMER_CONDITION_GOLDEN_FILE
+#define ISOMER_CONDITION_GOLDEN_FILE "condition_reports.golden"
+#endif
 
 namespace isomer {
 namespace {
@@ -169,6 +185,25 @@ TEST_F(CertifyFixture, TrueVerdictSolvesAndFalseEliminates) {
   }
 }
 
+TEST_F(CertifyFixture, VerdictsNeverDecideRootLevelSites) {
+  // John's address is missing on the student himself (step 0). Such a site
+  // is decided only by the other rows of its pool, so even a verdict keyed
+  // on exactly (John, p0) must leave his residual leaf alone.
+  std::vector<LocalExecution> locals;
+  locals.push_back(run_local_query(fed(), query_, DbId{1}));
+  const GOid john = g(example_.ids.s1);
+  const QueryResult without = certify(fed(), query_, locals, {});
+  const QueryResult with =
+      certify(fed(), query_, locals, {CheckVerdict{john, 0, Truth::True}});
+  ASSERT_NE(with.find(john), nullptr);
+  EXPECT_EQ(with, without);
+  EXPECT_EQ(with.find(john)->condition, without.find(john)->condition);
+  const std::vector<CondAtom> atoms = with.find(john)->condition.atoms();
+  EXPECT_NE(std::find(atoms.begin(), atoms.end(), CondAtom{john, 0, 0, true}),
+            atoms.end())
+      << with.find(john)->condition.to_string();
+}
+
 TEST_F(CertifyFixture, ConflictingVerdictsFalseDominates) {
   std::vector<LocalExecution> locals;
   locals.push_back(run_local_query(fed(), query_, DbId{2}));
@@ -200,6 +235,88 @@ TEST_F(CertifyFixture, SuffixEvaluationStartsMidPath) {
   const LocalPredOutcome outcome = eval_global_predicate_at(
       fed(), DbId{3}, *kelly, fed().schema().cls("Teacher"), pred, 1);
   EXPECT_EQ(outcome.truth, Truth::True);
+}
+
+// ---- residual-condition goldens ----------------------------------------
+//
+// The report goldens (tests/report_digest.hpp) hash each row's entity,
+// status and targets, never its residual condition or confidence, so a
+// certification rewrite that reorders or drops a condition leaf would pass
+// them. These lines pin every row's printed condition and confidence bits.
+
+constexpr std::uint64_t kConditionSamples = 40;
+
+/// Every strategy's condition digest on one Table-2 sample: the localized
+/// and centralized kinds plus IM at thresh=0.5. `forced` selects R_m = 0.3
+/// on every class; otherwise the sample draws R_m from Table 2.
+std::vector<std::string> condition_golden_lines(std::uint64_t seed,
+                                                bool forced) {
+  ParamConfig config;
+  Rng rng(derive_stream(0xC0'4D17'10ULL, seed));
+  config.n_db = 2 + static_cast<std::size_t>(rng.uniform_int(0, 2));
+  config.n_objects = {40, 80};  // scaled down; structure unchanged
+  if (forced) config.forced_missing_rate = 0.3;
+  const SampleParams sample = draw_sample(config, rng);
+  const SynthFederation synth = materialize_sample(sample);
+  const ImputeModel model = ImputeModel::build(*synth.federation);
+
+  std::vector<StrategyKind> kinds(std::begin(kAllStrategies),
+                                  std::end(kAllStrategies));
+  kinds.push_back(StrategyKind::IM);
+  std::vector<std::string> lines;
+  for (const StrategyKind kind : kinds) {
+    StrategyOptions options;
+    options.record_trace = false;
+    if (kind == StrategyKind::IM) {
+      options.impute = &model;
+      options.impute_threshold = 0.5;
+    }
+    const StrategyReport report =
+        execute_strategy(kind, *synth.federation, synth.query, options);
+    std::ostringstream rows;
+    for (const ResultRow& row : report.result.rows) {
+      std::uint64_t bits = 0;
+      std::memcpy(&bits, &row.confidence, sizeof bits);
+      rows << row.entity.value() << '|' << row.condition.to_string() << '|'
+           << bits << ';';
+    }
+    std::ostringstream line;
+    line << "seed=" << seed << " rm=" << (forced ? "0.3" : "table2")
+         << " kind=" << to_string(kind)
+         << " rows=" << report.result.rows.size() << " conds=" << std::hex
+         << testing::fnv1a(rows.str());
+    lines.push_back(line.str());
+  }
+  return lines;
+}
+
+/// Regenerating (only after an *intentional* change to the residuals, with
+/// the rationale recorded in the commit):
+///   ISOMER_REGOLDEN=/path/to/condition_reports.golden ./test_checks_certify \
+///       --gtest_filter='ConditionReportGoldens.*'
+/// writes the current build's lines instead of comparing.
+TEST(ConditionReportGoldens, ResidualsMatchCheckedInDigests) {
+  std::vector<std::string> current;
+  for (const bool forced : {false, true})
+    for (std::uint64_t seed = 1; seed <= kConditionSamples; ++seed)
+      for (std::string& line : condition_golden_lines(seed, forced))
+        current.push_back(std::move(line));
+  if (const char* path = std::getenv("ISOMER_REGOLDEN")) {
+    std::ofstream out(path);
+    out << "# Residual condition + confidence digests per (sample, "
+           "strategy); IM at thresh=0.5.\n"
+        << "# Regenerate per the recipe in test_checks_certify.cpp.\n";
+    for (const std::string& line : current) out << line << "\n";
+    GTEST_SKIP() << "goldens regenerated, comparison skipped";
+  }
+  std::ifstream in(ISOMER_CONDITION_GOLDEN_FILE);
+  ASSERT_TRUE(in.is_open()) << "cannot open " << ISOMER_CONDITION_GOLDEN_FILE;
+  std::vector<std::string> golden;
+  for (std::string line; std::getline(in, line);)
+    if (!line.empty() && line[0] != '#') golden.push_back(line);
+  ASSERT_EQ(current.size(), golden.size());
+  for (std::size_t i = 0; i < current.size(); ++i)
+    EXPECT_EQ(current[i], golden[i]);
 }
 
 }  // namespace

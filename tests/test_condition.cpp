@@ -7,7 +7,8 @@
 // relies on: simplify() is idempotent and truth-preserving, substitution is
 // order-independent (discharge order cannot matter), root-level leaves are
 // never substituted, De Morgan and absorption hold for the Kleene
-// connectives, and Pool is provably neither of them.
+// connectives, and Pool is provably neither of them. Trees built bottom-up
+// through Condition::fold must equal simplify() of the naively built tree.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -327,6 +328,131 @@ TEST(Condition, DefaultIsConstantTrueAndRendersStably) {
   EXPECT_EQ(pool.negate().to_string(), "not pool(g7#1@2, true)");
   const Condition root = Condition::leaf(CondAtom{GOid{3}, 0, 0, true});
   EXPECT_EQ(root.to_string(), "g3#0@0r");
+}
+
+// ---- The simplification fold ------------------------------------------------
+
+/// A naive tree and the same tree built bottom-up through Condition::fold,
+/// from one set of random draws: constants, leaves, And, Or and Pool, each
+/// possibly negated.
+struct TwinTrees {
+  Condition naive;
+  Condition folded;
+};
+
+TwinTrees random_twins(Rng& rng, int depth) {
+  const auto keys = key_universe();
+  const bool negated = rng.bernoulli(0.3);
+  if (depth <= 0 || rng.bernoulli(0.3)) {
+    Condition node;
+    if (rng.bernoulli(0.3)) {
+      const Truth value = kTruths[rng.index(3)];
+      node = Condition::constant(value);
+      // The folded form of a negated constant is its complement.
+      return {negated ? node.negate() : node,
+              Condition::constant(negated ? !value : value)};
+    }
+    const Key key = keys[rng.index(keys.size())];
+    const auto step = static_cast<std::size_t>(rng.uniform_int(0, 2));
+    node = Condition::leaf(
+        CondAtom{key.first, key.second, step, step == 0 && rng.bernoulli(0.5)});
+    if (negated) node = node.negate();
+    return {node, node};
+  }
+  std::vector<Condition> naive, folded;
+  const std::size_t arity = rng.index(4);  // 0..3 children
+  for (std::size_t i = 0; i < arity; ++i) {
+    TwinTrees child = random_twins(rng, depth - 1);
+    naive.push_back(std::move(child.naive));
+    folded.push_back(std::move(child.folded));
+  }
+  const Condition::Kind kinds[] = {Condition::Kind::And, Condition::Kind::Or,
+                                   Condition::Kind::Pool};
+  const Condition::Kind kind = kinds[rng.index(3)];
+  Condition node = kind == Condition::Kind::And  ? Condition::make_and(naive)
+                   : kind == Condition::Kind::Or ? Condition::make_or(naive)
+                                                 : Condition::pool(naive);
+  return {negated ? node.negate() : node,
+          Condition::fold(kind, folded, negated)};
+}
+
+/// The fold's output shape, written from the documented rules: no negated
+/// constant anywhere, every connective has two or more children, And/Or keep
+/// no identity or annihilator constant, and Pool keeps no False or Unknown
+/// constant and is not all True constants.
+bool is_folded(const Condition& c) {
+  switch (c.kind()) {
+    case Condition::Kind::Constant:
+      return !c.negated();
+    case Condition::Kind::Leaf:
+      return true;
+    case Condition::Kind::And:
+    case Condition::Kind::Or:
+    case Condition::Kind::Pool:
+      break;
+  }
+  if (c.children().size() < 2) return false;
+  bool all_true = true;
+  for (const Condition& child : c.children()) {
+    if (!is_folded(child)) return false;
+    const bool constant = child.is_constant();
+    const Truth value = child.constant_value();
+    all_true = all_true && constant && is_true(value);
+    if (!constant) continue;
+    // Pool keeps only True constants; And/Or only Unknown ones (True and
+    // False are their identity and annihilator).
+    if (c.kind() == Condition::Kind::Pool ? !is_true(value)
+                                          : !is_unknown(value))
+      return false;
+  }
+  return !(c.kind() == Condition::Kind::Pool && all_true);
+}
+
+TEST(Condition, FoldBuiltTreesEqualSimplifiedNaiveTrees) {
+  for (int seed = 0; seed < 4 * kSeeds; ++seed) {
+    Rng rng(derive_stream(4404, static_cast<std::uint64_t>(seed)));
+    const TwinTrees twins = random_twins(rng, 4);
+    const Condition simplified = twins.naive.simplify();
+    ASSERT_EQ(twins.folded, simplified)
+        << "seed " << seed << ": fold built " << twins.folded.to_string()
+        << ", simplify gave " << simplified.to_string() << " for "
+        << twins.naive.to_string();
+    ASSERT_EQ(simplified.simplify(), simplified)
+        << "seed " << seed << ": simplify not a fixed point";
+    ASSERT_TRUE(is_folded(twins.folded))
+        << "seed " << seed << ": " << twins.folded.to_string();
+    // Random evidence over the key universe, some keys left unassigned.
+    for (int trial = 0; trial < 20; ++trial) {
+      Condition::Assignment a;
+      for (const Key& key : key_universe())
+        if (rng.bernoulli(0.75)) a[key] = kTruths[rng.index(3)];
+      ASSERT_EQ(twins.folded.truth(a), ref_eval(twins.naive, a))
+          << "seed " << seed << ": " << twins.naive.to_string() << " vs "
+          << twins.folded.to_string();
+    }
+  }
+}
+
+TEST(Condition, FoldKeepsSurvivorsInOrderAndAppliesNegation) {
+  const Condition x = Condition::leaf(CondAtom{GOid{1}, 0, 1, false});
+  const Condition y = Condition::leaf(CondAtom{GOid{2}, 1, 2, false});
+  const Condition t = Condition::constant(Truth::True);
+  const Condition u = Condition::constant(Truth::Unknown);
+  std::vector<Condition> children = {t, x, u, y};
+  EXPECT_EQ(Condition::fold(Condition::Kind::Pool, children).to_string(),
+            "pool(true, g1#0@1, g2#1@2)");
+  children = {t, x, t, y};
+  EXPECT_EQ(Condition::fold(Condition::Kind::And, children, true).to_string(),
+            "not and(g1#0@1, g2#1@2)");
+  children = {u, t};
+  EXPECT_EQ(Condition::fold(Condition::Kind::Pool, children, true),
+            Condition::constant(Truth::False));
+  children = {x, Condition::constant(Truth::False)};
+  EXPECT_EQ(Condition::fold(Condition::Kind::And, children),
+            Condition::constant(Truth::False));
+  children = {};
+  EXPECT_EQ(Condition::fold(Condition::Kind::Or, children),
+            Condition::constant(Truth::False));
 }
 
 }  // namespace
