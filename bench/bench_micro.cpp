@@ -202,8 +202,9 @@ void BM_PredicateEvalColumnar(benchmark::State& state) {
 }
 BENCHMARK(BM_PredicateEvalColumnar)->Arg(100'000)->Arg(1'000'000);
 
-/// n singleton entities plus a deterministically shuffled probe order, so
-/// the probe loops below are cache-miss-bound like a real semijoin batch.
+/// n singleton entities with dense LOids 1..n plus a deterministically
+/// shuffled probe order, so the probe loops below index the table's array
+/// at random, cache-miss-bound like a real semijoin batch.
 GoidTable make_goid_table(std::int64_t n, std::vector<LOid>& probe_order) {
   GoidTable goids;
   goids.reserve(static_cast<std::size_t>(n));
@@ -252,9 +253,9 @@ void BM_GoidProbeBatch(benchmark::State& state) {
 }
 BENCHMARK(BM_GoidProbeBatch)->Arg(100'000)->Arg(1'000'000);
 
-/// The pre-sharding probe baseline: one big std::unordered_map, probed in the
+/// The node-based hash baseline: one big std::unordered_map, probed in the
 /// same shuffled order. Kept as a benchmark (not production code) so the
-/// sharded table's advantage stays measurable.
+/// dense array table's advantage over hashing stays measurable.
 void BM_GoidProbeReferenceMap(benchmark::State& state) {
   const std::int64_t n = state.range(0);
   std::vector<LOid> order;

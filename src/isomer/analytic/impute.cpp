@@ -190,11 +190,13 @@ ImputeModel ImputeModel::build(const Federation& federation) {
       est[a].complex_ref =
           std::holds_alternative<ComplexType>(def.attribute(a).type);
 
-    // Per-constituent resolution: the extent plus the global-attribute ->
+    // Per-constituent resolution: the database plus the global-attribute ->
     // local-slot map (nullopt when that constituent holds the attribute as
-    // schema-level missing).
+    // schema-level missing). The Federation constructor guarantees every
+    // isomer lives in its database's constituent class, so a directory
+    // fetch lands in that class's extent.
     struct View {
-      const Extent* extent;
+      const ComponentDatabase* db;
       std::vector<std::optional<std::size_t>> slot;
     };
     std::vector<View> views;
@@ -202,12 +204,13 @@ ImputeModel ImputeModel::build(const Federation& federation) {
     for (std::size_t ci = 0; ci < gc.constituents().size(); ++ci) {
       const Constituent& cons = gc.constituents()[ci];
       View view;
-      view.extent = &federation.db(cons.db).extent(cons.local_class);
+      view.db = &federation.db(cons.db);
+      const ClassDef& local_class = view.db->extent(cons.local_class).cls();
       view.slot.resize(attrs);
       for (std::size_t a = 0; a < attrs; ++a) {
         const std::optional<std::string>& local = gc.local_attr(ci, a);
         if (local.has_value())
-          view.slot[a] = view.extent->cls().find_attribute(*local);
+          view.slot[a] = local_class.find_attribute(*local);
       }
       views.push_back(std::move(view));
     }
@@ -234,7 +237,7 @@ ImputeModel ImputeModel::build(const Federation& federation) {
           const std::optional<std::size_t> ci = gc.constituent_in(isomer.db);
           if (!ci.has_value()) continue;
           const View& view = views[*ci];
-          const Object* obj = view.extent->find(isomer);
+          const Object* obj = view.db->fetch(isomer);
           if (obj == nullptr) continue;
           if (count_scan) ++model.stats_.objects_scanned;
           for (std::size_t a = 0; a < attrs; ++a) {
@@ -492,11 +495,16 @@ ImputeOracle::Decision ImputeModel::decide(const Federation& federation,
       const std::optional<std::string>& local_name =
           first_gc->local_attr(*home_ci, *first->covariate);
       if (local_name.has_value()) {
-        const Extent& extent = federation.db(home).extent(
-            first_gc->constituents()[*home_ci].local_class);
+        const ComponentDatabase& db = federation.db(home);
+        const ClassDef& local_class =
+            db.extent(first_gc->constituents()[*home_ci].local_class).cls();
         const std::optional<std::size_t> slot =
-            extent.cls().find_attribute(*local_name);
-        const Object* obj = slot.has_value() ? extent.find(*local) : nullptr;
+            local_class.find_attribute(*local_name);
+        // An item of another global class has its home object in another
+        // extent: no covariate to read.
+        const ResolvedObject held = db.resolve(*local);
+        const Object* obj =
+            slot.has_value() && held.cls == &local_class ? held.obj : nullptr;
         if (obj != nullptr && !obj->value(*slot).is_null()) {
           const std::size_t b =
               bucket_of(first->covariate_split, obj->value(*slot));

@@ -23,7 +23,8 @@
 // misses and are overwritten in place — the cache can serve wrong-epoch
 // data for exactly zero probes.
 //
-// Layout mirrors federation/goid_table.hpp: 16 independent open-addressed
+// Layout: a key is a (GOid, 64-bit condition signature) pair, too sparse
+// for an array, so the cache hashes it into 16 independent open-addressed
 // shards (flat power-of-two slot arrays, linear probing, goid 0 the empty
 // sentinel, growth at 7/8 load), shard chosen by the hash's top bits and
 // slot by its low bits. Probes are NOT charged to any AccessMeter: like the
@@ -97,8 +98,8 @@ class CertCache {
   static constexpr std::size_t kShardBits = 4;
   static constexpr std::size_t kShardCount = std::size_t{1} << kShardBits;
 
-  /// One well-mixed word per key: top bits pick the shard, low bits the
-  /// slot (same splitmix finalizer as common/hash.hpp's hash_loid).
+  /// One well-mixed word per key (a splitmix finalizer): top bits pick the
+  /// shard, low bits the slot.
   static std::uint64_t hash_key(GOid item, std::uint64_t signature) noexcept {
     std::uint64_t x =
         (item.value() * 0x9e3779b97f4a7c15ULL) ^ signature;

@@ -1,112 +1,66 @@
 #include "isomer/federation/goid_table.hpp"
 
 #include <algorithm>
-#include <bit>
 
 #include "isomer/common/error.hpp"
 
 namespace isomer {
 
-namespace {
-
-constexpr std::size_t kMinShardCapacity = 16;
-
-/// Smallest power of two holding `n` entries below the 7/8 load bound.
-std::size_t capacity_for(std::size_t n) {
-  std::size_t cap = kMinShardCapacity;
-  while (cap - cap / 8 < n) cap <<= 1;
-  return cap;
+void GoidTable::check_unmapped(LOid isomer) const {
+  if (isomer.local == 0)
+    throw FederationError("LOid " + to_string(isomer) +
+                          " is not an allocated object id");
+  if (lookup(isomer).value() != 0)
+    throw FederationError("LOid " + to_string(isomer) +
+                          " already mapped to an entity");
 }
 
-}  // namespace
-
-std::uint64_t GoidTable::loid_lookup(LOid key) const noexcept {
-  const std::uint64_t hash = hash_loid(key);
-  const Shard& shard = by_loid_[shard_of(hash)];
-  if (shard.slots.empty()) return 0;
-  const std::size_t mask = shard.slots.size() - 1;
-  for (std::size_t i = static_cast<std::size_t>(hash) & mask;;
-       i = (i + 1) & mask) {
-    const Shard::Slot& slot = shard.slots[i];
-    if (slot.goid == 0) return 0;
-    if (slot.key == key) return slot.goid;
-  }
+void GoidTable::map(LOid isomer, GOid entity) {
+  if (isomer.db.value() >= by_loid_.size())
+    by_loid_.resize(std::size_t{isomer.db.value()} + 1);
+  std::vector<GOid>& column = by_loid_[isomer.db.value()];
+  if (isomer.local >= column.size())
+    column.resize(std::size_t{isomer.local} + 1);
+  column[isomer.local] = entity;
 }
 
-void GoidTable::grow_shard(Shard& shard, std::size_t min_capacity) {
-  std::vector<Shard::Slot> old = std::move(shard.slots);
-  shard.slots.assign(std::bit_ceil(min_capacity), Shard::Slot{});
-  const std::size_t mask = shard.slots.size() - 1;
-  for (const Shard::Slot& slot : old) {
-    if (slot.goid == 0) continue;
-    std::size_t i = static_cast<std::size_t>(hash_loid(slot.key)) & mask;
-    while (shard.slots[i].goid != 0) i = (i + 1) & mask;
-    shard.slots[i] = slot;
-  }
-}
-
-bool GoidTable::loid_insert(LOid key, std::uint64_t goid) {
-  const std::uint64_t hash = hash_loid(key);
-  Shard& shard = by_loid_[shard_of(hash)];
-  // Grow at 7/8 load (or first insert) before probing for a free slot.
-  if (shard.slots.empty() ||
-      shard.size + 1 > shard.slots.size() - shard.slots.size() / 8)
-    grow_shard(shard, std::max(kMinShardCapacity, shard.slots.size() * 2));
-  const std::size_t mask = shard.slots.size() - 1;
-  for (std::size_t i = static_cast<std::size_t>(hash) & mask;;
-       i = (i + 1) & mask) {
-    Shard::Slot& slot = shard.slots[i];
-    if (slot.goid == 0) {
-      slot.key = key;
-      slot.goid = goid;
-      ++shard.size;
-      return true;
-    }
-    if (slot.key == key) return false;
-  }
-}
-
-void GoidTable::reserve(std::size_t objects) {
-  entries_.reserve(objects);
-  // Hash sharding spreads keys near-uniformly; size every shard for its
-  // expected share (growth still handles any imbalance).
-  const std::size_t per_shard = objects / kShardCount + 1;
-  for (Shard& shard : by_loid_)
-    if (shard.slots.size() < capacity_for(per_shard))
-      grow_shard(shard, capacity_for(per_shard));
-}
+void GoidTable::reserve(std::size_t objects) { entries_.reserve(objects); }
 
 GOid GoidTable::register_entity(std::string_view global_class,
                                 const std::vector<LOid>& isomers) {
   if (isomers.empty())
     throw FederationError("cannot register an entity with no objects");
-  const GOid id{next_goid_};
-  Entry entry{id, std::string(global_class), isomers};
-  std::sort(entry.isomers.begin(), entry.isomers.end(),
+  const GOid id{entries_.size() + 1};
+  std::vector<LOid> sorted = isomers;
+  std::sort(sorted.begin(), sorted.end(),
             [](const LOid& a, const LOid& b) { return a.db < b.db; });
-  for (std::size_t i = 0; i < entry.isomers.size(); ++i) {
-    const LOid& isomer = entry.isomers[i];
-    if (i > 0 && entry.isomers[i - 1].db == isomer.db)
+  for (std::size_t i = 0; i < sorted.size(); ++i) {
+    if (i > 0 && sorted[i - 1].db == sorted[i].db)
       throw FederationError("entity has two objects in DB" +
-                            std::to_string(isomer.db.value()));
-    if (loid_lookup(isomer) != 0)
-      throw FederationError("LOid " + to_string(isomer) +
-                            " already mapped to an entity");
+                            std::to_string(sorted[i].db.value()));
+    check_unmapped(sorted[i]);
   }
-  for (const LOid& isomer : entry.isomers) loid_insert(isomer, id.value());
-  by_class_[entry.global_class].push_back(id);
-  entries_.push_back(std::move(entry));
-  ++next_goid_;
+  auto it = class_index_.find(global_class);  // heterogeneous: no alloc
+  if (it == class_index_.end()) {
+    it = class_index_
+             .emplace(global_class, static_cast<std::uint32_t>(classes_.size()))
+             .first;
+    classes_.push_back(ClassEntities{it->first, {}});
+  }
+  std::vector<GOid>& members = classes_[it->second].entities;
+  for (const LOid& isomer : sorted) map(isomer, id);
+  entries_.push_back(Entry{it->second,
+                           static_cast<std::uint32_t>(members.size()),
+                           std::move(sorted)});
+  members.push_back(id);
   return id;
 }
 
 void GoidTable::add_isomer(GOid entity, LOid isomer) {
-  expects(entity.value() >= 1 && entity.value() < next_goid_,
+  expects(entity.value() >= 1 && entity.value() <= entries_.size(),
           "GoidTable::add_isomer on unknown entity");
   Entry& e = entries_[entity.value() - 1];
-  if (loid_lookup(isomer) != 0)
-    throw FederationError("LOid " + to_string(isomer) +
-                          " already mapped to an entity");
+  check_unmapped(isomer);
   const auto same_db = [&](const LOid& other) { return other.db == isomer.db; };
   if (std::any_of(e.isomers.begin(), e.isomers.end(), same_db))
     throw FederationError("entity g" + std::to_string(entity.value()) +
@@ -116,34 +70,20 @@ void GoidTable::add_isomer(GOid entity, LOid isomer) {
       std::upper_bound(e.isomers.begin(), e.isomers.end(), isomer,
                        [](const LOid& a, const LOid& b) { return a.db < b.db; }),
       isomer);
-  loid_insert(isomer, entity.value());
+  map(isomer, entity);
 }
 
 std::optional<GOid> GoidTable::goid_of(LOid local, AccessMeter* meter) const {
   if (meter != nullptr) ++meter->table_probes;
-  const std::uint64_t goid = loid_lookup(local);
-  if (goid == 0) return std::nullopt;
-  return GOid{goid};
+  const GOid goid = lookup(local);
+  if (goid.value() == 0) return std::nullopt;
+  return goid;
 }
 
 void GoidTable::goids_of(std::span<const LOid> locals, GOid* out,
                          AccessMeter* meter) const {
-  const std::size_t n = locals.size();
-  if (meter != nullptr) meter->table_probes += n;
-  constexpr std::size_t kAhead = 8;  // deep enough to cover one DRAM miss
-  for (std::size_t i = 0; i < n; ++i) {
-#if defined(__GNUC__) || defined(__clang__)
-    if (i + kAhead < n) {
-      const std::uint64_t hash = hash_loid(locals[i + kAhead]);
-      const Shard& shard = by_loid_[shard_of(hash)];
-      if (!shard.slots.empty())
-        __builtin_prefetch(
-            &shard.slots[static_cast<std::size_t>(hash) &
-                         (shard.slots.size() - 1)]);
-    }
-#endif
-    out[i] = GOid{loid_lookup(locals[i])};
-  }
+  if (meter != nullptr) meter->table_probes += locals.size();
+  for (std::size_t i = 0; i < locals.size(); ++i) out[i] = lookup(locals[i]);
 }
 
 std::optional<LOid> GoidTable::loid_in(GOid entity, DbId db,
@@ -174,15 +114,15 @@ const std::vector<LOid>& GoidTable::isomers_of(GOid entity) const {
 }
 
 const std::string& GoidTable::class_of(GOid entity) const {
-  return entry(entity).global_class;
+  return classes_[entry(entity).global_class].name;
 }
 
 const std::vector<GOid>& GoidTable::entities_of(
     std::string_view global_class) const {
   static const std::vector<GOid> empty;
-  const auto it = by_class_.find(global_class);  // heterogeneous: no alloc
-  if (it == by_class_.end()) return empty;
-  return it->second;
+  const auto it = class_index_.find(global_class);  // heterogeneous: no alloc
+  if (it == class_index_.end()) return empty;
+  return classes_[it->second].entities;
 }
 
 Value GoidTable::globalize(const Value& v, AccessMeter* meter) const {
@@ -201,7 +141,7 @@ Value GoidTable::globalize(const Value& v, AccessMeter* meter) const {
 }
 
 const GoidTable::Entry& GoidTable::entry(GOid entity) const {
-  expects(entity.value() >= 1 && entity.value() < next_goid_,
+  expects(entity.value() >= 1 && entity.value() <= entries_.size(),
           "unknown GOid");
   return entries_[entity.value() - 1];
 }

@@ -7,18 +7,16 @@
 // component databases and the global site can probe them; probes are charged
 // to an AccessMeter as table_probes.
 //
-// The LOid -> GOid direction is the hottest probe path in the system (every
-// surviving local row, every unknown predicate holder, every globalized
-// reference goes through it), so it is implemented as a set of independent
-// open-addressed hash shards rather than one std::unordered_map: linear
-// probing over a flat slot array costs one cache line per probe in the
-// common case, and the batch entry point `goids_of` prefetches upcoming
-// slots so dependent misses overlap. Sharding keys on the top bits of the
-// mixed hash while slot selection uses the low bits, so the two choices are
-// independent.
+// Both identifier spaces are dense: a component database allocates LOids
+// from 1 with no gaps (store/database.hpp) and the table assigns GOids from
+// 1 in registration order. So the LOid -> GOid direction — the hottest probe
+// path in the system (every surviving local row, every unknown predicate
+// holder, every globalized reference goes through it) — is one array per
+// DbId indexed by LOid::local, and the GOid -> entity direction is one array
+// indexed by GOid - 1. A probe is a bounds check and an index, no hashing.
 #pragma once
 
-#include <array>
+#include <cstdint>
 #include <optional>
 #include <ostream>
 #include <span>
@@ -39,15 +37,15 @@ class GoidTable {
   /// Registers one real-world entity of `global_class` represented by the
   /// given isomeric LOids (at most one per database; at least one). Returns
   /// the assigned GOid. Throws FederationError when an LOid is already
-  /// mapped or two LOids come from the same database.
+  /// mapped, is local 0, or two LOids come from the same database.
   GOid register_entity(std::string_view global_class,
                        const std::vector<LOid>& isomers);
 
   /// Adds another isomeric object to an existing entity.
   void add_isomer(GOid entity, LOid isomer);
 
-  /// Pre-sizes the table for roughly `objects` mapped LOids (and as many
-  /// entities), avoiding shard growth during bulk registration.
+  /// Pre-sizes the entity list for roughly `objects` entities, avoiding
+  /// reallocation during bulk registration. Never changes an answer.
   void reserve(std::size_t objects);
 
   /// GOid of a local object; nullopt when unmapped.
@@ -56,8 +54,7 @@ class GoidTable {
 
   /// Batch probe: out[i] = GOid of locals[i], or GOid{0} when unmapped
   /// (real GOids start at 1). Charges one table probe per element — exactly
-  /// what the same sequence of goid_of calls would charge — but overlaps
-  /// the slot-array cache misses via software prefetch.
+  /// what the same sequence of goid_of calls would charge.
   void goids_of(std::span<const LOid> locals, GOid* out,
                 AccessMeter* meter = nullptr) const;
 
@@ -83,6 +80,15 @@ class GoidTable {
   [[nodiscard]] const std::vector<GOid>& entities_of(
       std::string_view global_class) const;
 
+  /// The entity's position within entities_of(class_of(entity)); nullopt
+  /// for GOid 0 and GOids past the last registration.
+  [[nodiscard]] std::optional<std::size_t> class_position(
+      GOid entity) const noexcept {
+    if (entity.value() == 0 || entity.value() > entries_.size())
+      return std::nullopt;
+    return entries_[entity.value() - 1].class_position;
+  }
+
   [[nodiscard]] std::size_t entity_count() const noexcept {
     return entries_.size();
   }
@@ -94,45 +100,38 @@ class GoidTable {
                                 AccessMeter* meter = nullptr) const;
 
  private:
+  /// One entity; its GOid is its index in entries_ plus one.
   struct Entry {
-    GOid id;
-    std::string global_class;
-    std::vector<LOid> isomers;  // kept sorted by DbId
+    std::uint32_t global_class;    // index into classes_
+    std::uint32_t class_position;  // index into classes_[global_class].entities
+    std::vector<LOid> isomers;     // kept sorted by DbId
   };
 
-  /// One open-addressed LOid -> GOid shard: flat power-of-two slot array,
-  /// linear probing, goid 0 marks an empty slot (GOids start at 1). Grows at
-  /// 7/8 load.
-  struct Shard {
-    struct Slot {
-      LOid key;
-      std::uint64_t goid = 0;
-    };
-    std::vector<Slot> slots;
-    std::size_t size = 0;
+  struct ClassEntities {
+    std::string name;
+    std::vector<GOid> entities;  // GOid order
   };
 
-  static constexpr std::size_t kShardBits = 4;
-  static constexpr std::size_t kShardCount = std::size_t{1} << kShardBits;
-
-  static std::size_t shard_of(std::uint64_t hash) noexcept {
-    return static_cast<std::size_t>(hash >> (64 - kShardBits));
+  /// GOid mapped to `local`; GOid 0 for another database, local 0 or an id
+  /// past the end of its database's array.
+  [[nodiscard]] GOid lookup(LOid local) const noexcept {
+    if (local.db.value() >= by_loid_.size()) return GOid{0};
+    const std::vector<GOid>& column = by_loid_[local.db.value()];
+    return local.local < column.size() ? column[local.local] : GOid{0};
   }
-
-  /// GOid value mapped to `key` (0 when unmapped).
-  [[nodiscard]] std::uint64_t loid_lookup(LOid key) const noexcept;
-  /// Maps `key` to `goid`; false when the key is already present.
-  bool loid_insert(LOid key, std::uint64_t goid);
-  void grow_shard(Shard& shard, std::size_t min_capacity);
+  /// Throws FederationError unless `isomer` is a mappable, unmapped LOid.
+  void check_unmapped(LOid isomer) const;
+  void map(LOid isomer, GOid entity);
 
   [[nodiscard]] const Entry& entry(GOid entity) const;
 
   std::vector<Entry> entries_;
-  std::array<Shard, kShardCount> by_loid_;
-  std::unordered_map<std::string, std::vector<GOid>, TransparentStringHash,
+  /// LOid -> GOid: by_loid_[db][local], GOid 0 when unmapped.
+  std::vector<std::vector<GOid>> by_loid_;
+  std::vector<ClassEntities> classes_;
+  std::unordered_map<std::string, std::uint32_t, TransparentStringHash,
                      std::equal_to<>>
-      by_class_;
-  std::uint64_t next_goid_ = 1;
+      class_index_;
 };
 
 std::ostream& operator<<(std::ostream& os, const GoidTable& table);

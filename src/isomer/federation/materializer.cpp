@@ -7,46 +7,38 @@
 
 namespace isomer {
 
-const GlobalClass& MaterializedExtent::cls() const {
-  expects(cls_ != nullptr, "MaterializedExtent used before binding");
-  return *cls_;
-}
-
 const MaterializedObject* MaterializedExtent::find(GOid id) const noexcept {
-  const auto it = by_id_.find(id);
-  if (it == by_id_.end()) return nullptr;
-  return &objects_[it->second];
+  const std::optional<std::size_t> pos = goids_->class_position(id);
+  if (!pos.has_value() || *pos >= objects_.size() || objects_[*pos].id != id)
+    return nullptr;
+  return &objects_[*pos];
 }
 
-void MaterializedExtent::reserve(std::size_t n) {
-  objects_.reserve(n);
-  by_id_.reserve(n);
-}
+void MaterializedExtent::reserve(std::size_t n) { objects_.reserve(n); }
 
 void MaterializedExtent::insert(MaterializedObject obj) {
-  const auto [it, inserted] = by_id_.emplace(obj.id, objects_.size());
-  if (!inserted)
-    throw FederationError("duplicate GOid g" + std::to_string(obj.id.value()) +
-                          " in materialized extent of " + cls().name());
+  expects(goids_->class_position(obj.id) == objects_.size(),
+          "materialized objects follow entities_of order");
   objects_.push_back(std::move(obj));
 }
 
 bool MaterializedView::has_extent(std::string_view global_class) const noexcept {
-  return extents_.find(std::string(global_class)) != extents_.end();
+  return extents_.find(global_class) != extents_.end();
 }
 
 const MaterializedExtent& MaterializedView::extent(
     std::string_view global_class) const {
-  const auto it = extents_.find(std::string(global_class));
+  const auto it = extents_.find(global_class);  // heterogeneous: no alloc
   if (it == extents_.end())
     throw FederationError("no materialized extent for global class " +
                           std::string(global_class));
   return it->second;
 }
 
-MaterializedExtent& MaterializedView::add_extent(const GlobalClass& cls) {
+MaterializedExtent& MaterializedView::add_extent(const GlobalClass& cls,
+                                                const GoidTable& goids) {
   const auto [it, inserted] =
-      extents_.emplace(cls.name(), MaterializedExtent(cls));
+      extents_.emplace(cls.name(), MaterializedExtent(cls, goids));
   return it->second;
 }
 
@@ -75,7 +67,7 @@ MaterializedView materialize(const Federation& federation,
   MaterializedView view;
   for (const std::string& class_name : classes) {
     const GlobalClass& cls = schema.cls(class_name);
-    MaterializedExtent& extent = view.add_extent(cls);
+    MaterializedExtent& extent = view.add_extent(cls, goids);
 
     // The GOid table knows the class's entity count before the outerjoin
     // starts: every entity yields exactly one materialized object.

@@ -17,6 +17,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "isomer/common/hash.hpp"
 #include "isomer/federation/federation.hpp"
 #include "isomer/query/query.hpp"
 #include "isomer/query/result.hpp"
@@ -30,30 +31,35 @@ struct MaterializedObject {
   std::vector<Value> values;
 };
 
-/// The integrated extent of one global class.
+/// The integrated extent of one global class: one object per entity, in
+/// GoidTable::entities_of order, so an entity's object sits at its class
+/// position in the GOid table.
 class MaterializedExtent {
  public:
-  MaterializedExtent() = default;
-  explicit MaterializedExtent(const GlobalClass& cls) : cls_(&cls) {}
+  MaterializedExtent(const GlobalClass& cls, const GoidTable& goids)
+      : cls_(&cls), goids_(&goids) {}
 
-  [[nodiscard]] const GlobalClass& cls() const;
+  [[nodiscard]] const GlobalClass& cls() const noexcept { return *cls_; }
   [[nodiscard]] std::size_t size() const noexcept { return objects_.size(); }
   [[nodiscard]] const std::vector<MaterializedObject>& objects()
       const noexcept {
     return objects_;
   }
+  /// The object of entity `id`; nullptr for GOid 0, a GOid past the end, or
+  /// an entity of another class.
   [[nodiscard]] const MaterializedObject* find(GOid id) const noexcept;
 
+  /// Appends the object of the class's next entity in entities_of order.
   void insert(MaterializedObject obj);
 
   /// Pre-sizes for `n` objects (the outerjoin knows the entity count of the
-  /// class up front — reserve before inserting to avoid rehash churn).
+  /// class up front — reserve before inserting to avoid realloc churn).
   void reserve(std::size_t n);
 
  private:
-  const GlobalClass* cls_ = nullptr;
+  const GlobalClass* cls_;
+  const GoidTable* goids_;
   std::vector<MaterializedObject> objects_;
-  std::unordered_map<GOid, std::size_t> by_id_;
 };
 
 /// A set of materialized global extents — the global site's integrated view.
@@ -62,10 +68,13 @@ class MaterializedView {
   [[nodiscard]] bool has_extent(std::string_view global_class) const noexcept;
   [[nodiscard]] const MaterializedExtent& extent(
       std::string_view global_class) const;
-  MaterializedExtent& add_extent(const GlobalClass& cls);
+  MaterializedExtent& add_extent(const GlobalClass& cls,
+                                 const GoidTable& goids);
 
  private:
-  std::unordered_map<std::string, MaterializedExtent> extents_;
+  std::unordered_map<std::string, MaterializedExtent, TransparentStringHash,
+                     std::equal_to<>>
+      extents_;
 };
 
 /// The global classes a query touches: its range class plus every branch
@@ -97,7 +106,8 @@ enum class MergePolicy {
 /// sites are unreachable (fault::DegradeMode::Partial). An entity whose
 /// every isomer is excluded still gets a materialized object (all-null
 /// values): the GOid table at the global site remembers the entity even
-/// when no component can describe it.
+/// when no component can describe it. The view looks entities up through
+/// the federation's GOid table, so it must not outlive the federation.
 [[nodiscard]] MaterializedView materialize(
     const Federation& federation, const std::vector<std::string>& classes,
     AccessMeter* meter = nullptr,

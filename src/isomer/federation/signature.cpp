@@ -38,8 +38,11 @@ Signature SignatureIndex::null_mask(std::string_view global_attr) {
 
 SignatureIndex SignatureIndex::build(const Federation& federation) {
   SignatureIndex index;
-  for (const DbId db_id : federation.db_ids()) {
+  for (const DbId db_id : federation.db_ids()) {  // ascending
     const ComponentDatabase& database = federation.db(db_id);
+    index.signatures_.resize(std::size_t{db_id.value()} + 1);
+    std::vector<Signature>& column = index.signatures_.back();
+    column.assign(database.object_count() + 1, Signature::all());
     for (const GlobalClass& cls : federation.schema().classes()) {
       const auto constituent = cls.constituent_in(db_id);
       if (!constituent) continue;
@@ -74,7 +77,8 @@ SignatureIndex SignatureIndex::build(const Federation& federation) {
           else
             merge(sig, value_mask(binding.global_attr, *v));
         }
-        index.signatures_.emplace(obj.id(), sig);
+        column[obj.id().local] = sig;
+        ++index.indexed_;
       }
     }
   }
@@ -86,12 +90,13 @@ SignatureIndex::Screen SignatureIndex::screen(LOid obj,
                                               const Value& literal,
                                               AccessMeter* meter) const {
   if (meter != nullptr) ++meter->comparisons;
-  const auto it = signatures_.find(obj);
-  if (it == signatures_.end()) return Screen::MaybeSatisfies;
-  if (it->second.contains(value_mask(global_attr, literal)))
+  if (obj.db.value() >= signatures_.size()) return Screen::MaybeSatisfies;
+  const std::vector<Signature>& column = signatures_[obj.db.value()];
+  if (obj.local >= column.size()) return Screen::MaybeSatisfies;
+  const Signature& sig = column[obj.local];
+  if (sig.contains(value_mask(global_attr, literal)))
     return Screen::MaybeSatisfies;
-  if (it->second.contains(null_mask(global_attr)))
-    return Screen::MaybeSatisfies;
+  if (sig.contains(null_mask(global_attr))) return Screen::MaybeSatisfies;
   return Screen::CannotSatisfy;
 }
 

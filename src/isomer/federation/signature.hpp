@@ -26,7 +26,7 @@
 #include <array>
 #include <cstdint>
 #include <string_view>
-#include <unordered_map>
+#include <vector>
 
 #include "isomer/common/value.hpp"
 #include "isomer/federation/federation.hpp"
@@ -48,6 +48,10 @@ struct Signature {
   [[nodiscard]] bool empty() const noexcept {
     return bits[0] == 0 && bits[1] == 0 && bits[2] == 0 && bits[3] == 0;
   }
+  /// Every bit set: contains every mask, so it screens as MaybeSatisfies.
+  [[nodiscard]] static constexpr Signature all() noexcept {
+    return Signature{{~0ULL, ~0ULL, ~0ULL, ~0ULL}};
+  }
 };
 
 /// Replicated signature index over every GOid-mapped object.
@@ -56,7 +60,7 @@ class SignatureIndex {
   /// Number of hash functions per token.
   static constexpr unsigned kHashes = 3;
 
-  /// Builds signatures for all constituent objects of the federation, keyed
+  /// Builds signatures for all constituent objects of the federation, indexed
   /// by LOid, using global attribute names (so any site can screen any
   /// database's objects).
   [[nodiscard]] static SignatureIndex build(const Federation& federation);
@@ -68,13 +72,15 @@ class SignatureIndex {
   };
 
   /// Screens object `obj` against `global_attr = literal`. Unindexed
-  /// objects screen as MaybeSatisfies (no information). Charges one
+  /// objects (a non-constituent class, an absent database, local 0, an id
+  /// past the end) screen as MaybeSatisfies (no information). Charges one
   /// comparison to `meter`.
   [[nodiscard]] Screen screen(LOid obj, std::string_view global_attr,
                               const Value& literal,
                               AccessMeter* meter = nullptr) const;
 
-  [[nodiscard]] std::size_t size() const noexcept { return signatures_.size(); }
+  /// Number of indexed objects.
+  [[nodiscard]] std::size_t size() const noexcept { return indexed_; }
 
   /// Token mask helpers, exposed for tests.
   [[nodiscard]] static Signature value_mask(std::string_view global_attr,
@@ -82,7 +88,9 @@ class SignatureIndex {
   [[nodiscard]] static Signature null_mask(std::string_view global_attr);
 
  private:
-  std::unordered_map<LOid, Signature> signatures_;
+  /// signatures_[db][local]; slots of unindexed objects hold Signature::all().
+  std::vector<std::vector<Signature>> signatures_;
+  std::size_t indexed_ = 0;
 };
 
 }  // namespace isomer

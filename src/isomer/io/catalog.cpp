@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cctype>
+#include <charconv>
 #include <fstream>
 #include <iomanip>
+#include <limits>
 #include <map>
 #include <optional>
 #include <sstream>
@@ -210,6 +212,21 @@ std::vector<Tok> tokenize(const std::string& line, std::size_t line_no) {
   throw CatalogError("line " + std::to_string(line_no) + ": " + message);
 }
 
+/// Parses an id token: decimal digits only (no sign, no space), at most the
+/// largest `Id`. Ids size the GOid table's arrays, so they are checked here
+/// rather than wrapped by a narrowing cast.
+template <typename Id>
+Id parse_id(std::string_view text, std::size_t line_no) {
+  std::uint64_t value = 0;
+  const char* end = text.data() + text.size();
+  const auto [stop, ec] = std::from_chars(text.data(), end, value);
+  if (text.empty() || ec != std::errc{} || stop != end ||
+      value > std::numeric_limits<Id>::max())
+    bad(line_no, "bad id '" + std::string(text) + "' (expected 0.." +
+                     std::to_string(std::numeric_limits<Id>::max()) + ")");
+  return static_cast<Id>(value);
+}
+
 class Loader {
  public:
   std::unique_ptr<Federation> load(std::istream& in) {
@@ -219,7 +236,16 @@ class Loader {
       ++line_no;
       const std::vector<Tok> tokens = tokenize(line, line_no);
       if (tokens.empty()) continue;
-      dispatch(tokens, line_no);
+      // Value parsing (stoll/stod) and missing fields (at()) raise the
+      // standard exceptions; report them as catalog errors on this line.
+      try {
+        dispatch(tokens, line_no);
+      } catch (const std::invalid_argument& e) {
+        bad(line_no, std::string("malformed value (") + e.what() + ")");
+      } catch (const std::out_of_range& e) {
+        bad(line_no, std::string("missing field or value out of range (") +
+                         e.what() + ")");
+      }
     }
     finish_database();
     flush_global(line_no + 1);
@@ -271,7 +297,7 @@ class Loader {
   void begin_database(const std::vector<Tok>& t, std::size_t line_no) {
     finish_database();
     if (t.size() < 3) bad(line_no, "database needs an id and a name");
-    current_db_id_ = DbId{static_cast<std::uint16_t>(std::stoul(t[1].text))};
+    current_db_id_ = DbId{parse_id<std::uint16_t>(t[1].text, line_no)};
     building_schema_ = ComponentSchema(current_db_id_, t[2].text);
     in_database_ = true;
     schema_done_ = false;
@@ -316,7 +342,7 @@ class Loader {
 
   void begin_object(const std::vector<Tok>& t, std::size_t line_no) {
     ensure_store(line_no);
-    const auto declared = static_cast<std::uint32_t>(std::stoul(t.at(2).text));
+    const auto declared = parse_id<std::uint32_t>(t.at(2).text, line_no);
     const LOid assigned = current_store_->insert(t.at(1).text);
     if (assigned.local != declared)
       bad(line_no, "object ids must appear in allocation order (expected " +
@@ -339,13 +365,13 @@ class Loader {
     } else if (kind == "str") {
       value = Value(t.at(3).text);
     } else if (kind == "ref") {
-      value = Value(LocalRef{LOid{
-          current_db_id_, static_cast<std::uint32_t>(std::stoul(t.at(3).text))}});
+      value = Value(LocalRef{
+          LOid{current_db_id_, parse_id<std::uint32_t>(t.at(3).text, line_no)}});
     } else if (kind == "refset") {
       LocalRefSet set;
       for (std::size_t i = 3; i < t.size(); ++i)
-        set.targets.push_back(LOid{
-            current_db_id_, static_cast<std::uint32_t>(std::stoul(t[i].text))});
+        set.targets.push_back(
+            LOid{current_db_id_, parse_id<std::uint32_t>(t[i].text, line_no)});
       value = Value(std::move(set));
     } else {
       bad(line_no, "unknown value kind '" + kind + "'");
@@ -385,7 +411,7 @@ class Loader {
   void add_constituent(const std::vector<Tok>& t, std::size_t line_no) {
     if (!buffering_global_) bad(line_no, "constituent outside a global class");
     pending_constituents_.push_back(
-        Constituent{DbId{static_cast<std::uint16_t>(std::stoul(t.at(1).text))},
+        Constituent{DbId{parse_id<std::uint16_t>(t.at(1).text, line_no)},
                     t.at(2).text});
     pending_bindings_.emplace_back();
   }
@@ -402,10 +428,17 @@ class Loader {
       const std::string& pair = t[i].text;
       const std::size_t colon = pair.find(':');
       if (colon == std::string::npos) bad(line_no, "entity pairs are db:loid");
-      isomers.push_back(
-          LOid{DbId{static_cast<std::uint16_t>(
-                   std::stoul(pair.substr(0, colon)))},
-               static_cast<std::uint32_t>(std::stoul(pair.substr(colon + 1)))});
+      const std::string_view text = pair;
+      const LOid isomer{
+          DbId{parse_id<std::uint16_t>(text.substr(0, colon), line_no)},
+          parse_id<std::uint32_t>(text.substr(colon + 1), line_no)};
+      // Only loaded objects reach the GOid table, whose arrays are sized by
+      // the ids it maps.
+      const auto db = databases_.find(isomer.db.value());
+      if (db == databases_.end() || db->second->fetch(isomer) == nullptr)
+        bad(line_no, "entity names " + to_string(isomer) +
+                         ", which is not a loaded object");
+      isomers.push_back(isomer);
     }
     if (isomers.empty()) bad(line_no, "entity needs at least one object");
     (void)goids_.register_entity(t.at(1).text, isomers);

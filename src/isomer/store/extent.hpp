@@ -1,16 +1,17 @@
 // Class extents.
 //
-// An extent holds every object of one class in one component database, with
-// an LOid index for point lookups. The row store (`objects_`) is the system
-// of record; a columnar per-attribute mirror (store/columnar.hpp) is built
-// lazily for the vectorized predicate kernels and invalidated whenever the
-// extent mutates, so the two layouts can never disagree.
+// An extent holds every object of one class in one component database. Point
+// lookups go through the database's LOid directory, which names each
+// object's extent and row (store/database.hpp). The row store (`objects_`)
+// is the system of record; a columnar per-attribute mirror
+// (store/columnar.hpp) is built lazily for the vectorized predicate kernels
+// and invalidated whenever the extent mutates, so the two layouts can never
+// disagree.
 #pragma once
 
 #include <cstdint>
 #include <memory>
 #include <mutex>
-#include <unordered_map>
 #include <vector>
 
 #include "isomer/objmodel/class_def.hpp"
@@ -39,18 +40,13 @@ class Extent {
   [[nodiscard]] std::size_t size() const noexcept { return objects_.size(); }
   [[nodiscard]] bool empty() const noexcept { return objects_.empty(); }
 
-  /// Pre-sizes the row store and LOid index for `n` objects; call before
-  /// bulk-appending a known cardinality to avoid rehash/realloc churn.
+  /// Pre-sizes the row store for `n` objects; call before bulk-appending a
+  /// known cardinality to avoid realloc churn.
   void reserve(std::size_t n);
 
-  /// Appends an object; throws FederationError when the LOid already exists.
+  /// Appends an object. The owning database allocates its LOid, so ids are
+  /// unique by construction.
   Object& insert(Object obj);
-
-  [[nodiscard]] const Object* find(LOid id) const noexcept;
-  [[nodiscard]] Object* find(LOid id) noexcept;
-
-  /// Row position of an LOid (index into objects()); nullopt when absent.
-  [[nodiscard]] std::optional<std::size_t> row_of(LOid id) const noexcept;
 
   [[nodiscard]] const std::vector<Object>& objects() const noexcept {
     return objects_;
@@ -61,8 +57,8 @@ class Extent {
   }
 
   /// The columnar mirror of this extent, built on first use and cached.
-  /// Thread-safe against concurrent readers; any mutation (insert, find
-  /// non-const, set_attribute through the database) invalidates it, so the
+  /// Thread-safe against concurrent readers; any mutation (insert, mutable
+  /// objects(), set_attribute through the database) invalidates it, so the
   /// returned reference is valid until the next mutation.
   [[nodiscard]] const ColumnarExtent& columnar() const;
 
@@ -70,7 +66,7 @@ class Extent {
   void invalidate_columnar() noexcept;
 
   /// Mutation counter: bumped by every path that invalidates the columnar
-  /// mirror (insert, mutable objects()/find(), set_attribute through the
+  /// mirror (insert, mutable objects(), set_attribute through the
   /// database). Summed into ComponentDatabase::mutation_epoch() /
   /// Federation::epoch() so epoch-tagged caches (core/cert_cache.hpp) can
   /// drop entries derived from data that has since changed.
@@ -81,7 +77,6 @@ class Extent {
   std::uint64_t prim_slots_ = 0;
   std::uint64_t ref_slots_ = 0;
   std::vector<Object> objects_;
-  std::unordered_map<LOid, std::size_t> by_id_;
   std::uint64_t version_ = 0;
 
   /// Lazily built columnar projection. Boxed so Extent stays movable; the

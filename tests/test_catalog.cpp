@@ -150,21 +150,110 @@ TEST(Catalog, MalformedInputs) {
 }
 
 TEST(Catalog, HandEditedCatalogGetsFederationValidation) {
-  // A catalog whose entity references a nonexistent object passes parsing
-  // but fails the Federation constructor's integrity checks.
+  // A catalog whose entity names a loaded object of a class that is not a
+  // constituent of the entity's global class passes parsing but fails the
+  // Federation constructor's integrity checks.
   const std::string text =
       "database 1 \"A\"\n"
       "class \"C\"\n"
       "  attr \"k\" int\n"
+      "class \"D\"\n"
       "object \"C\" 1\n"
       "  \"k\" = int 5\n"
+      "object \"D\" 2\n"
       "end database\n"
       "global \"C\"\n"
       "  attr \"k\" int\n"
       "  constituent 1 \"C\"\n"
       "    bind \"k\" \"k\"\n"
-      "entity \"C\" 1:99\n";
-  EXPECT_THROW((void)load_catalog(text), FederationError);
+      "entity \"C\" 1:1\n"
+      "entity \"C\" 1:2\n";
+  try {
+    (void)load_catalog(text);
+    FAIL() << "a non-constituent isomer must be rejected";
+  } catch (const FederationError& e) {
+    EXPECT_NE(std::string(e.what()).find("not a constituent object"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+/// The university catalog with the first occurrence of `from` replaced.
+std::string edited_university(const std::string& from, const std::string& to) {
+  std::string text = save_catalog(*paper::make_university().federation);
+  const std::size_t at = text.find(from);
+  EXPECT_NE(at, std::string::npos) << from;
+  if (at != std::string::npos) text.replace(at, from.size(), to);
+  return text;
+}
+
+/// Expects a CatalogError naming a line of the catalog.
+void expect_catalog_error(const std::string& text, const std::string& what) {
+  try {
+    (void)load_catalog(text);
+    ADD_FAILURE() << what << ": loaded";
+  } catch (const CatalogError& e) {
+    EXPECT_EQ(std::string(e.what()).rfind("line ", 0), 0u)
+        << what << ": " << e.what();
+  } catch (const std::exception& e) {
+    ADD_FAILURE() << what << ": not a CatalogError: " << e.what();
+  }
+}
+
+TEST(Catalog, IdsOutOfRangeOrMalformedAreRejected) {
+  // Each id is parsed into its exact width: a narrowing cast would read
+  // 65537:4294967302 as 1:6 and load the wrong mapping without a word.
+  const std::string student = "entity \"Student\" 1:6 2:6";
+  const std::vector<std::pair<std::string, std::string>> edits = {
+      {student, "entity \"Student\" 65537:4294967302 2:6"},
+      {student, "entity \"Student\" 65537:6 2:6"},
+      {student, "entity \"Student\" 1:4294967302 2:6"},
+      {student, "entity \"Student\" -1:6 2:6"},
+      {student, "entity \"Student\" 1:+6 2:6"},
+      {student, "entity \"Student\" 1:6x 2:6"},
+      {student, "entity \"Student\" 1: 2:6"},
+      {"database 2 \"DB2\"", "database 65538 \"DB2\""},
+      {"database 2 \"DB2\"", "database -2 \"DB2\""},
+      {"constituent 3 \"Teacher\"", "constituent 65539 \"Teacher\""},
+      {"object \"Student\" 6", "object \"Student\" 4294967302"},
+      {"object \"Student\" 6", "object \"Student\" 0x6"},
+      {"\"advisor\" = ref 3", "\"advisor\" = ref 4294967299"},
+      {"\"advisor\" = ref 3", "\"advisor\" = ref -3"},
+  };
+  for (const auto& [from, to] : edits)
+    expect_catalog_error(edited_university(from, to), to);
+  expect_catalog_error(
+      "database 1 \"A\"\nclass \"C\"\n  attr \"r\" refset \"C\"\n"
+      "object \"C\" 1\n  \"r\" = refset 1 4294967297\n",
+      "refset target past 32 bits");
+}
+
+TEST(Catalog, EntitiesMustNameLoadedObjects) {
+  // Checked before the GOid table sees the pair, whose arrays the ids size.
+  const std::string text =
+      save_catalog(*paper::make_university().federation);
+  expect_catalog_error(text + "entity \"Student\" 1:4000000000\n",
+                       "past the last object");
+  expect_catalog_error(text + "entity \"Student\" 1:0\n", "local 0");
+  expect_catalog_error(text + "entity \"Student\" 9:1\n",
+                       "database never loaded");
+}
+
+TEST(Catalog, ValueParseFailuresAreCatalogErrors) {
+  const std::string head =
+      "database 1 \"A\"\nclass \"C\"\n  attr \"k\" int\n"
+      "  attr \"x\" real\nobject \"C\" 1\n";
+  for (const std::string line :
+       {"  \"k\" = int abc\n", "  \"k\" = int 99999999999999999999\n",
+        "  \"x\" = real zz\n", "  \"x\" = real 1e999999\n",
+        "  \"k\" = int\n", "object \"C\"\n"}) {
+    try {
+      (void)load_catalog(head + line);
+      ADD_FAILURE() << line << ": loaded";
+    } catch (const CatalogError& e) {
+      EXPECT_EQ(std::string(e.what()).rfind("line 6: ", 0), 0u) << e.what();
+    }
+  }
 }
 
 TEST(Catalog, DanglingRefsNavigateToNothing) {

@@ -1,8 +1,9 @@
-// The sharded open-addressing LOid -> GOid table: agreement with a
-// reference std::unordered_map under randomized registration (driving the
-// shards through several growth/rehash cycles), batch-probe equivalence
-// with the scalar path, metering of batch probes, and the merged presence
-// probe used by certification.
+// The dense LOid -> GOid table (one array per DbId, indexed by
+// LOid::local): agreement with a reference std::unordered_map under
+// randomized registration (growing every database's array many times),
+// misses for other databases, local 0 and ids past the end, batch-probe
+// equivalence with the scalar path, metering of batch probes, and the
+// merged presence probe used by certification.
 #include <gtest/gtest.h>
 
 #include <unordered_map>
@@ -22,8 +23,7 @@ TEST_P(GoidShards, AgreesWithReferenceMapAcrossGrowth) {
   GoidTable table;
   std::unordered_map<LOid, GOid> reference;
   std::vector<LOid> keys;
-  // Enough singleton entities to force every shard through multiple grows
-  // (shards start at capacity 16 and split the keyspace 16 ways).
+  // Enough singleton entities to grow every database's array many times.
   const std::size_t n = 3000 + rng.index(2000);
   for (std::size_t i = 0; i < n; ++i) {
     const LOid id{DbId{static_cast<std::uint16_t>(1 + rng.index(4))},
@@ -84,6 +84,22 @@ TEST(GoidShards, ReserveDoesNotChangeAnswers) {
     const LOid id{DbId{1}, i};
     EXPECT_EQ(plain.goid_of(id), reserved.goid_of(id));
   }
+}
+
+TEST(GoidShards, MissesAreChargedOneProbe) {
+  GoidTable table;
+  const GOid g = table.register_entity("C", {{DbId{2}, 3}});
+  for (const LOid miss : {LOid{DbId{2}, 0}, LOid{DbId{2}, 2},
+                          LOid{DbId{2}, 4}, LOid{DbId{1}, 3},
+                          LOid{DbId{65535}, 3}}) {
+    AccessMeter meter;
+    EXPECT_FALSE(table.goid_of(miss, &meter)) << miss;
+    EXPECT_EQ(meter.table_probes, 1u) << miss;
+  }
+  EXPECT_EQ(table.goid_of({DbId{2}, 3}), g);
+  EXPECT_THROW(table.register_entity("C", {{DbId{1}, 0}}), FederationError)
+      << "local 0 is never an allocated object";
+  EXPECT_THROW(table.add_isomer(g, {DbId{1}, 0}), FederationError);
 }
 
 TEST(GoidShards, DuplicateAndCrossDbRulesSurviveSharding) {

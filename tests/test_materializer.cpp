@@ -50,6 +50,25 @@ TEST_F(MaterializerFixture, MissingValuesFilledFromIsomers) {
   EXPECT_EQ(john->values[*sex], Value("male"));
 }
 
+TEST_F(MaterializerFixture, FindMissesForeignAndUnassignedGOids) {
+  const MaterializedView view = materialize(fed(), {"Student", "Teacher"});
+  const MaterializedExtent& students = view.extent("Student");
+  EXPECT_EQ(students.find(GOid{0}), nullptr);
+  const std::uint64_t entities = fed().goids().entity_count();
+  EXPECT_EQ(students.find(GOid{entities + 1}), nullptr);
+  EXPECT_EQ(students.find(GOid{entities + 1000}), nullptr);
+  // A teacher's class position indexes a student slot too; the id check
+  // keeps it from answering for another class.
+  const GOid teacher = example_.entity(example_.ids.t1);
+  ASSERT_NE(view.extent("Teacher").find(teacher), nullptr);
+  EXPECT_EQ(students.find(teacher), nullptr);
+  for (const GOid student : fed().goids().entities_of("Student")) {
+    const MaterializedObject* obj = students.find(student);
+    ASSERT_NE(obj, nullptr);
+    EXPECT_EQ(obj->id, student);
+  }
+}
+
 TEST_F(MaterializerFixture, RefsRewrittenToGOids) {
   const MaterializedView view = materialize(fed(), {"Teacher"});
   const MaterializedObject* jeffery =

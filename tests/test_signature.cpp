@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "isomer/federation/signature.hpp"
+#include "isomer/io/catalog.hpp"
 #include "isomer/workload/synth.hpp"
 
 namespace isomer {
@@ -114,6 +115,40 @@ TEST_F(SignatureIndexFixture, ScreensOutMostMismatches) {
 
 TEST_F(SignatureIndexFixture, UnindexedObjectsPass) {
   EXPECT_EQ(index_->screen(LOid{DbId{9}, 1}, "id", Value(1)),
+            SignatureIndex::Screen::MaybeSatisfies);
+  const DbId db = synth_.federation->db_ids().front();
+  const auto past_end = static_cast<std::uint32_t>(
+      synth_.federation->db(db).object_count() + 1);
+  for (const std::uint32_t local : {std::uint32_t{0}, past_end, past_end + 50})
+    for (const Value& literal : {Value(1), Value("x"), Value::null()})
+      EXPECT_EQ(index_->screen(LOid{db, local}, "id", literal),
+                SignatureIndex::Screen::MaybeSatisfies)
+          << local;
+
+  // An object of a local class that no global class integrates is never
+  // indexed: it screens MaybeSatisfies, while the constituent object beside
+  // it is screened out on the same mismatching literal.
+  const std::unique_ptr<Federation> federation = load_catalog(
+      "database 1 \"A\"\n"
+      "class \"C\"\n"
+      "  attr \"k\" int\n"
+      "class \"X\"\n"
+      "  attr \"k\" int\n"
+      "object \"C\" 1\n"
+      "  \"k\" = int 5\n"
+      "object \"X\" 2\n"
+      "  \"k\" = int 5\n"
+      "end database\n"
+      "global \"C\"\n"
+      "  attr \"k\" int\n"
+      "  constituent 1 \"C\"\n"
+      "    bind \"k\" \"k\"\n"
+      "entity \"C\" 1:1\n");
+  const SignatureIndex index = SignatureIndex::build(*federation);
+  EXPECT_EQ(index.size(), 1u) << "only constituent objects are indexed";
+  EXPECT_EQ(index.screen(LOid{DbId{1}, 1}, "k", Value(6)),
+            SignatureIndex::Screen::CannotSatisfy);
+  EXPECT_EQ(index.screen(LOid{DbId{1}, 2}, "k", Value(6)),
             SignatureIndex::Screen::MaybeSatisfies);
 }
 
