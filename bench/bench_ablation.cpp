@@ -63,7 +63,6 @@ int main(int argc, char** argv) {
     config.n_objects = {center, center + 500};
     apply_scale(config, options.scale);
     StrategyOptions exec_options;
-    exec_options.record_trace = false;
     struct Trial {
       double ca_s = 0, bl_s = 0, idx_s = 0;
     };

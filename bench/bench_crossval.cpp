@@ -17,7 +17,6 @@ int main(int argc, char** argv) {
   if (options.scale == 1.0) options.scale = 0.2;  // DES side stays affordable
 
   StrategyOptions exec_options;
-  exec_options.record_trace = false;
 
   ParamConfig config;
   apply_scale(config, options.scale);

@@ -149,7 +149,6 @@ int main(int argc, char** argv) {
         // measures (the certs filter deliberately runs first).
         CertCache cache(options.cert_cache_entries);
         StrategyOptions exec;
-        exec.record_trace = false;
         if (tracing) exec.trace_session = &sessions[s];
         exec.costs.net_ns_per_byte = static_cast<SimTime>(
             static_cast<double>(exec.costs.net_ns_per_byte) * mult);
@@ -316,7 +315,6 @@ int main(int argc, char** argv) {
       const ImputeModel model = ImputeModel::build(*synth.federation);
       for (const bool impute : {false, true}) {
         StrategyOptions exec;
-        exec.record_trace = false;
         exec.faults = &outage.plan;
         exec.retry = outage.retry;
         exec.degrade = outage.degrade;

@@ -496,7 +496,6 @@ void BM_FullStrategyExecution(benchmark::State& state) {
   const SynthFederation synth = make_synth(static_cast<int>(state.range(1)));
   const auto kind = static_cast<StrategyKind>(state.range(0));
   StrategyOptions options;
-  options.record_trace = false;
   for (auto _ : state) {
     StrategyReport report =
         execute_strategy(kind, *synth.federation, synth.query, options);
@@ -518,7 +517,6 @@ void BM_StrategyTraceOverhead(benchmark::State& state) {
   const SynthFederation synth = make_synth(2000);
   const auto kind = static_cast<StrategyKind>(state.range(1));
   StrategyOptions untraced;
-  untraced.record_trace = false;
   const StrategyReport baseline =
       execute_strategy(kind, *synth.federation, synth.query, untraced);
   obs::TraceSession probe_session;

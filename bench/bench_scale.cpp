@@ -155,7 +155,6 @@ SizeResult run_size(std::int64_t size, const HarnessOptions& options,
     }
     for (const StrategyKind kind : kPaperStrategies) {
       StrategyOptions exec_options;
-      exec_options.record_trace = false;
       if (options.batch_set) exec_options.batch = options.batch;
       if (faulting) {
         exec_options.faults = &plan;

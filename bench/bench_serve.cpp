@@ -98,7 +98,6 @@ serve::ServeReport run_trial(const Federation& federation,
                              NetworkTopology topology =
                                  NetworkTopology::SharedBus) {
   serve::ServeOptions serve_options;
-  serve_options.exec.record_trace = false;
   serve_options.exec.batch = options.batch;
   serve_options.exec.cert_cache = cert_cache;
   serve_options.exec.topology = topology;
@@ -166,7 +165,6 @@ int main(int argc, char** argv) {
   // roughly C/s̄ queries per second (contention makes the true knee lower,
   // which is exactly what the sweep shows).
   StrategyOptions solo_options;
-  solo_options.record_trace = false;
   solo_options.batch = options.batch;
   double solo_sum = 0;
   for (const serve::ServeRequest& request : pool)

@@ -26,7 +26,6 @@ int main(int argc, char** argv) {
   const SampleParams sample = draw_sample(config, rng);
   const SynthFederation synth = materialize_sample(sample);
   StrategyOptions options;
-  options.record_trace = false;
 
   // Solo response time calibrates the interarrival sweep.
   const SimTime solo = execute_strategy(StrategyKind::BL, *synth.federation,

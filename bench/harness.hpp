@@ -434,7 +434,6 @@ inline std::vector<SeriesPoint> run_point(
   // path below, keeping every output byte identical to a run without it.
   const bool faulting = faults != nullptr && faults->plan.enabled();
   StrategyOptions exec_options;
-  exec_options.record_trace = false;
   exec_options.topology = topology;
   exec_options.costs.collision_alpha = collision_alpha;
   // Null or a disabled BatchOptions keeps ship_record an exact passthrough

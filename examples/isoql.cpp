@@ -19,7 +19,7 @@
 //   .save <path>         write the federation as a catalog file
 //   .schema              print the global schema
 //   .goids               print the GOid mapping tables
-//   .trace               print the last run's execution trace
+//   .trace               print the last run's phase spans (isomer-trace-v1)
 //   .gantt               ASCII timeline of the last run (Fig. 8, live)
 //   .help                this text
 //   .quit                leave
@@ -32,9 +32,10 @@
 #include "isomer/core/strategy.hpp"
 #include "isomer/federation/isomerism.hpp"
 #include "isomer/io/catalog.hpp"
+#include "isomer/obs/jsonl.hpp"
+#include "isomer/obs/trace_export.hpp"
 #include "isomer/query/parser.hpp"
 #include "isomer/query/printer.hpp"
-#include "isomer/sim/trace_export.hpp"
 #include "isomer/schema/integrator.hpp"
 #include "isomer/workload/paper_example.hpp"
 
@@ -91,11 +92,14 @@ struct Shell {
   const Federation& federation;
   StrategyKind strategy = StrategyKind::BL;
   std::optional<GlobalQuery> last_query;
-  std::optional<StrategyReport> last_report;
+  obs::TraceSession last_session;
 
   void run_query(const GlobalQuery& query) {
+    obs::TraceSession session;
+    StrategyOptions options;
+    options.trace_session = &session;
     const StrategyReport report =
-        execute_strategy(strategy, federation, query);
+        execute_strategy(strategy, federation, query, options);
     std::cout << report.result;
     std::cout << report.result.certain_count() << " certain, "
               << report.result.maybe_count() << " maybe  ["
@@ -104,7 +108,7 @@ struct Shell {
               << to_milliseconds(report.total_ns) << " ms, "
               << report.bytes_transferred << " B shipped]\n";
     last_query = query;
-    last_report = report;
+    last_session = std::move(session);
   }
 
   void compare() {
@@ -190,13 +194,13 @@ void Shell::dispatch(const std::string& line) {
   } else if (command == ".goids") {
     std::cout << federation.goids();
   } else if (command == ".trace") {
-    if (last_report)
-      std::cout << last_report->trace;
+    if (last_query)
+      obs::write_spans(std::cout, last_session);
     else
       std::cout << "no query yet\n";
   } else if (command == ".gantt") {
-    if (last_report)
-      std::cout << to_gantt(last_report->trace);
+    if (last_query)
+      std::cout << obs::to_gantt(last_session);
     else
       std::cout << "no query yet\n";
   } else if (command == ".strategy") {

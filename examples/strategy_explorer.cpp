@@ -29,7 +29,6 @@ constexpr StrategyKind kKinds[3] = {StrategyKind::CA, StrategyKind::BL,
 Outcome measure(const ParamConfig& config, int samples, std::uint64_t seed) {
   Rng rng(seed);
   StrategyOptions options;
-  options.record_trace = false;
   Outcome outcome;
   for (int s = 0; s < samples; ++s) {
     const SampleParams sample = draw_sample(config, rng);

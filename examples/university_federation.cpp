@@ -55,9 +55,13 @@ int main() {
 
   std::cout << "=== Figures 7/8: strategy execution ===\n";
   for (const StrategyKind kind : kPaperStrategies) {
-    const StrategyReport report = execute_strategy(kind, federation, query);
+    obs::TraceSession session;
+    StrategyOptions options;
+    options.trace_session = &session;
+    const StrategyReport report =
+        execute_strategy(kind, federation, query, options);
     std::cout << "--- " << to_string(kind) << " (phases:";
-    for (const Phase phase : report.trace.phase_order())
+    for (const Phase phase : session.phase_order())
       std::cout << " " << to_string(phase);
     std::cout << ") ---\n" << report.result;
     std::cout << "response " << to_milliseconds(report.response_ns)

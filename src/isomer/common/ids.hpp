@@ -64,7 +64,13 @@ inline std::ostream& operator<<(std::ostream& os, const LOid& id) {
 }
 
 [[nodiscard]] inline std::string to_string(const LOid& id) {
-  return "o" + std::to_string(id.local) + "@DB" + std::to_string(id.db.value());
+  // Appended piecewise: GCC 12 raises a false -Wrestrict on
+  // `"literal" + std::to_string(...)` in optimized builds.
+  std::string out = "o";
+  out += std::to_string(id.local);
+  out += "@DB";
+  out += std::to_string(id.db.value());
+  return out;
 }
 
 }  // namespace isomer

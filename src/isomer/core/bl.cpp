@@ -110,11 +110,11 @@ void CertWriteback::filter(ExecEnv& env, SiteIndex from, DbId home,
   misses += miss_count;
   const SimTime now = env.sim().now();
   if (hit_count > 0)
-    env.record_cert_event(from, "cert.hit/" + std::to_string(hit_count), now,
-                          now);
+    env.mark(Phase::Cert, from, "cert.hit/" + std::to_string(hit_count), now,
+             now);
   if (miss_count > 0)
-    env.record_cert_event(from, "cert.miss/" + std::to_string(miss_count),
-                          now, now);
+    env.mark(Phase::Cert, from, "cert.miss/" + std::to_string(miss_count),
+             now, now);
 }
 
 void CertWriteback::writeback(const std::vector<CheckVerdict>& verdicts) {
@@ -171,8 +171,8 @@ void maybe_certify(ExecEnv& env, const std::shared_ptr<GlobalState>& state) {
   }
   if (env.degraded()) {
     fault::tag_unavailable(state->result, env.fed(), env.query(), dead);
-    env.record_fault_event(kGlobalSite, "fault.degrade", env.sim().now(),
-                           env.sim().now());
+    env.mark(Phase::Fault, kGlobalSite, "fault.degrade", env.sim().now(),
+             env.sim().now());
   }
   if (state->certs != nullptr) {
     // Writeback only from complete evidence: a degraded run's abandoned
@@ -187,15 +187,15 @@ void maybe_certify(ExecEnv& env, const std::shared_ptr<GlobalState>& state) {
     for (const auto& [predicate, count] : stats.unresolved_by_predicate)
       discharge +=
           " p" + std::to_string(predicate) + "=" + std::to_string(count);
-    env.record_cert_event(kGlobalSite, discharge, env.sim().now(),
-                          env.sim().now());
+    env.mark(Phase::Cert, kGlobalSite, std::move(discharge), env.sim().now(),
+             env.sim().now());
   }
   if (state->impute != nullptr) {
     env.note_impute_outcome(state->impute->imputed, state->impute->declined);
     // The certification marker: how many atoms the model answered vs left
     // on the certified path across all homes of this run.
-    env.record_impute_event(
-        kGlobalSite,
+    env.mark(
+        Phase::Impute, kGlobalSite,
         "im.certify imputed=" + std::to_string(state->impute->imputed) +
             " declined=" + std::to_string(state->impute->declined),
         env.sim().now(), env.sim().now());

@@ -128,9 +128,8 @@ void launch_ca(ExecEnv& env,
                                                 env.query(),
                                                 env.unavailable(),
                                                 view.get());
-                         env.record_fault_event(kGlobalSite, "fault.degrade",
-                                                env.sim().now(),
-                                                env.sim().now());
+                         env.mark(Phase::Fault, kGlobalSite, "fault.degrade",
+                                  env.sim().now(), env.sim().now());
                        }
                        SpanCounts counts;
                        counts.objects_in =

@@ -69,15 +69,19 @@ std::string ExecEnv::site_name(SiteIndex site) const {
 }
 
 std::shared_ptr<obs::PhaseSpan> ExecEnv::open_span(
-    std::string site, const std::string& step, Phase phase, SimTime begin,
-    const AccessMeter& work, const SpanCounts& counts) const {
+    Phase phase, SiteIndex site, std::string step, SimTime begin,
+    const AccessMeter& work, const SpanCounts& counts, SiteIndex to) const {
   if (options_.trace_session == nullptr) return nullptr;
   auto span = std::make_shared<obs::PhaseSpan>();
   span->strategy = span_strategy_;
   span->query = span_query_;
   span->phase = phase;
-  span->site = std::move(site);
-  span->step = step;
+  span->site = site_name(site);
+  if (phase == Phase::Transfer) {
+    span->site += "->";
+    span->site += site_name(to);
+  }
+  span->step = std::move(step);
   span->start_ns = begin;
   span->work = work;
   span->objects_in = counts.objects_in;
@@ -97,24 +101,19 @@ void ExecEnv::charge(SiteIndex site, const AccessMeter& meter, Phase phase,
                      std::string step, SpanCounts counts,
                      Simulator::Callback done) {
   aggregate(meter);
-  const SimTime begin = sim_->now();
   const Bytes bytes = options_.costs.disk_bytes(meter);
   const SimTime cpu = options_.costs.cpu_time(meter);
-  auto span = open_span(site_name(site), step, phase, begin, meter, counts);
-  SiteNode& node = cluster_->site(site);
-  node.disk().use(options_.costs.disk_time(bytes), [this, site, cpu, phase,
-                                                    step = std::move(step),
-                                                    begin, span,
-                                                    done = std::move(done)]() mutable {
-    cluster_->site(site).cpu().use(cpu, [this, site, phase,
-                                         step = std::move(step), begin, span,
-                                         done = std::move(done)]() {
-      if (options_.record_trace)
-        trace_.record(site_name(site), step, phase, begin, sim_->now());
-      close_span(span);
-      done();
-    });
-  });
+  auto span =
+      open_span(phase, site, std::move(step), sim_->now(), meter, counts);
+  cluster_->site(site).disk().use(
+      options_.costs.disk_time(bytes),
+      [this, site, cpu, span, done = std::move(done)]() mutable {
+        cluster_->site(site).cpu().use(cpu,
+                                       [this, span, done = std::move(done)]() {
+                                         close_span(span);
+                                         done();
+                                       });
+      });
 }
 
 void ExecEnv::charge_cpu(SiteIndex site, std::uint64_t comparisons,
@@ -123,39 +122,28 @@ void ExecEnv::charge_cpu(SiteIndex site, std::uint64_t comparisons,
   AccessMeter meter;
   meter.comparisons = comparisons;
   aggregate(meter);
-  const SimTime begin = sim_->now();
-  auto span =
-      open_span(site_name(site), step, phase, begin, meter, SpanCounts{});
-  cluster_->site(site).cpu().use(
-      options_.costs.cpu_time(comparisons),
-      [this, site, phase, step = std::move(step), begin, span,
-       done = std::move(done)]() {
-        if (options_.record_trace)
-          trace_.record(site_name(site), step, phase, begin, sim_->now());
-        close_span(span);
-        done();
-      });
+  auto span = open_span(phase, site, std::move(step), sim_->now(), meter,
+                        SpanCounts{});
+  cluster_->site(site).cpu().use(options_.costs.cpu_time(comparisons),
+                                 [this, span, done = std::move(done)]() {
+                                   close_span(span);
+                                   done();
+                                 });
 }
 
 void ExecEnv::transfer_traced(SiteIndex from, SiteIndex to, Bytes bytes,
                               std::string step,
                               Simulator::Callback arrived) {
-  const SimTime begin = sim_->now();
   wire_bytes_ += bytes;
   ++wire_messages_;
-  auto span = open_span(site_name(from) + "->" + site_name(to), step,
-                        Phase::Transfer, begin, AccessMeter{}, SpanCounts{});
+  auto span = open_span(Phase::Transfer, from, std::move(step), sim_->now(),
+                        AccessMeter{}, SpanCounts{}, to);
   if (span != nullptr) {
     span->bytes = bytes;
     span->messages = 1;
   }
   cluster_->transfer(from, to, bytes,
-                     [this, from, to, step = std::move(step), begin, span,
-                      arrived = std::move(arrived)]() {
-                       if (options_.record_trace)
-                         trace_.record(site_name(from) + "->" + site_name(to),
-                                       step, Phase::Transfer, begin,
-                                       sim_->now());
+                     [this, span, arrived = std::move(arrived)]() {
                        close_span(span);
                        arrived();
                      });
@@ -249,7 +237,7 @@ void ExecEnv::attempt_ship(SiteIndex from, SiteIndex to, Bytes bytes,
       const SimTime spike = plan.spike_ns;
       arrive = [this, to, step, spike, inner = std::move(arrive)]() mutable {
         const SimTime at = sim_->now();
-        record_fault_event(to, "fault.spike " + step, at, at + spike);
+        mark(Phase::Fault, to, "fault.spike " + step, at, at + spike);
         sim_->schedule_after(spike, std::move(inner));
       };
     }
@@ -265,7 +253,7 @@ void ExecEnv::attempt_ship(SiteIndex from, SiteIndex to, Bytes bytes,
   if (attempt < retry.max_retries) {
     ++retries_;
     const SimTime resend = deadline + retry.backoff(attempt);
-    record_fault_event(from, "fault.retry " + step, begin, resend);
+    mark(Phase::Fault, from, "fault.retry " + step, begin, resend);
     sim_->schedule_at(
         resend, [this, from, to, bytes, step = std::move(step), attempt,
                  delivered = std::move(delivered),
@@ -277,7 +265,7 @@ void ExecEnv::attempt_ship(SiteIndex from, SiteIndex to, Bytes bytes,
   }
 
   ++failed_messages_;
-  record_fault_event(from, "fault.giveup " + step, begin, deadline);
+  mark(Phase::Fault, from, "fault.giveup " + step, begin, deadline);
   // Blame the site the plan says is down; for pure message loss suspect the
   // component endpoint (the global site is never declared dead).
   const SiteIndex suspect =
@@ -295,59 +283,9 @@ void ExecEnv::attempt_ship(SiteIndex from, SiteIndex to, Bytes bytes,
   });
 }
 
-void ExecEnv::record_fault_event(SiteIndex site, const std::string& step,
-                                 SimTime begin, SimTime end) {
-  if (options_.record_trace)
-    trace_.record(site_name(site), step, Phase::Fault, begin, end);
-  if (auto span = open_span(site_name(site), step, Phase::Fault, begin,
-                            AccessMeter{}, SpanCounts{});
-      span != nullptr) {
-    span->end_ns = end;
-    options_.trace_session->record(std::move(*span));
-  }
-}
-
-void ExecEnv::record_plan_event(SiteIndex site, const std::string& step,
-                                SimTime begin, SimTime end) {
-  if (options_.record_trace)
-    trace_.record(site_name(site), step, Phase::Plan, begin, end);
-  if (auto span = open_span(site_name(site), step, Phase::Plan, begin,
-                            AccessMeter{}, SpanCounts{});
-      span != nullptr) {
-    span->end_ns = end;
-    options_.trace_session->record(std::move(*span));
-  }
-}
-
-void ExecEnv::record_serve_event(SiteIndex site, const std::string& step,
-                                 SimTime begin, SimTime end) {
-  if (options_.record_trace)
-    trace_.record(site_name(site), step, Phase::Serve, begin, end);
-  if (auto span = open_span(site_name(site), step, Phase::Serve, begin,
-                            AccessMeter{}, SpanCounts{});
-      span != nullptr) {
-    span->end_ns = end;
-    options_.trace_session->record(std::move(*span));
-  }
-}
-
-void ExecEnv::record_cert_event(SiteIndex site, const std::string& step,
-                                SimTime begin, SimTime end) {
-  if (options_.record_trace)
-    trace_.record(site_name(site), step, Phase::Cert, begin, end);
-  if (auto span = open_span(site_name(site), step, Phase::Cert, begin,
-                            AccessMeter{}, SpanCounts{});
-      span != nullptr) {
-    span->end_ns = end;
-    options_.trace_session->record(std::move(*span));
-  }
-}
-
-void ExecEnv::record_impute_event(SiteIndex site, const std::string& step,
-                                  SimTime begin, SimTime end) {
-  if (options_.record_trace)
-    trace_.record(site_name(site), step, Phase::Impute, begin, end);
-  if (auto span = open_span(site_name(site), step, Phase::Impute, begin,
+void ExecEnv::mark(Phase phase, SiteIndex site, std::string step,
+                   SimTime begin, SimTime end) {
+  if (auto span = open_span(phase, site, std::move(step), begin,
                             AccessMeter{}, SpanCounts{});
       span != nullptr) {
     span->end_ns = end;
@@ -397,7 +335,6 @@ StrategyReport ExecEnv::finish(QueryResult result, SimTime response) {
   report.cert_misses = cert_misses_;
   report.imputed_atoms = imputed_atoms_;
   report.impute_declined = impute_declined_;
-  report.trace = std::move(trace_);
   return report;
 }
 

@@ -2,8 +2,9 @@
 //
 // Each executor drives the discrete-event simulator through callbacks; this
 // header provides the per-run environment (simulator + cluster + site
-// mapping + trace), the wire-size calculators for the protocol messages, and
-// the attribute-projection sizing the centralized approach needs.
+// mapping + span recording), the wire-size calculators for the protocol
+// messages, and the attribute-projection sizing the centralized approach
+// needs.
 #pragma once
 
 #include <functional>
@@ -40,8 +41,8 @@ class ExecEnv {
           const StrategyOptions& options);
 
   /// Shared mode: this execution runs on an externally owned simulator and
-  /// cluster (which must outlive the env); finish() still reports this
-  /// env's trace, but busy-time/bytes figures cover the whole cluster.
+  /// cluster (which must outlive the env); busy-time/bytes figures in
+  /// finish()'s report then cover the whole cluster.
   ExecEnv(const Federation& federation, const GlobalQuery& query,
           const StrategyOptions& options, Simulator& sim, Cluster& cluster);
 
@@ -68,9 +69,9 @@ class ExecEnv {
   }
 
   /// Charges a meter's physical work at a site — disk bytes first, then CPU
-  /// comparisons+probes — and continues with `done`. Records a trace event
-  /// covering the queue-inclusive interval; with a trace session attached,
-  /// also a PhaseSpan carrying the meter delta and `counts`.
+  /// comparisons+probes — and continues with `done`. With a trace session
+  /// attached, records a PhaseSpan covering the queue-inclusive interval and
+  /// carrying the meter delta and `counts`.
   void charge(SiteIndex site, const AccessMeter& meter, Phase phase,
               std::string step, SpanCounts counts, Simulator::Callback done);
   void charge(SiteIndex site, const AccessMeter& meter, Phase phase,
@@ -89,7 +90,7 @@ class ExecEnv {
   /// of the protocol.
   using FailHandler = std::function<void(SiteIndex)>;
 
-  /// Ships bytes between sites, recording a Transfer trace event (and span).
+  /// Ships bytes between sites, recording a Transfer span.
   ///
   /// Without an active fault plan this is a single wire transfer. With one,
   /// each attempt's fate is drawn at send time (sender/receiver outage
@@ -99,7 +100,7 @@ class ExecEnv {
   /// budget throws FaultError (DegradeMode::Fail) or marks the suspect site
   /// unavailable and calls `on_fail` (DegradeMode::Partial; the handler is
   /// then mandatory). Retries, give-ups and spikes are recorded as
-  /// Phase::Fault trace events.
+  /// Phase::Fault marker spans.
   void ship(SiteIndex from, SiteIndex to, Bytes bytes, std::string step,
             Simulator::Callback delivered, FailHandler on_fail = nullptr);
 
@@ -141,49 +142,24 @@ class ExecEnv {
   /// degrade its answer (fault/degrade.hpp) before finishing.
   [[nodiscard]] bool degraded() const noexcept { return !dead_.empty(); }
 
-  /// Records a Phase::Fault trace event (and span) with an analytically
-  /// known interval — fault bookkeeping happens outside charge/ship, e.g.
-  /// the "fault.degrade" marker the executors emit when assembling a
-  /// degraded answer.
-  void record_fault_event(SiteIndex site, const std::string& step,
-                          SimTime begin, SimTime end);
-
-  /// Records a Phase::Plan trace event (and span) — the planner's per-site
-  /// path markers ("plan.site ...") and the mid-flight switch marker
-  /// ("plan.switch"). Instantaneous: planning bookkeeping costs nothing in
-  /// the simulation; the marker exists so EXPLAIN and traces show what the
-  /// adaptive machinery decided and when.
-  void record_plan_event(SiteIndex site, const std::string& step,
-                         SimTime begin, SimTime end);
-
-  /// Records a Phase::Cert trace event (and span) — the certificate-cache
-  /// markers: "cert.hit/<n>" / "cert.miss/<n>" when a dispatch consults the
-  /// cross-query cache (core/cert_cache.hpp) and "cert.discharge ..." with
-  /// the residual-atom histogram at certification. Instantaneous, like
-  /// record_plan_event: cache bookkeeping costs nothing in the simulation,
-  /// and the markers exist only when a cache is attached — with
-  /// StrategyOptions::cert_cache null no Cert event is ever recorded.
-  void record_cert_event(SiteIndex site, const std::string& step,
-                         SimTime begin, SimTime end);
-
-  /// Records a Phase::Serve trace event (and span) — the serving layer's
-  /// tenant attribution marker "serve.tenant/<id>" covering the interval a
-  /// submission spent waiting between admission and launch. Instantaneous
-  /// in simulated cost, like record_plan_event; recorded only by the
-  /// multi-tenant server (serve/server.hpp), never by single-query runs.
-  void record_serve_event(SiteIndex site, const std::string& step,
-                          SimTime begin, SimTime end);
-
-  /// Records a Phase::Impute trace event (and span) — the IM strategy's
-  /// markers: "im.impute/<n>" when a dispatch answers check atoms from the
-  /// population model (core/im.cpp) and "im.decline/<n>" for atoms it
-  /// consulted but left on the certified path. Instantaneous, like
-  /// record_cert_event: the model is an auxiliary replicated structure
-  /// whose consultation costs nothing in the simulation, and the markers
-  /// exist only when an ImputeState is attached — every non-IM plan takes
-  /// the exact pre-imputation code path.
-  void record_impute_event(SiteIndex site, const std::string& step,
-                           SimTime begin, SimTime end);
+  /// Records a zero-cost marker span with an analytically known interval —
+  /// bookkeeping that happens outside charge/ship and costs nothing in the
+  /// simulation, so EXPLAIN and traces show what the machinery decided and
+  /// when. The markers, by phase:
+  ///   * Fault: "fault.retry", "fault.giveup" and "fault.spike" around a
+  ///     faulted shipment, "fault.degrade" when assembling a degraded answer;
+  ///   * Plan: the planner's per-site path ("plan.site ...") and mid-flight
+  ///     switch ("plan.switch");
+  ///   * Cert: "cert.hit/<n>" / "cert.miss/<n>" when a dispatch consults the
+  ///     cross-query cache (core/cert_cache.hpp), "cert.discharge ..." with
+  ///     the residual-atom histogram — only with a cache attached;
+  ///   * Serve: "serve.tenant/<id>", the interval a submission waited between
+  ///     admission and launch — only under the multi-tenant server;
+  ///   * Impute: "im.impute/<n>" / "im.decline/<n>", check atoms answered
+  ///     from the population model or left on the certified path — only
+  ///     with an ImputeState attached (core/im.cpp).
+  void mark(Phase phase, SiteIndex site, std::string step, SimTime begin,
+            SimTime end);
 
   /// Folds a run's certificate-cache outcome into the final report.
   void note_cert_outcome(std::uint64_t hits, std::uint64_t misses) noexcept {
@@ -207,17 +183,19 @@ class ExecEnv {
 
  private:
   /// Builds the front half of a PhaseSpan (everything known at charge time);
-  /// null when span recording is disabled. The completion callback fills in
+  /// null, with no site name built, when no session is attached. A Transfer
+  /// span's site reads "<site>-><to>". The completion callback fills in
   /// end_ns and hands the span to the session.
   [[nodiscard]] std::shared_ptr<obs::PhaseSpan> open_span(
-      std::string site, const std::string& step, Phase phase, SimTime begin,
-      const AccessMeter& work, const SpanCounts& counts) const;
+      Phase phase, SiteIndex site, std::string step, SimTime begin,
+      const AccessMeter& work, const SpanCounts& counts,
+      SiteIndex to = kGlobalSite) const;
   void close_span(const std::shared_ptr<obs::PhaseSpan>& span) const;
 
   void init_faults();
   void init_batching();
   [[nodiscard]] DbId db_of(SiteIndex site) const;
-  /// The fault-free wire transfer (trace event + span + cluster transfer).
+  /// The fault-free wire transfer (span + cluster transfer).
   void transfer_traced(SiteIndex from, SiteIndex to, Bytes bytes,
                        std::string step, Simulator::Callback arrived);
   /// One faulted transmission attempt (see ship()).
@@ -232,7 +210,6 @@ class ExecEnv {
   std::unique_ptr<Cluster> owned_cluster_;
   Simulator* sim_ = nullptr;
   Cluster* cluster_ = nullptr;
-  ExecutionTrace trace_;
   AccessMeter work_;
   Bytes wire_bytes_ = 0;            ///< this execution's transfers only
   std::uint64_t wire_messages_ = 0;

@@ -134,11 +134,11 @@ void ImputeState::filter(ExecEnv& env, SiteIndex from, DbId home,
   declined += decline_count;
   const SimTime now = env.sim().now();
   if (impute_count > 0)
-    env.record_impute_event(
-        from, "im.impute/" + std::to_string(impute_count), now, now);
+    env.mark(Phase::Impute, from, "im.impute/" + std::to_string(impute_count),
+             now, now);
   if (decline_count > 0)
-    env.record_impute_event(
-        from, "im.decline/" + std::to_string(decline_count), now, now);
+    env.mark(Phase::Impute, from,
+             "im.decline/" + std::to_string(decline_count), now, now);
 }
 
 void ImputeState::discharge(ExecEnv& env,
@@ -230,8 +230,8 @@ void ImputeState::discharge(ExecEnv& env,
   eliminated_rows += eliminated;
   if (impute_count > 0 || upgraded > 0 || eliminated > 0) {
     const SimTime now = env.sim().now();
-    env.record_impute_event(
-        kGlobalSite,
+    env.mark(
+        Phase::Impute, kGlobalSite,
         "im.discharge imputed=" + std::to_string(impute_count) +
             " upgraded=" + std::to_string(upgraded) +
             " eliminated=" + std::to_string(eliminated),

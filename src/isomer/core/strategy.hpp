@@ -28,19 +28,15 @@
 #include "isomer/federation/federation.hpp"
 #include "isomer/federation/indexes.hpp"
 #include "isomer/federation/signature.hpp"
+#include "isomer/obs/trace_session.hpp"
 #include "isomer/query/query.hpp"
 #include "isomer/query/result.hpp"
 #include "isomer/sim/cluster.hpp"
 #include "isomer/sim/cost_params.hpp"
-#include "isomer/sim/trace.hpp"
 
 namespace isomer {
 
 class CertCache;
-
-namespace obs {
-class TraceSession;
-}  // namespace obs
 
 enum class StrategyKind : unsigned char { CA, BL, PL, BLS, PLS, IM };
 
@@ -116,13 +112,12 @@ struct StrategyOptions {
   /// (federation/indexes.hpp). Not part of the paper's scan-based cost
   /// model; an extension studied in bench_ablation.
   const ExtentIndexes* indexes = nullptr;
-  /// Record per-step trace events (disable for large benchmark sweeps).
-  bool record_trace = true;
-  /// Phase-span observability sink (obs/trace_session.hpp): every phase
-  /// boundary of the execution is recorded as a PhaseSpan carrying its
-  /// AccessMeter delta, wire traffic and object/certification counts.
-  /// Null (the default) disables span recording entirely — the executors
-  /// then pay a single pointer test per step and charge nothing extra.
+  /// Phase-span observability sink (obs/trace_session.hpp), the only record
+  /// of what the execution did and when: every phase boundary is recorded
+  /// as a PhaseSpan carrying its AccessMeter delta, wire traffic and
+  /// object/certification counts. Null (the default) disables recording
+  /// entirely — the executors then pay a single pointer test per step and
+  /// charge nothing extra.
   obs::TraceSession* trace_session = nullptr;
   /// Fault-injection plan (fault/fault_plan.hpp). Null or a disabled plan
   /// takes the exact fault-free code path: the execution is bitwise
@@ -198,8 +193,6 @@ struct StrategyReport {
   /// the certified path (below threshold / not upgradable).
   std::uint64_t imputed_atoms = 0;
   std::uint64_t impute_declined = 0;
-
-  ExecutionTrace trace;
 };
 
 /// Runs `query` over `federation` under the given strategy and returns the

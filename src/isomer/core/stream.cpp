@@ -43,12 +43,10 @@ StreamReport run_query_stream(const Federation& federation,
   envs.reserve(stream.size());
   for (std::size_t i = 0; i < stream.size(); ++i) {
     const StreamQuery& entry = stream[i];
-    StrategyOptions per_query = options;
-    per_query.record_trace = false;  // per-query traces interleave; skip
-    // Phase spans do interleave cleanly: every span carries its query's
-    // stream index, so one shared session captures the whole schedule.
+    // Every span carries its query's stream index, so one shared session
+    // captures the whole interleaved schedule.
     envs.push_back(std::make_unique<detail::ExecEnv>(
-        federation, entry.query, per_query, sim, cluster));
+        federation, entry.query, options, sim, cluster));
     detail::ExecEnv* env = envs.back().get();
     const bool hybrid = entry.plan != nullptr && entry.plan->hybrid;
     env->set_span_context(hybrid ? std::string_view{"HY"}

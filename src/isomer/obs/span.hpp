@@ -12,10 +12,33 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 #include "isomer/sim/cost_params.hpp"
-#include "isomer/sim/trace.hpp"
+#include "isomer/sim/simulator.hpp"
 #include "isomer/store/meter.hpp"
+
+namespace isomer {
+
+/// What a span's simulated work was, in Fig. 8's terms: O (assistant lookup
+/// / checking), I (integration / certification) and P (predicate
+/// evaluation), plus Transfer and Setup for communication and bookkeeping.
+/// The rest are zero-cost markers (ExecEnv::mark) that show what the fault,
+/// planning, certificate-cache, serving and imputation machinery did.
+enum class Phase : unsigned char {
+  Setup, O, I, P, Transfer, Fault, Plan, Cert,
+  /// Serving-layer attribution: time a submission spent between admission
+  /// and launch, attributed to its tenant (serve/server.hpp).
+  Serve,
+  /// IM-strategy markers (core/im.cpp): check atoms answered from the
+  /// population model instead of the wire (`im.impute/<n>` /
+  /// `im.decline/<n>` steps).
+  Impute,
+};
+
+[[nodiscard]] std::string_view to_string(Phase phase) noexcept;
+
+}  // namespace isomer
 
 namespace isomer::obs {
 

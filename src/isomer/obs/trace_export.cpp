@@ -1,31 +1,15 @@
-#include "isomer/sim/trace_export.hpp"
+#include "isomer/obs/trace_export.hpp"
 
 #include <algorithm>
 #include <map>
 #include <sstream>
 #include <vector>
 
-namespace isomer {
+#include "isomer/obs/jsonl.hpp"
+
+namespace isomer::obs {
 
 namespace {
-
-void json_escape(std::ostream& out, std::string_view text) {
-  for (const char c : text) {
-    switch (c) {
-      case '"':
-        out << "\\\"";
-        break;
-      case '\\':
-        out << "\\\\";
-        break;
-      case '\n':
-        out << "\\n";
-        break;
-      default:
-        out << c;
-    }
-  }
-}
 
 char glyph(Phase phase) {
   switch (phase) {
@@ -47,17 +31,19 @@ char glyph(Phase phase) {
       return '#';
     case Phase::Serve:
       return '~';
+    case Phase::Impute:
+      return '%';
   }
   return '?';
 }
 
 }  // namespace
 
-std::string to_chrome_json(const ExecutionTrace& trace) {
+std::string to_chrome_json(const TraceSession& session) {
   // Stable lane ids per site, in order of first appearance.
   std::map<std::string, int> lanes;
-  for (const TraceEvent& event : trace.events())
-    lanes.try_emplace(event.site, static_cast<int>(lanes.size()) + 1);
+  for (const PhaseSpan& span : session.spans())
+    lanes.try_emplace(span.site, static_cast<int>(lanes.size()) + 1);
 
   std::ostringstream out;
   out << "[";
@@ -66,45 +52,42 @@ std::string to_chrome_json(const ExecutionTrace& trace) {
   for (const auto& [site, lane] : lanes) {
     out << sep
         << R"({"name":"thread_name","ph":"M","pid":1,"tid":)" << lane
-        << R"(,"args":{"name":")";
-    json_escape(out, site);
-    out << "\"}}";
+        << R"(,"args":{"name":")" << json_escape(site) << "\"}}";
     sep = ",\n";
   }
-  for (const TraceEvent& event : trace.events()) {
-    out << sep << R"({"name":")";
-    json_escape(out, event.step);
-    out << R"(","cat":")" << to_string(event.phase) << R"(","ph":"X","pid":1)"
-        << R"(,"tid":)" << lanes.at(event.site) << R"(,"ts":)"
-        << static_cast<double>(event.start) / 1000.0 << R"(,"dur":)"
-        << static_cast<double>(event.end - event.start) / 1000.0 << "}";
+  for (const PhaseSpan& span : session.spans()) {
+    out << sep << R"({"name":")" << json_escape(span.step)
+        << R"(","cat":")" << to_string(span.phase) << R"(","ph":"X","pid":1)"
+        << R"(,"tid":)" << lanes.at(span.site) << R"(,"ts":)"
+        << static_cast<double>(span.start_ns) / 1000.0 << R"(,"dur":)"
+        << static_cast<double>(span.end_ns - span.start_ns) / 1000.0 << "}";
     sep = ",\n";
   }
   out << "\n]\n";
   return out.str();
 }
 
-std::string to_gantt(const ExecutionTrace& trace, std::size_t width) {
-  if (trace.events().empty()) return "(empty trace)\n";
+std::string to_gantt(const TraceSession& session, std::size_t width) {
+  if (session.empty()) return "(empty trace)\n";
   SimTime makespan = 0;
-  for (const TraceEvent& event : trace.events())
-    makespan = std::max(makespan, event.end);
+  for (const PhaseSpan& span : session.spans())
+    makespan = std::max(makespan, span.end_ns);
   if (makespan == 0) makespan = 1;
 
   std::map<std::string, std::string> rows;
   std::vector<std::string> order;
-  for (const TraceEvent& event : trace.events()) {
-    auto [it, inserted] = rows.try_emplace(event.site, std::string(width, ' '));
-    if (inserted) order.push_back(event.site);
+  for (const PhaseSpan& span : session.spans()) {
+    auto [it, inserted] = rows.try_emplace(span.site, std::string(width, ' '));
+    if (inserted) order.push_back(span.site);
     const auto cell = [&](SimTime t) {
       return std::min(width - 1, static_cast<std::size_t>(
                                      static_cast<double>(t) /
                                      static_cast<double>(makespan) *
                                      static_cast<double>(width)));
     };
-    const std::size_t from = cell(event.start);
-    const std::size_t to = std::max(from, cell(event.end));
-    for (std::size_t i = from; i <= to; ++i) it->second[i] = glyph(event.phase);
+    const std::size_t from = cell(span.start_ns);
+    const std::size_t to = std::max(from, cell(span.end_ns));
+    for (std::size_t i = from; i <= to; ++i) it->second[i] = glyph(span.phase);
   }
 
   std::size_t label = 0;
@@ -119,4 +102,4 @@ std::string to_gantt(const ExecutionTrace& trace, std::size_t width) {
   return out.str();
 }
 
-}  // namespace isomer
+}  // namespace isomer::obs

@@ -413,7 +413,6 @@ void QueryServer::start(const Waiting& next) {
   }
 
   StrategyOptions per_query = options_.exec;
-  per_query.record_trace = false;  // per-step traces interleave; spans don't
   per_query.trace_session =
       options_.sessions ? &(*options_.sessions)[id] : nullptr;
   if (per_query.faults != nullptr && per_query.faults->enabled()) {
@@ -450,9 +449,9 @@ void QueryServer::start(const Waiting& next) {
   // site). Only multi-tenant runs record it, so tenant-less traces stay
   // exactly as before.
   if (!spec_.tenants.empty())
-    env->record_serve_event(0,
-                            "serve.tenant/" + spec_.tenants[next.tenant].id,
-                            outcome.arrival, outcome.start);
+    env->mark(Phase::Serve, kGlobalSite,
+              "serve.tenant/" + spec_.tenants[next.tenant].id,
+              outcome.arrival, outcome.start);
 
   for (std::size_t& site_load : inflight_) ++site_load;
   ++running_;

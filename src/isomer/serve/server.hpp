@@ -168,9 +168,7 @@ struct ServeReport {
 
 struct ServeOptions {
   /// Per-execution options (costs, topology, signatures, faults, batch...).
-  /// `record_trace` is forced off per query — interleaved per-step traces
-  /// of concurrent queries are not meaningful — and `trace_session` is
-  /// superseded by `sessions` below. When a fault plan is attached, each
+  /// `trace_session` is superseded by `sessions` below. When a fault plan is attached, each
   /// submission runs under its own plan copy whose seed is
   /// derive_stream(plan.seed, submission index), so concurrent queries
   /// draw independent fault streams and the run replays bit-identically.

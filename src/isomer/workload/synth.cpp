@@ -10,10 +10,18 @@ namespace isomer {
 
 namespace {
 
-std::string class_name(std::size_t k) { return "C" + std::to_string(k + 1); }
-std::string pred_attr(std::size_t j) { return "p" + std::to_string(j); }
-std::string target_attr(std::size_t j) { return "t" + std::to_string(j); }
-std::string extra_attr(std::size_t j) { return "x" + std::to_string(j); }
+/// "<prefix><n>", appended rather than concatenated: GCC 12 raises a false
+/// -Wrestrict on `"literal" + std::to_string(n)` in optimized builds.
+std::string numbered(char prefix, std::size_t n) {
+  std::string out(1, prefix);
+  out += std::to_string(n);
+  return out;
+}
+
+std::string class_name(std::size_t k) { return numbered('C', k + 1); }
+std::string pred_attr(std::size_t j) { return numbered('p', j); }
+std::string target_attr(std::size_t j) { return numbered('t', j); }
+std::string extra_attr(std::size_t j) { return numbered('x', j); }
 
 /// One synthetic real-world entity of one class.
 struct Entity {

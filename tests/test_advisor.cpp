@@ -42,7 +42,6 @@ TEST(Advisor, EstimatesTrackTheSimulator) {
   ParamConfig config;
   config.n_objects = {500, 700};
   StrategyOptions exec;
-  exec.record_trace = false;
   int total_hits = 0;
   const int n = 8;
   for (int s = 0; s < n; ++s) {

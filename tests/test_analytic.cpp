@@ -17,7 +17,6 @@ TEST_P(AnalyticCrossval, TotalsTrackTheSimulatorWithin35Percent) {
   const SampleParams sample = draw_sample(config, rng);
   const SynthFederation synth = materialize_sample(sample);
   StrategyOptions options;
-  options.record_trace = false;
 
   for (const StrategyKind kind : kPaperStrategies) {
     const StrategyReport des =
@@ -39,7 +38,6 @@ TEST(Analytic, PredictsCaVsBlOrdering) {
   ParamConfig config;
   config.n_objects = {600, 800};
   StrategyOptions options;
-  options.record_trace = false;
   int agree = 0;
   const int n = 12;
   for (int s = 0; s < n; ++s) {

@@ -371,7 +371,6 @@ TEST(Catalog, NaNRealsBuildAnImputeModelAndRunImDeterministically) {
       std::string digest;
       for (const bool mar : {false, true}) {
         StrategyOptions exec;
-        exec.record_trace = false;
         exec.impute = &model;
         exec.impute_threshold = 0.5;
         exec.impute_mar = mar;

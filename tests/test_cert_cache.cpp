@@ -195,7 +195,6 @@ TEST(CertCache, TraceSpansNameHitsMissesAndDischarge) {
 
   const auto run = [&](CertCache* cache, obs::TraceSession* session) {
     StrategyOptions options;
-    options.record_trace = false;
     options.cert_cache = cache;
     options.trace_session = session;
     return execute_strategy(StrategyKind::BL, *example.federation,

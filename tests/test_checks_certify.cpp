@@ -266,7 +266,6 @@ std::vector<std::string> condition_golden_lines(std::uint64_t seed,
   std::vector<std::string> lines;
   for (const StrategyKind kind : kinds) {
     StrategyOptions options;
-    options.record_trace = false;
     if (kind == StrategyKind::IM) {
       options.impute = &model;
       options.impute_threshold = 0.5;

@@ -79,7 +79,6 @@ TEST_P(ColumnarParity, StrategiesBitwiseIdenticalRowVsColumnar) {
   for (const Mode& mode : modes) {
     for (const StrategyKind kind : kPaperStrategies) {
       StrategyOptions options;
-      options.record_trace = false;
       options.batch.enabled = mode.batched;
       if (mode.faulted) {
         options.faults = &plan;

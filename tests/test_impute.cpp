@@ -115,7 +115,6 @@ TEST_P(ImThresholdOneIdentity, ImIsBitwiseBlUnderEveryComposition) {
   };
   for (const Variant& v : variants) {
     StrategyOptions exec;
-    exec.record_trace = false;
     exec.columnar = v.columnar;
     exec.batch.enabled = v.batch;
     if (v.faults) {
@@ -172,7 +171,6 @@ TEST(ImCalibration, ConfidentRowPrecisionReachesTheThreshold) {
     const ImputeModel model = ImputeModel::build(*synth.federation);
 
     StrategyOptions exec;
-    exec.record_trace = false;
     exec.impute = &model;
     exec.impute_threshold = kThreshold;
     const StrategyReport report = execute_strategy(
@@ -220,7 +218,6 @@ std::vector<std::string> im_golden_lines(std::uint64_t seed) {
   std::vector<std::string> lines;
   for (const bool mar : {false, true}) {
     StrategyOptions exec;
-    exec.record_trace = false;
     exec.impute = &model;
     exec.impute_threshold = 0.5;
     exec.impute_mar = mar;
@@ -453,7 +450,6 @@ TEST(ImJobsDeterminism, TrialDigestsIdenticalAcrossJobCounts) {
       const SynthFederation synth = materialize_sample(sample);
       const ImputeModel model = ImputeModel::build(*synth.federation);
       StrategyOptions exec;
-      exec.record_trace = false;
       exec.impute = &model;
       exec.impute_threshold = 0.5;
       const StrategyReport report = execute_strategy(
@@ -477,7 +473,6 @@ TEST(ImErrors, ExecutingWithoutAnOracleThrows) {
   const SampleParams sample = draw_sample(small_config(3, 0.15), rng);
   const SynthFederation synth = materialize_sample(sample);
   StrategyOptions exec;  // impute oracle left null
-  exec.record_trace = false;
   EXPECT_THROW((void)execute_strategy(StrategyKind::IM, *synth.federation,
                                       synth.query, exec),
                ImputeError);

@@ -84,7 +84,6 @@ TEST_P(IndexEquivalence, SameAnswersLessDisk) {
       ExtentIndexes::build(*synth.federation, synth.query);
 
   StrategyOptions plain, indexed;
-  plain.record_trace = indexed.record_trace = false;
   indexed.indexes = &indexes;
 
   for (const StrategyKind kind : {StrategyKind::BL, StrategyKind::PL}) {
@@ -111,7 +110,6 @@ TEST(Indexes, DisjunctiveQueriesFallBackToScans) {
   const ExtentIndexes indexes =
       ExtentIndexes::build(*synth.federation, synth.query);
   StrategyOptions plain, indexed;
-  plain.record_trace = indexed.record_trace = false;
   indexed.indexes = &indexes;
   const auto without = execute_strategy(StrategyKind::BL, *synth.federation,
                                         synth.query, plain);

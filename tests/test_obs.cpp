@@ -313,14 +313,6 @@ TEST_F(ObsExecution, SpanMetersSumToTheReportsWork) {
   EXPECT_EQ(bytes, report.bytes_transferred);
 }
 
-SimTime first_start(const TraceSession& session, Phase phase) {
-  SimTime first = -1;
-  for (const PhaseSpan& span : session.spans())
-    if (span.phase == phase && (first < 0 || span.start_ns < first))
-      first = span.start_ns;
-  return first;
-}
-
 TEST_F(ObsExecution, PhaseOrderMatchesThePaper) {
   // CA is O -> I -> P; BL is P -> O -> I. The spans' simulated start times
   // must show exactly that reordering.
@@ -328,24 +320,21 @@ TEST_F(ObsExecution, PhaseOrderMatchesThePaper) {
   StrategyOptions ca_options;
   ca_options.trace_session = &ca_session;
   (void)execute_strategy(StrategyKind::CA, fed(), query_, ca_options);
-  const SimTime ca_o = first_start(ca_session, Phase::O);
-  const SimTime ca_p = first_start(ca_session, Phase::P);
-  ASSERT_GE(ca_o, 0);
-  ASSERT_GE(ca_p, 0);
-  EXPECT_LT(ca_o, ca_p) << "CA ships (O) before it evaluates (P)";
+  const auto ca_o = ca_session.first_start(Phase::O);
+  const auto ca_p = ca_session.first_start(Phase::P);
+  ASSERT_TRUE(ca_o && ca_p);
+  EXPECT_LT(*ca_o, *ca_p) << "CA ships (O) before it evaluates (P)";
 
   TraceSession bl_session;
   StrategyOptions bl_options;
   bl_options.trace_session = &bl_session;
   (void)execute_strategy(StrategyKind::BL, fed(), query_, bl_options);
-  const SimTime bl_p = first_start(bl_session, Phase::P);
-  const SimTime bl_o = first_start(bl_session, Phase::O);
-  const SimTime bl_i = first_start(bl_session, Phase::I);
-  ASSERT_GE(bl_p, 0);
-  ASSERT_GE(bl_o, 0);
-  ASSERT_GE(bl_i, 0);
-  EXPECT_LT(bl_p, bl_o) << "BL evaluates locally (P) before lookups (O)";
-  EXPECT_LT(bl_o, bl_i) << "BL integrates (I) last";
+  const auto bl_p = bl_session.first_start(Phase::P);
+  const auto bl_o = bl_session.first_start(Phase::O);
+  const auto bl_i = bl_session.first_start(Phase::I);
+  ASSERT_TRUE(bl_p && bl_o && bl_i);
+  EXPECT_LT(*bl_p, *bl_o) << "BL evaluates locally (P) before lookups (O)";
+  EXPECT_LT(*bl_o, *bl_i) << "BL integrates (I) last";
 }
 
 TEST_F(ObsExecution, StreamSpansCarryTheirQueryIndex) {

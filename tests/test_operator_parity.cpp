@@ -74,7 +74,6 @@ std::vector<std::string> digest_seed(std::uint64_t seed) {
   for (const Mode& mode : kModes) {
     for (const StrategyKind kind : kAllStrategies) {
       StrategyOptions options;
-      options.record_trace = false;
       options.columnar = mode.columnar;
       options.batch.enabled = mode.batched;
       options.batch.max_records = mode.batch_cap;
@@ -171,7 +170,6 @@ TEST(OperatorParity, CertCacheOffAndColdAreBitwiseInvisible) {
     const SynthFederation synth = materialize_sample(sample);
     for (const StrategyKind kind : kAllStrategies) {
       StrategyOptions plain;
-      plain.record_trace = false;
       const StrategyReport baseline =
           execute_strategy(kind, *synth.federation, synth.query, plain);
       const std::string expected =

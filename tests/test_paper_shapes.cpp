@@ -20,7 +20,6 @@ Averages run_samples(const ParamConfig& config, std::uint64_t seed,
                      int samples) {
   Rng rng(seed);
   StrategyOptions options;
-  options.record_trace = false;
   Averages avg;
   for (int i = 0; i < samples; ++i) {
     const SampleParams sample = draw_sample(config, rng);

@@ -158,7 +158,6 @@ TEST(ExecutePlan, HybridMatchesReferenceAnswer) {
   const PlanChoice choice = plan_adaptive(*synth.federation, synth.query);
   ASSERT_TRUE(choice.plan.hybrid);
   StrategyOptions options;
-  options.record_trace = false;
   const PlanReport hybrid =
       execute_plan(*synth.federation, synth.query, choice.plan, options);
   EXPECT_EQ(hybrid.report.result,
@@ -178,7 +177,6 @@ TEST(ExecutePlan, HybridWireBeatsBothPureStrategies) {
   const PlanChoice choice = plan_adaptive(*synth.federation, synth.query);
   ASSERT_TRUE(choice.plan.hybrid);
   StrategyOptions options;
-  options.record_trace = false;
   const Bytes hybrid =
       execute_plan(*synth.federation, synth.query, choice.plan, options)
           .report.bytes_transferred;
@@ -206,7 +204,6 @@ TEST(ExecutePlan, MidFlightSwitchFiresOnUnderestimate) {
   choice.plan.switch_factor = 1.0;
 
   StrategyOptions options;
-  options.record_trace = false;
   const PlanReport report =
       execute_plan(*synth.federation, synth.query, choice.plan, options);
   EXPECT_EQ(report.telemetry.switches(), 1u);
@@ -228,7 +225,6 @@ TEST(ExecutePlan, SwitchDisabledWhenFactorIsZero) {
   choice.plan.switch_factor = 0;  // adaptive-without-insurance mode
 
   StrategyOptions options;
-  options.record_trace = false;
   const PlanReport report =
       execute_plan(*synth.federation, synth.query, choice.plan, options);
   EXPECT_EQ(report.telemetry.switches(), 0u);
@@ -248,7 +244,6 @@ TEST(ExecutePlan, HybridEmitsPlanSpans) {
 
   obs::TraceSession session;
   StrategyOptions options;
-  options.record_trace = false;
   options.trace_session = &session;
   (void)execute_plan(*synth.federation, synth.query, choice.plan, options);
 

@@ -43,7 +43,6 @@ TEST(Serve, SingleQueryMatchesStandaloneExecution) {
   const paper::UniversityExample example = paper::make_university();
   for (const StrategyKind kind : kAllStrategies) {
     StrategyOptions solo_options;
-    solo_options.record_trace = false;
     const StrategyReport solo =
         execute_strategy(kind, *example.federation, paper::q1(), solo_options);
 
@@ -187,7 +186,6 @@ TEST(Serve, SpcBeatsFifoOnMeanLatencyUnderContention) {
   const SynthFederation synth = materialize_sample(sample);
 
   StrategyOptions solo_options;
-  solo_options.record_trace = false;
   std::vector<ServeRequest> pool;
   for (const StrategyKind kind :
        {StrategyKind::BL, StrategyKind::CA}) {  // cheap vs expensive
@@ -224,7 +222,6 @@ TEST(Serve, P99GrowsWithOfferedLoad) {
   const paper::UniversityExample example = paper::make_university();
   const std::vector<ServeRequest> pool{{paper::q1(), StrategyKind::BL, 1.0}};
   StrategyOptions solo_options;
-  solo_options.record_trace = false;
   const double solo_s =
       to_seconds(execute_strategy(StrategyKind::BL, *example.federation,
                                   paper::q1(), solo_options)
@@ -340,7 +337,6 @@ TEST(Serve, EmptyPoolThrows) {
 double paper_solo_s(StrategyKind kind) {
   const paper::UniversityExample example = paper::make_university();
   StrategyOptions solo_options;
-  solo_options.record_trace = false;
   return to_seconds(
       execute_strategy(kind, *example.federation, paper::q1(), solo_options)
           .response_ns);
@@ -779,7 +775,6 @@ TEST(Arrivals, QueryPoolKeepsBaseFirstAndVariantsValid) {
     // Every variant stays answerable — and every strategy agrees on it.
     const QueryResult expected = reference_answer(*example.federation, query);
     StrategyOptions options;
-    options.record_trace = false;
     const StrategyReport report =
         execute_strategy(StrategyKind::BL, *example.federation, query, options);
     EXPECT_EQ(report.result, expected);

@@ -1,12 +1,13 @@
 // The discrete-event engine: scheduling, FIFO resources, barriers, the
-// cluster's network models, cost parameters, and trace bookkeeping.
+// cluster's network models, cost parameters, and the Fig. 8 views a
+// TraceSession derives from its spans.
 #include <gtest/gtest.h>
 
 #include <memory>
 
 #include "isomer/sim/barrier.hpp"
 #include "isomer/sim/cluster.hpp"
-#include "isomer/sim/trace.hpp"
+#include "isomer/obs/trace_session.hpp"
 
 namespace isomer {
 namespace {
@@ -296,28 +297,55 @@ TEST(Cluster, SiteNaming) {
   EXPECT_EQ(cluster.component_count(), 2u);
 }
 
-// --- trace ---
+// --- trace views (obs::TraceSession) ---
+
+void record(obs::TraceSession& session, std::string site, std::string step,
+            Phase phase, SimTime start, SimTime end) {
+  obs::PhaseSpan span;
+  span.site = std::move(site);
+  span.step = std::move(step);
+  span.phase = phase;
+  span.start_ns = start;
+  span.end_ns = end;
+  session.record(std::move(span));
+}
 
 TEST(Trace, PhaseOrderCollapsesByFirstStart) {
-  ExecutionTrace trace;
-  trace.record("DB1", "eval", Phase::P, 10, 20);
-  trace.record("DB1", "lookup", Phase::O, 20, 25);
-  trace.record("DB2", "eval", Phase::P, 12, 22);
-  trace.record("global", "certify", Phase::I, 30, 35);
-  trace.record("x", "ship", Phase::Transfer, 0, 5);  // ignored
-  EXPECT_EQ(trace.phase_order(),
+  obs::TraceSession session;
+  record(session, "DB1", "eval", Phase::P, 10, 20);
+  record(session, "DB1", "lookup", Phase::O, 20, 25);
+  record(session, "DB2", "eval", Phase::P, 12, 22);
+  record(session, "global", "certify", Phase::I, 30, 35);
+  record(session, "x", "ship", Phase::Transfer, 0, 5);  // ignored
+  EXPECT_EQ(session.phase_order(),
             (std::vector<Phase>{Phase::P, Phase::O, Phase::I}));
-  EXPECT_EQ(trace.phase_order(std::string("DB2")),
-            (std::vector<Phase>{Phase::P}));
+  EXPECT_EQ(session.phase_order("DB2"), (std::vector<Phase>{Phase::P}));
+}
+
+TEST(Trace, MarkersNeverJoinThePhaseOrder) {
+  obs::TraceSession session;
+  // Every marker phase starts before the flow; none may appear in it.
+  record(session, "global", "fault.degrade", Phase::Fault, 0, 0);
+  record(session, "DB1", "plan.site local", Phase::Plan, 0, 0);
+  record(session, "DB1", "cert.hit/2", Phase::Cert, 1, 1);
+  record(session, "global", "serve.tenant/gold", Phase::Serve, 0, 4);
+  record(session, "DB1", "im.impute/3", Phase::Impute, 2, 2);
+  record(session, "DB1", "setup", Phase::Setup, 0, 3);
+  record(session, "DB1", "eval", Phase::P, 5, 9);
+  record(session, "global", "certify", Phase::I, 9, 12);
+  EXPECT_EQ(session.phase_order(),
+            (std::vector<Phase>{Phase::P, Phase::I}));
+  EXPECT_EQ(session.phase_order("DB1"), (std::vector<Phase>{Phase::P}));
 }
 
 TEST(Trace, FirstStartLastEnd) {
-  ExecutionTrace trace;
-  trace.record("a", "s1", Phase::O, 5, 9);
-  trace.record("b", "s2", Phase::O, 3, 7);
-  EXPECT_EQ(trace.first_start(Phase::O), 3);
-  EXPECT_EQ(trace.last_end(Phase::O), 9);
-  EXPECT_EQ(trace.first_start(Phase::I), std::nullopt);
+  obs::TraceSession session;
+  record(session, "a", "s1", Phase::O, 5, 9);
+  record(session, "b", "s2", Phase::O, 3, 7);
+  EXPECT_EQ(session.first_start(Phase::O), 3);
+  EXPECT_EQ(session.last_end(Phase::O), 9);
+  EXPECT_EQ(session.first_start(Phase::I), std::nullopt);
+  EXPECT_EQ(session.last_end(Phase::I), std::nullopt);
 }
 
 TEST(Trace, TimeConversions) {

@@ -24,7 +24,6 @@ TEST_P(TopologyInvariants, AnswersAreTopologyIndependent) {
   const QueryResult expected =
       reference_answer(*synth.federation, synth.query);
   StrategyOptions options;
-  options.record_trace = false;
   options.topology = GetParam();
   for (const StrategyKind kind : kPaperStrategies) {
     const StrategyReport report =
@@ -37,7 +36,6 @@ TEST_P(TopologyInvariants, AnswersAreTopologyIndependent) {
 TEST_P(TopologyInvariants, NetworkBusyReflectsContentionModel) {
   const SynthFederation synth = make_synth(501);
   StrategyOptions options;
-  options.record_trace = false;
   options.topology = GetParam();
   const StrategyReport report = execute_strategy(
       StrategyKind::BL, *synth.federation, synth.query, options);
@@ -66,7 +64,6 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(StrategyInvariants, ContentionlessResponseNeverSlower) {
   const SynthFederation synth = make_synth(502, 5);
   StrategyOptions shared, free;
-  shared.record_trace = free.record_trace = false;
   shared.topology = NetworkTopology::SharedBus;
   free.topology = NetworkTopology::Contentionless;
   for (const StrategyKind kind : kPaperStrategies) {
@@ -82,15 +79,18 @@ TEST(StrategyInvariants, ContentionlessResponseNeverSlower) {
 TEST(StrategyInvariants, TraceCoversEveryPhase) {
   const SynthFederation synth = make_synth(503);
   for (const StrategyKind kind : kPaperStrategies) {
+    obs::TraceSession session;
+    StrategyOptions options;
+    options.trace_session = &session;
     const StrategyReport report =
-        execute_strategy(kind, *synth.federation, synth.query);
-    EXPECT_TRUE(report.trace.first_start(Phase::P).has_value());
-    EXPECT_TRUE(report.trace.first_start(Phase::I).has_value());
+        execute_strategy(kind, *synth.federation, synth.query, options);
+    EXPECT_TRUE(session.first_start(Phase::P).has_value());
+    EXPECT_TRUE(session.first_start(Phase::I).has_value());
     // The answer is ready exactly when the last O/I/P burst completes —
     // nothing but bookkeeping happens after it.
     SimTime last = 0;
     for (const Phase phase : {Phase::O, Phase::I, Phase::P})
-      if (const auto end = report.trace.last_end(phase))
+      if (const auto end = session.last_end(phase))
         last = std::max(last, *end);
     EXPECT_EQ(report.response_ns, last) << to_string(kind);
     EXPECT_GT(report.response_ns, 0);
@@ -112,10 +112,8 @@ TEST(StrategyInvariants, WorkAggregateIsStrategyDependentButNonzero) {
 TEST(StrategyInvariants, CostScalesWithRates) {
   const SynthFederation synth = make_synth(505);
   StrategyOptions slow;
-  slow.record_trace = false;
   slow.costs.disk_ns_per_byte *= 2;
   StrategyOptions base;
-  base.record_trace = false;
   for (const StrategyKind kind : kPaperStrategies) {
     const auto fast =
         execute_strategy(kind, *synth.federation, synth.query, base);

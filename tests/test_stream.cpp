@@ -12,7 +12,6 @@ namespace {
 TEST(Stream, SingleQueryMatchesStandaloneExecution) {
   const paper::UniversityExample example = paper::make_university();
   StrategyOptions options;
-  options.record_trace = false;
   const StrategyReport solo =
       execute_strategy(StrategyKind::BL, *example.federation, paper::q1(),
                        options);
@@ -43,7 +42,6 @@ TEST(Stream, ContentionStretchesLatency) {
   // queueing than a lone run, and the makespan exceeds the solo response.
   const paper::UniversityExample example = paper::make_university();
   StrategyOptions options;
-  options.record_trace = false;
   const SimTime solo =
       execute_strategy(StrategyKind::BL, *example.federation, paper::q1(),
                        options)
@@ -65,7 +63,6 @@ TEST(Stream, ContentionStretchesLatency) {
 TEST(Stream, WellSpacedQueriesDoNotInterfere) {
   const paper::UniversityExample example = paper::make_university();
   StrategyOptions options;
-  options.record_trace = false;
   const SimTime solo =
       execute_strategy(StrategyKind::BL, *example.federation, paper::q1(),
                        options)
@@ -111,7 +108,6 @@ TEST(Stream, LocalizedBurstsBeatCentralizedBursts) {
   const SampleParams sample = draw_sample(config, rng);
   const SynthFederation synth = materialize_sample(sample);
   StrategyOptions options;
-  options.record_trace = false;
 
   const auto burst_of = [&](StrategyKind kind) {
     std::vector<StreamQuery> stream(4, {synth.query, 0, kind});

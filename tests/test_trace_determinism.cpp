@@ -39,7 +39,6 @@ std::vector<PhaseSpan> spans_at(int jobs, int samples, std::uint64_t seed) {
     const SynthFederation synth = materialize_sample(sample);
     for (const StrategyKind kind : kinds) {
       StrategyOptions options;
-      options.record_trace = false;
       options.trace_session = &sessions[i];
       (void)execute_strategy(kind, *synth.federation, synth.query, options);
     }
