@@ -14,8 +14,6 @@
 #include "isomer/federation/materializer.hpp"
 #include "isomer/query/kernels.hpp"
 #include "isomer/obs/trace_session.hpp"
-#include "isomer/query/eval.hpp"
-#include "isomer/query/eval_cache.hpp"
 #include "isomer/schema/translate.hpp"
 #include "isomer/sim/barrier.hpp"
 #include "isomer/workload/synth.hpp"
@@ -58,35 +56,27 @@ void BM_LocalQueryEvaluation(benchmark::State& state) {
 }
 BENCHMARK(BM_LocalQueryEvaluation)->Arg(1000)->Arg(5000);
 
-// Predicate evaluation over a whole root extent, with and without the
-// EvalCache (query/eval_cache.hpp). Arg 0 selects cached (1) or uncached
-// (0); the cache is rebuilt per iteration, so the reported time includes
-// its warm-up — the realistic "one local execution" usage. The two variants
-// perform identical comparisons (asserted in test_eval_cache).
-void BM_PredicateEval(benchmark::State& state) {
+// A local query whose predicates all navigate: arg 0 selects the path
+// length (2 or 3 steps through the synthetic class chain), arg 1 the
+// extent size. Every predicate takes the bound row walk, so this times the
+// per-object navigation run_local_query does after binding the query once.
+void BM_BoundNavigation(benchmark::State& state) {
   const SynthFederation synth = make_synth(static_cast<int>(state.range(1)));
-  const ComponentDatabase& db = synth.federation->db(DbId{1});
-  const auto local =
-      derive_local_query(synth.federation->schema(), synth.query, DbId{1});
-  const auto& objects = db.extent(local->root_class).objects();
-  const bool use_cache = state.range(0) != 0;
+  GlobalQuery query = synth.query;
+  std::erase_if(query.predicates, [&](const Predicate& pred) {
+    return pred.path.length() != static_cast<std::size_t>(state.range(0));
+  });
   for (auto _ : state) {
-    EvalCache cache(db);
-    AccessMeter meter;
-    for (const Object& obj : objects)
-      for (const Predicate& pred : local->local_predicates)
-        benchmark::DoNotOptimize(eval_predicate(
-            db, obj, pred, &meter, use_cache ? &cache : nullptr));
-    benchmark::DoNotOptimize(meter.comparisons);
+    LocalExecution exec = run_local_query(*synth.federation, query, DbId{1});
+    benchmark::DoNotOptimize(exec.rows.size());
   }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(objects.size()));
+  state.SetItemsProcessed(state.iterations() * state.range(1));
 }
-BENCHMARK(BM_PredicateEval)
-    ->Args({0, 1000})
-    ->Args({1, 1000})
-    ->Args({0, 5000})
-    ->Args({1, 5000});
+BENCHMARK(BM_BoundNavigation)
+    ->Args({2, 1000})
+    ->Args({3, 1000})
+    ->Args({2, 5000})
+    ->Args({3, 5000});
 
 void BM_GoidProbe(benchmark::State& state) {
   const SynthFederation synth = make_synth(2000);
@@ -130,11 +120,12 @@ void BM_SignatureScreen(benchmark::State& state) {
   const ComponentDatabase& db = synth.federation->db(DbId{1});
   std::vector<LOid> ids;
   for (const Object& obj : db.extent("C2").objects()) ids.push_back(obj.id());
-  const Value literal{std::int64_t{0}};
+  // The token masks are built once per predicate, as plan_checks does.
+  const SignatureIndex::Probe probe =
+      SignatureIndex::probe("p0", Value{std::int64_t{0}});
   std::size_t i = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        index.screen(ids[i++ % ids.size()], "p0", literal));
+    benchmark::DoNotOptimize(index.screen(ids[i++ % ids.size()], probe));
   }
   state.SetItemsProcessed(state.iterations());
 }

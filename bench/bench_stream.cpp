@@ -7,15 +7,30 @@
 // smaller per-query footprint sustains a higher arrival rate before latency
 // blows up — strategy choice becomes a capacity decision, not just a
 // single-query one.
+//
+// Flags are the shared harness's (bench/harness.hpp): --samples=N is the
+// stream length in queries (default 8) and --scale=F the N_o multiplier
+// (default 0.1), so --quick is the default run. The harness flags this
+// experiment has no use for (--json, --trace, --faults, ...) and anything
+// unparseable exit 2 with a usage line.
 #include <cstdio>
+#include <string_view>
 
+#include "harness.hpp"
 #include "isomer/core/stream.hpp"
 #include "isomer/workload/synth.hpp"
 
 int main(int argc, char** argv) {
   using namespace isomer;
-  const int queries = argc > 1 ? std::atoi(argv[1]) : 8;
-  const double scale = argc > 2 ? std::atof(argv[2]) : 0.1;
+  for (int i = 1; i < argc; ++i) {
+    const std::string_view arg = argv[i];
+    if (arg != "--quick" && arg != "--paper" &&
+        !arg.starts_with("--samples=") && !arg.starts_with("--scale="))
+      bench::usage_error(argv[0]);
+  }
+  const bench::HarnessOptions options_in = bench::parse_options(argc, argv);
+  const int queries = options_in.samples_set ? options_in.samples : 8;
+  const double scale = options_in.scale_set ? options_in.scale : 0.1;
 
   Rng rng(2024);
   ParamConfig config;

@@ -72,41 +72,43 @@ DbProfile profile_database(const Federation& federation,
       rng.sample_indices(objects.size(), k);
   profile.stats.sampled = k;
 
+  const BoundQuery bound(federation, query);
+  const BoundQuery::Site site = bound.site(db);
   std::size_t survivors = 0, unknowns = 0, nested_rows = 0, nested_all = 0;
-  std::size_t assistant_probes = 0, assistants = 0;
+  std::vector<UnsolvedItem> sampled_items;
   AccessMeter nav_meter;
   FetchCache cache;  // shared across the sample, like one local execution
   for (const std::size_t pick : picks) {
     const Object& obj = objects[pick];
     std::vector<Truth> truths;
-    std::vector<UnsolvedItem> items;
+    const std::size_t first_item = sampled_items.size();
     truths.reserve(query.predicates.size());
     for (std::size_t p = 0; p < query.predicates.size(); ++p) {
-      const LocalPredOutcome outcome = eval_global_predicate_at(
-          federation, db, obj, range, query.predicates[p], 0, &nav_meter,
-          &cache);
+      const LocalPredOutcome outcome =
+          bound.eval_predicate(site, p, obj, 0, &nav_meter, &cache);
       truths.push_back(outcome.truth);
       if (is_unknown(outcome.truth) && outcome.step > 0) {
         const auto entity = federation.goids().goid_of(outcome.holder);
         if (entity)
-          items.push_back(UnsolvedItem{*entity, p, outcome.step, *entity});
+          sampled_items.push_back(
+              UnsolvedItem{*entity, p, outcome.step, *entity});
       }
     }
-    nested_all += items.size();
+    const std::size_t nested = sampled_items.size() - first_item;
+    nested_all += nested;
     const Truth overall = query.combine(truths);
     if (!is_false(overall)) {
       ++survivors;
-      nested_rows += items.size();
+      nested_rows += nested;
       unknowns += static_cast<std::size_t>(
           std::count(truths.begin(), truths.end(), Truth::Unknown));
     }
-    // Assistant fan-out for the sampled items.
-    for (const UnsolvedItem& item : items) {
-      ++assistant_probes;
-      const CheckPlan plan = plan_checks(federation, query, db, {item});
-      assistants += plan.task_count();
-    }
   }
+  // Assistant fan-out for the sampled items: planning treats items
+  // independently, so one plan's task count is the sum over the items.
+  const std::size_t assistant_probes = sampled_items.size();
+  const std::size_t assistants =
+      plan_checks(federation, query, db, sampled_items).task_count();
 
   const double dk = static_cast<double>(k);
   profile.stats.survive_rate = static_cast<double>(survivors) / dk;

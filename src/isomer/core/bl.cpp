@@ -108,6 +108,7 @@ void CertWriteback::filter(ExecEnv& env, SiteIndex from, DbId home,
   }
   hits += hit_count;
   misses += miss_count;
+  if (!env.traced()) return;
   const SimTime now = env.sim().now();
   if (hit_count > 0)
     env.mark(Phase::Cert, from, "cert.hit/" + std::to_string(hit_count), now,
@@ -182,23 +183,26 @@ void maybe_certify(ExecEnv& env, const std::shared_ptr<GlobalState>& state) {
     env.note_cert_outcome(state->certs->hits, state->certs->misses);
     // The discharge marker carries the residual-atom histogram: how many
     // atoms of the maybe rows' conditions stayed unresolved, per predicate.
-    std::string discharge =
-        "cert.discharge atoms=" + std::to_string(stats.unresolved_atoms);
-    for (const auto& [predicate, count] : stats.unresolved_by_predicate)
-      discharge +=
-          " p" + std::to_string(predicate) + "=" + std::to_string(count);
-    env.mark(Phase::Cert, kGlobalSite, std::move(discharge), env.sim().now(),
-             env.sim().now());
+    if (env.traced()) {
+      std::string discharge =
+          "cert.discharge atoms=" + std::to_string(stats.unresolved_atoms);
+      for (const auto& [predicate, count] : stats.unresolved_by_predicate)
+        discharge +=
+            " p" + std::to_string(predicate) + "=" + std::to_string(count);
+      env.mark(Phase::Cert, kGlobalSite, std::move(discharge),
+               env.sim().now(), env.sim().now());
+    }
   }
   if (state->impute != nullptr) {
     env.note_impute_outcome(state->impute->imputed, state->impute->declined);
     // The certification marker: how many atoms the model answered vs left
     // on the certified path across all homes of this run.
-    env.mark(
-        Phase::Impute, kGlobalSite,
-        "im.certify imputed=" + std::to_string(state->impute->imputed) +
-            " declined=" + std::to_string(state->impute->declined),
-        env.sim().now(), env.sim().now());
+    if (env.traced())
+      env.mark(
+          Phase::Impute, kGlobalSite,
+          "im.certify imputed=" + std::to_string(state->impute->imputed) +
+              " declined=" + std::to_string(state->impute->declined),
+          env.sim().now(), env.sim().now());
   }
   AccessMeter cpu_only;  // certification merges in memory at the global site
   cpu_only.comparisons = meter.comparisons + meter.table_probes;

@@ -1,6 +1,7 @@
 #include "isomer/core/checks.hpp"
 
 #include <algorithm>
+#include <optional>
 
 #include "isomer/common/error.hpp"
 
@@ -30,12 +31,13 @@ std::vector<UnsolvedItem> unsolved_items_of_rows(
 std::vector<UnsolvedItem> unsolved_items_of_all_roots(
     const Federation& federation, const GlobalQuery& query, DbId home,
     AccessMeter* meter) {
-  const GlobalSchema& schema = federation.schema();
-  const GlobalClass& range = schema.cls(query.range_class);
+  const BoundQuery bound(federation, query);
+  const GlobalClass& range = federation.schema().cls(query.range_class);
   const auto constituent = range.constituent_in(home);
   expects(constituent.has_value(),
           "unsolved_items_of_all_roots at a non-root database");
-  const ComponentDatabase& database = federation.db(home);
+  const BoundQuery::Site site = bound.site(home);
+  const ComponentDatabase& database = *site.database;
   const std::string& root_class =
       range.constituents()[*constituent].local_class;
 
@@ -55,9 +57,8 @@ std::vector<UnsolvedItem> unsolved_items_of_all_roots(
       // object and charges only comparisons — zeroed below. Skipping it is
       // meter- and item-identical to evaluating it.
       if (query.predicates[p].path.length() == 1) continue;
-      const LocalPredOutcome outcome = eval_global_predicate_at(
-          federation, home, obj, range, query.predicates[p], 0, &local,
-          &cache);
+      const LocalPredOutcome outcome =
+          bound.eval_predicate(site, p, obj, 0, &local, &cache);
       if (is_unknown(outcome.truth) && outcome.step > 0) {
         const auto entity = federation.goids().goid_of(outcome.holder, &local);
         ensures(entity.has_value(), "every constituent object is GOid-mapped");
@@ -75,36 +76,39 @@ std::vector<UnsolvedItem> unsolved_items_of_all_roots(
 CheckPlan plan_checks(const Federation& federation, const GlobalQuery& query,
                       DbId home, const std::vector<UnsolvedItem>& items,
                       const SignatureIndex* signatures) {
-  const GlobalSchema& schema = federation.schema();
+  const BoundQuery bound(federation, query);
   const GoidTable& goids = federation.goids();
 
   CheckPlan plan;
+  // Token masks per screenable predicate, built on first use.
+  std::vector<std::optional<SignatureIndex::Probe>> probes(
+      signatures != nullptr ? query.predicates.size() : 0);
   for (const UnsolvedItem& item : items) {
     const Predicate& pred = query.predicates[item.predicate];
     expects(item.step < pred.path.length(),
             "unsolved step beyond predicate path");
-    const PathExpr suffix = pred.path.suffix(item.step);
     // Signatures index (attribute = value) tokens, so screening applies to
     // single-attribute equality suffixes only.
-    const bool screenable =
-        signatures != nullptr && suffix.length() == 1 && pred.op == CompOp::Eq;
-    const std::string& item_class = goids.class_of(item.item);
+    const bool screenable = signatures != nullptr &&
+                            item.step + 1 == pred.path.length() &&
+                            pred.op == CompOp::Eq;
     ++plan.meter.table_probes;  // the mapping-table lookup for this item
     bool advised = false;
     for (const LOid& isomer : goids.isomers_of(item.item)) {
       if (isomer.db == home) continue;
       ++plan.meter.table_probes;  // examine one candidate assistant
-      const PathTranslation translation =
-          schema.translate_path(item_class, suffix, isomer.db);
       // The assistant is useful when its database can evaluate at least the
       // first step of the suffix: full evaluation may still hit deeper
       // missing data there, which cascades (CheckOutcome::follow_up). An
       // assistant whose schema misses the very first attribute cannot make
       // progress at all and is skipped.
-      if (!translation.complete() && *translation.missing_at == 0) continue;
+      if (!bound.local_attr(bound.site(isomer.db), item.predicate, item.step))
+        continue;
+      if (screenable && !probes[item.predicate])
+        probes[item.predicate] =
+            SignatureIndex::probe(pred.path.last(), pred.literal);
       if (screenable &&
-          signatures->screen(isomer, suffix.step(0), pred.literal,
-                             &plan.meter) ==
+          signatures->screen(isomer, *probes[item.predicate], &plan.meter) ==
               SignatureIndex::Screen::CannotSatisfy) {
         plan.local_verdicts.push_back(
             CheckVerdict{item.origin, item.predicate, Truth::False});
@@ -124,7 +128,9 @@ CheckPlan plan_checks(const Federation& federation, const GlobalQuery& query,
 CheckOutcome run_checks(const Federation& federation, const GlobalQuery& query,
                         DbId target, const std::vector<CheckTask>& tasks,
                         const SignatureIndex* signatures) {
-  const ComponentDatabase& database = federation.db(target);
+  const BoundQuery bound(federation, query);
+  const BoundQuery::Site site = bound.site(target);
+  const ComponentDatabase& database = *site.database;
   const GoidTable& goids = federation.goids();
 
   CheckOutcome outcome;
@@ -141,11 +147,13 @@ CheckOutcome run_checks(const Federation& federation, const GlobalQuery& query,
     if (assistant == nullptr)
       throw FederationError("assistant object " + to_string(task.assistant) +
                             " does not exist");
-    const GlobalClass& item_class =
-        federation.schema().cls(goids.class_of(task.item));
-    const LocalPredOutcome eval = eval_global_predicate_at(
-        federation, target, *assistant, item_class,
-        query.predicates[task.predicate], task.step, &outcome.meter);
+    // The object model has no subclassing, so an item reached at step k is
+    // an object of the step's bound class.
+    ensures(goids.class_of(task.item) ==
+                bound.step_class(task.predicate, task.step).name(),
+            "check task item is of its step's global class");
+    const LocalPredOutcome eval = bound.eval_predicate(
+        site, task.predicate, *assistant, task.step, &outcome.meter);
     outcome.verdicts.push_back(
         CheckVerdict{task.origin, task.predicate, eval.truth});
 

@@ -237,7 +237,8 @@ void ExecEnv::attempt_ship(SiteIndex from, SiteIndex to, Bytes bytes,
       const SimTime spike = plan.spike_ns;
       arrive = [this, to, step, spike, inner = std::move(arrive)]() mutable {
         const SimTime at = sim_->now();
-        mark(Phase::Fault, to, "fault.spike " + step, at, at + spike);
+        if (traced())
+          mark(Phase::Fault, to, "fault.spike " + step, at, at + spike);
         sim_->schedule_after(spike, std::move(inner));
       };
     }
@@ -253,7 +254,8 @@ void ExecEnv::attempt_ship(SiteIndex from, SiteIndex to, Bytes bytes,
   if (attempt < retry.max_retries) {
     ++retries_;
     const SimTime resend = deadline + retry.backoff(attempt);
-    mark(Phase::Fault, from, "fault.retry " + step, begin, resend);
+    if (traced())
+      mark(Phase::Fault, from, "fault.retry " + step, begin, resend);
     sim_->schedule_at(
         resend, [this, from, to, bytes, step = std::move(step), attempt,
                  delivered = std::move(delivered),
@@ -265,7 +267,8 @@ void ExecEnv::attempt_ship(SiteIndex from, SiteIndex to, Bytes bytes,
   }
 
   ++failed_messages_;
-  mark(Phase::Fault, from, "fault.giveup " + step, begin, deadline);
+  if (traced())
+    mark(Phase::Fault, from, "fault.giveup " + step, begin, deadline);
   // Blame the site the plan says is down; for pure message loss suspect the
   // component endpoint (the global site is never declared dead).
   const SiteIndex suspect =

@@ -158,8 +158,16 @@ class ExecEnv {
   ///   * Impute: "im.impute/<n>" / "im.decline/<n>", check atoms answered
   ///     from the population model or left on the certified path — only
   ///     with an ImputeState attached (core/im.cpp).
+  ///
+  /// Callers that build `step` text test traced() first, so an untraced
+  /// execution builds no marker text at all.
   void mark(Phase phase, SiteIndex site, std::string step, SimTime begin,
             SimTime end);
+
+  /// True when a trace session is attached (marker spans are recorded).
+  [[nodiscard]] bool traced() const noexcept {
+    return options_.trace_session != nullptr;
+  }
 
   /// Folds a run's certificate-cache outcome into the final report.
   void note_cert_outcome(std::uint64_t hits, std::uint64_t misses) noexcept {

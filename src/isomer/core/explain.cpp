@@ -31,26 +31,17 @@ std::string render_predicate(const Predicate& pred) {
   return os.str();
 }
 
-std::string describe_site(const Federation& federation, DbId db,
-                          const LocalPredOutcome& outcome,
+std::string describe_site(const BoundQuery& bound, BoundQuery::Site site,
+                          std::size_t p, const LocalPredOutcome& outcome,
                           const Predicate& pred) {
   std::ostringstream os;
-  const std::string& attr = pred.path.step(outcome.step);
-  const ComponentDatabase& database = federation.db(db);
-  const std::string& holder_class = database.class_of(outcome.holder);
-  const GlobalClass* global_class =
-      federation.schema().global_class_of(db, holder_class);
-  bool schema_missing = false;
-  if (global_class != nullptr) {
-    const auto constituent = global_class->constituent_in(db);
-    const auto index = global_class->def().find_attribute(attr);
-    if (constituent && index)
-      schema_missing = global_class->is_missing(*constituent, *index);
-  }
-  os << "'" << attr << "' "
+  const bool schema_missing = !bound.local_attr(site, p, outcome.step);
+  const DbId db = site.database->db();
+  os << "'" << pred.path.step(outcome.step) << "' "
      << (schema_missing ? "is a missing attribute of " : "is null on ")
-     << to_string(outcome.holder) << " (" << holder_class << "@DB"
-     << db.value() << ")";
+     << to_string(outcome.holder) << " ("
+     << site.database->class_of(outcome.holder) << "@DB" << db.value()
+     << ")";
   return os.str();
 }
 
@@ -58,6 +49,9 @@ std::string describe_site(const Federation& federation, DbId db,
 
 Explanation explain(const Federation& federation, const GlobalQuery& query,
                     GOid entity) {
+  // Binding validates every path, so a malformed query is rejected here
+  // even for an entity the explanation would report as not found.
+  const BoundQuery bound(federation, query);
   Explanation out;
   out.entity = entity;
   if (entity.value() == 0 ||
@@ -65,9 +59,6 @@ Explanation explain(const Federation& federation, const GlobalQuery& query,
     return out;
   const GoidTable& goids = federation.goids();
   if (goids.class_of(entity) != query.range_class) return out;
-
-  const GlobalSchema& schema = federation.schema();
-  const GlobalClass& range = schema.cls(query.range_class);
 
   out.predicates.resize(query.predicates.size());
   for (std::size_t p = 0; p < query.predicates.size(); ++p) {
@@ -83,19 +74,19 @@ Explanation explain(const Federation& federation, const GlobalQuery& query,
   std::vector<std::pair<DbId, std::vector<Truth>>> per_db_truths;
   std::vector<std::vector<Condition>> pooled(query.predicates.size());
   for (const LOid& isomer : goids.isomers_of(entity)) {
-    const Object* root = federation.db(isomer.db).fetch(isomer);
+    const BoundQuery::Site site = bound.site(isomer.db);
+    const Object* root = site.database->fetch(isomer);
     ensures(root != nullptr, "GOid table validated at construction");
     std::vector<Truth> truths;
     for (std::size_t p = 0; p < query.predicates.size(); ++p) {
-      const LocalPredOutcome outcome = eval_global_predicate_at(
-          federation, isomer.db, *root, range, query.predicates[p], 0);
+      const LocalPredOutcome outcome = bound.eval_predicate(site, p, *root);
       truths.push_back(outcome.truth);
       Evidence evidence;
       evidence.db = isomer.db;
       evidence.truth = outcome.truth;
       if (is_unknown(outcome.truth)) {
-        evidence.note = describe_site(federation, isomer.db, outcome,
-                                      query.predicates[p]);
+        evidence.note =
+            describe_site(bound, site, p, outcome, query.predicates[p]);
         const auto item = goids.goid_of(outcome.holder);
         ensures(item.has_value(), "every constituent object is GOid-mapped");
         pooled[p].push_back(Condition::leaf(

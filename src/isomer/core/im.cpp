@@ -132,6 +132,7 @@ void ImputeState::filter(ExecEnv& env, SiteIndex from, DbId home,
   }
   imputed += impute_count;
   declined += decline_count;
+  if (!env.traced()) return;
   const SimTime now = env.sim().now();
   if (impute_count > 0)
     env.mark(Phase::Impute, from, "im.impute/" + std::to_string(impute_count),
@@ -228,7 +229,7 @@ void ImputeState::discharge(ExecEnv& env,
   imputed += impute_count;
   upgraded_rows += upgraded;
   eliminated_rows += eliminated;
-  if (impute_count > 0 || upgraded > 0 || eliminated > 0) {
+  if (env.traced() && (impute_count > 0 || upgraded > 0 || eliminated > 0)) {
     const SimTime now = env.sim().now();
     env.mark(
         Phase::Impute, kGlobalSite,

@@ -5,53 +5,80 @@
 
 namespace isomer {
 
-namespace {
-
-/// Resolves the local attribute index implementing global attribute
-/// `global_step_name` of `global_class` for the constituent in `db`;
-/// nullopt when the attribute (or the whole constituent) is missing there.
-std::optional<std::size_t> local_attr_index(const ComponentDatabase& database,
-                                            const GlobalClass& global_class,
-                                            std::string_view global_attr) {
-  const auto constituent = global_class.constituent_in(database.db());
-  if (!constituent) return std::nullopt;
-  const auto global_index = global_class.def().find_attribute(global_attr);
-  if (!global_index) return std::nullopt;
-  const auto& local_name =
-      global_class.local_attr(*constituent, *global_index);
-  if (!local_name) return std::nullopt;
-  const ClassDef& local_class = database.schema().cls(
-      global_class.constituents()[*constituent].local_class);
-  return local_class.find_attribute(*local_name);
+BoundQuery::BoundQuery(const Federation& federation, const GlobalQuery& query)
+    : federation_(&federation), query_(&query) {
+  sites_.reserve(federation.db_ids().size());
+  for (const DbId db : federation.db_ids())
+    sites_.push_back(Site{&federation.db(db), sites_.size()});
+  predicates_.reserve(query.predicates.size());
+  for (const Predicate& pred : query.predicates)
+    predicates_.push_back(bind(pred.path));
+  targets_.reserve(query.targets.size());
+  for (const PathExpr& target : query.targets)
+    targets_.push_back(bind(target));
 }
 
-/// The global domain class of a global complex attribute.
-const GlobalClass& global_domain(const Federation& federation,
-                                 const GlobalClass& cls,
-                                 std::string_view global_attr) {
-  const auto index = cls.def().find_attribute(global_attr);
-  expects(index.has_value(), "unknown global attribute");
-  const auto* cplx = std::get_if<ComplexType>(&cls.def().attribute(*index).type);
-  if (cplx == nullptr)
-    throw QueryError("global attribute " + std::string(global_attr) +
-                     " of class " + cls.name() +
-                     " is primitive but the path continues");
-  return federation.schema().cls(cplx->domain_class);
+BoundQuery::Path BoundQuery::bind(const PathExpr& expr) const {
+  Path path;
+  path.expr = &expr;
+  path.steps = federation_->schema().resolve_steps(query_->range_class, expr);
+  path.local.assign(sites_.size() * path.steps.size(), kMissing);
+  for (const Site& site : sites_) {
+    const ComponentDatabase& database = *site.database;
+    for (std::size_t step = 0; step < path.steps.size(); ++step) {
+      const GlobalClass& cls = *path.steps[step].cls;
+      const auto constituent = cls.constituent_in(database.db());
+      if (!constituent) continue;
+      const auto& local_name =
+          cls.local_attr(*constituent, path.steps[step].attr);
+      if (!local_name) continue;
+      const auto index =
+          database.schema()
+              .cls(cls.constituents()[*constituent].local_class)
+              .find_attribute(*local_name);
+      if (index)
+        path.local[site.slot * path.steps.size() + step] =
+            static_cast<std::uint32_t>(*index);
+    }
+  }
+  return path;
 }
 
-LocalPredOutcome eval_pred_from(const Federation& federation,
-                                const ComponentDatabase& database,
-                                const Object& obj, const GlobalClass& cls,
-                                const Predicate& pred, std::size_t step,
-                                AccessMeter* meter, FetchCache* cache) {
-  const auto index = local_attr_index(database, cls, pred.path.step(step));
-  if (!index)  // missing attribute: this object holds the missing data
+BoundQuery::Site BoundQuery::site(DbId db) const {
+  for (const Site& site : sites_)
+    if (site.database->db() == db) return site;
+  throw FederationError("federation has no database DB" +
+                        std::to_string(db.value()));
+}
+
+std::optional<std::size_t> BoundQuery::local_attr(Site site, std::size_t p,
+                                                  std::size_t step) const {
+  const std::uint32_t index = predicates_[p].at(site, step);
+  if (index == kMissing) return std::nullopt;
+  return index;
+}
+
+LocalPredOutcome BoundQuery::eval_predicate(Site site, std::size_t p,
+                                            const Object& obj,
+                                            std::size_t step,
+                                            AccessMeter* meter,
+                                            FetchCache* cache) const {
+  const Predicate& pred = query_->predicates[p];
+  expects(step < pred.path.length(), "start step beyond predicate path");
+  return eval_from(site, predicates_[p], pred, obj, step, meter, cache);
+}
+
+LocalPredOutcome BoundQuery::eval_from(Site site, const Path& path,
+                                       const Predicate& pred,
+                                       const Object& obj, std::size_t step,
+                                       AccessMeter* meter,
+                                       FetchCache* cache) const {
+  const std::uint32_t index = path.at(site, step);
+  if (index == kMissing)  // missing attribute: this object holds the gap
     return LocalPredOutcome{Truth::Unknown, obj.id(), step};
 
-  const Value& v = obj.value(*index);
-  const bool last = (step + 1 == pred.path.length());
-
-  if (last) {
+  const Value& v = obj.value(index);
+  if (step + 1 == path.steps.size()) {
     if (meter != nullptr) ++meter->comparisons;
     const Truth t = apply(pred.op, v, pred.literal);
     if (is_unknown(t)) return LocalPredOutcome{Truth::Unknown, obj.id(), step};
@@ -60,15 +87,12 @@ LocalPredOutcome eval_pred_from(const Federation& federation,
 
   if (v.is_null()) return LocalPredOutcome{Truth::Unknown, obj.id(), step};
 
-  const GlobalClass& domain =
-      global_domain(federation, cls, pred.path.step(step));
-
+  const ComponentDatabase& database = *site.database;
   if (v.kind() == ValueKind::LocalRef) {
     const Object* next = database.deref(v, meter, cache);
     if (next == nullptr)
       return LocalPredOutcome{Truth::Unknown, obj.id(), step};
-    return eval_pred_from(federation, database, *next, domain, pred, step + 1,
-                          meter, cache);
+    return eval_from(site, path, pred, *next, step + 1, meter, cache);
   }
   if (v.kind() == ValueKind::LocalRefSet) {
     LocalPredOutcome acc{Truth::False, LOid{}, 0};
@@ -77,75 +101,48 @@ LocalPredOutcome eval_pred_from(const Federation& federation,
       const LocalPredOutcome branch =
           next == nullptr
               ? LocalPredOutcome{Truth::Unknown, obj.id(), step}
-              : eval_pred_from(federation, database, *next, domain, pred,
-                               step + 1, meter, cache);
+              : eval_from(site, path, pred, *next, step + 1, meter, cache);
       if (is_true(branch.truth)) return branch;
       if (is_unknown(branch.truth) && !is_unknown(acc.truth)) acc = branch;
     }
     return acc;
   }
-  throw QueryError("local value for global step " + pred.path.step(step) +
+  throw QueryError("local value for global step " + path.expr->step(step) +
                    " is not a reference");
 }
 
-}  // namespace
-
-LocalPredOutcome eval_global_predicate_at(const Federation& federation,
-                                          DbId db, const Object& root,
-                                          const GlobalClass& root_class,
-                                          const Predicate& pred,
-                                          std::size_t start_step,
-                                          AccessMeter* meter,
-                                          FetchCache* cache) {
-  expects(start_step < pred.path.length(),
-          "start_step beyond predicate path");
-  // Rebase the predicate so the recursive walk sees a path starting at the
-  // item's class (suffix evaluation for assistant checks).
-  if (start_step == 0)
-    return eval_pred_from(federation, federation.db(db), root, root_class,
-                          pred, 0, meter, cache);
-  Predicate rebased{pred.path.suffix(start_step), pred.op, pred.literal};
-  LocalPredOutcome outcome =
-      eval_pred_from(federation, federation.db(db), root, root_class, rebased,
-                     0, meter, cache);
-  if (is_unknown(outcome.truth)) outcome.step += start_step;
-  return outcome;
+Value BoundQuery::eval_target(Site site, std::size_t t, const Object& root,
+                              AccessMeter* meter, FetchCache* cache) const {
+  return target_from(site, targets_[t], root, 0, meter, cache);
 }
 
-Value eval_global_path(const Federation& federation, DbId db,
-                       const Object& root, const GlobalClass& root_class,
-                       const PathExpr& path, AccessMeter* meter,
-                       FetchCache* cache) {
-  const ComponentDatabase& database = federation.db(db);
+Value BoundQuery::target_from(Site site, const Path& path, const Object& root,
+                              std::size_t step, AccessMeter* meter,
+                              FetchCache* cache) const {
+  const ComponentDatabase& database = *site.database;
   const Object* obj = &root;
-  const GlobalClass* cls = &root_class;
-  for (std::size_t step = 0; step < path.length(); ++step) {
-    const auto index = local_attr_index(database, *cls, path.step(step));
-    if (!index) return Value::null();
-    const Value& v = obj->value(*index);
-    const bool last = (step + 1 == path.length());
-    if (last) return federation.goids().globalize(v, meter);
+  for (; step < path.steps.size(); ++step) {
+    const std::uint32_t index = path.at(site, step);
+    if (index == kMissing) return Value::null();
+    const Value& v = obj->value(index);
+    if (step + 1 == path.steps.size())
+      return federation_->goids().globalize(v, meter);
     if (v.is_null()) return Value::null();
-    const GlobalClass& domain =
-        global_domain(federation, *cls, path.step(step));
     if (v.kind() == ValueKind::LocalRef) {
       obj = database.deref(v, meter, cache);
       if (obj == nullptr) return Value::null();
-      cls = &domain;
       continue;
     }
     if (v.kind() == ValueKind::LocalRefSet) {
       for (const LOid member : v.as_local_ref_set()) {
         const Object* next = database.fetch(member, meter, cache);
         if (next == nullptr) continue;
-        const Value rest =
-            eval_global_path(federation, db, *next, domain,
-                             path.suffix(step + 1), meter, cache);
+        Value rest = target_from(site, path, *next, step + 1, meter, cache);
         if (!rest.is_null()) return rest;
       }
       return Value::null();
     }
-    throw QueryError("local value for global step " + path.step(step) +
+    throw QueryError("local value for global step " + path.expr->step(step) +
                      " is not a reference");
   }
   return Value::null();
@@ -162,14 +159,11 @@ LocalExecution run_local_query(const Federation& federation,
     throw QueryError("DB" + std::to_string(db.value()) +
                      " holds no constituent of range class " +
                      query.range_class);
-  // Resolve every path against the global schema up front so malformed
-  // queries fail before any simulated work.
-  for (const Predicate& pred : query.predicates)
-    (void)resolve_path(schema.lookup(), query.range_class, pred.path);
-  for (const PathExpr& target : query.targets)
-    (void)resolve_path(schema.lookup(), query.range_class, target);
-
-  const ComponentDatabase& database = federation.db(db);
+  // Binding resolves every path up front, so malformed queries fail before
+  // any simulated work.
+  const BoundQuery bound(federation, query);
+  const BoundQuery::Site site = bound.site(db);
+  const ComponentDatabase& database = *site.database;
   const std::string& root_class_name =
       range.constituents()[*constituent].local_class;
 
@@ -223,7 +217,7 @@ LocalExecution run_local_query(const Federation& federation,
     const Extent& root_extent = database.extent(root_class_name);
     for (std::size_t p = 0; p < n_preds; ++p) {
       const Predicate& pred = query.predicates[p];
-      const auto attr = local_attr_index(database, range, pred.path.step(0));
+      const auto attr = bound.local_attr(site, p, 0);
       if (!attr) {
         // The row path returns Unknown(root, step 0) per candidate with no
         // comparison, then charges one goid probe for the unknown holder —
@@ -270,9 +264,8 @@ LocalExecution run_local_query(const Federation& federation,
     for (std::size_t p = 0; p < n_preds; ++p) {
       RowEval& e = evals[p];
       if (modes[p] == PredMode::Row) {
-        const LocalPredOutcome outcome = eval_global_predicate_at(
-            federation, db, obj, range, query.predicates[p], 0, &exec.meter,
-            &cache);
+        const LocalPredOutcome outcome =
+            bound.eval_predicate(site, p, obj, 0, &exec.meter, &cache);
         e.truth = outcome.truth;
         if (is_unknown(outcome.truth)) {
           const auto item_entity =
@@ -319,9 +312,9 @@ LocalExecution run_local_query(const Federation& federation,
     }
 
     row.targets.reserve(query.targets.size());
-    for (const PathExpr& target : query.targets)
-      row.targets.push_back(eval_global_path(federation, db, obj, range,
-                                             target, &exec.meter, &cache));
+    for (std::size_t t = 0; t < query.targets.size(); ++t)
+      row.targets.push_back(
+          bound.eval_target(site, t, obj, &exec.meter, &cache));
 
     exec.rows.push_back(std::move(row));
   }

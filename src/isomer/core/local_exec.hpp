@@ -9,12 +9,17 @@
 // *unsolved site*: the object holding the missing data (the paper's unsolved
 // item when nested) and the global path step.
 //
-// This is exactly equivalent to evaluating the derived LocalQuery's local
-// predicates plus marking its schema-unsolved predicates per object — the
-// LocalQuery form exists for the protocol and the cost model, this evaluator
-// for the logic — and both views are exercised against each other in tests.
+// The translation is a property of the query and the schemas, not of the
+// object: BoundQuery resolves every path step once per call — to a local
+// attribute index per database, or to "missing at this step" — so the
+// per-object walk only indexes. This is equivalent to evaluating the derived
+// LocalQuery's local predicates plus marking its schema-unsolved predicates
+// per object (the LocalQuery form exists for the protocol and the cost
+// model, this evaluator for the logic); the parity suite checks the bound
+// evaluator against a by-name reference walker.
 #pragma once
 
+#include <cstdint>
 #include <optional>
 #include <vector>
 
@@ -33,23 +38,89 @@ struct LocalPredOutcome {
   std::size_t step = 0;
 };
 
-/// Evaluates `pred` (global names), starting at `start_step`, on `root`
-/// whose class is a constituent of global class `root_class`, entirely
-/// within database `db`. Charges fetches/comparisons to `meter`.
-[[nodiscard]] LocalPredOutcome eval_global_predicate_at(
-    const Federation& federation, DbId db, const Object& root,
-    const GlobalClass& root_class, const Predicate& pred,
-    std::size_t start_step, AccessMeter* meter = nullptr,
-    FetchCache* cache = nullptr);
+/// A global query bound to the federation once per call. Every predicate
+/// and target path is resolved against the global schema (QueryError when
+/// malformed) and then, per step and per component database, to the local
+/// attribute index implementing the step — or to "missing at this step"
+/// when that database's constituent of the step's class lacks the
+/// attribute, or the database holds no constituent of the class. Each
+/// step's global class is static (GlobalStep), so per-object evaluation is
+/// integer indexing only.
+///
+/// A binding borrows the federation and the query and must not outlive
+/// either. It is built inside each entry point and never memoized across
+/// calls: a query rebuilt at the same address gets a fresh binding.
+class BoundQuery {
+ public:
+  /// One component database as the evaluators see it; resolve once with
+  /// site() and pass it to every per-object call.
+  struct Site {
+    const ComponentDatabase* database = nullptr;
+    std::size_t slot = 0;  ///< position in Federation::db_ids()
+  };
 
-/// Evaluates a global-name target path on `root` within `db`; returns the
-/// value in *global* form (references globalized), or null when missing.
-[[nodiscard]] Value eval_global_path(const Federation& federation, DbId db,
-                                     const Object& root,
-                                     const GlobalClass& root_class,
-                                     const PathExpr& path,
-                                     AccessMeter* meter = nullptr,
-                                     FetchCache* cache = nullptr);
+  BoundQuery(const Federation& federation, const GlobalQuery& query);
+  BoundQuery(const Federation&, GlobalQuery&&) = delete;  // would dangle
+
+  [[nodiscard]] Site site(DbId db) const;
+
+  /// The global class whose attribute predicate `p` reads at `step`.
+  [[nodiscard]] const GlobalClass& step_class(std::size_t p,
+                                              std::size_t step) const {
+    return *predicates_[p].steps[step].cls;
+  }
+
+  /// The local attribute index predicate `p` reads at `step` in `site`'s
+  /// database; nullopt when the attribute is missing there.
+  [[nodiscard]] std::optional<std::size_t> local_attr(Site site, std::size_t p,
+                                                      std::size_t step) const;
+
+  /// Evaluates predicate `p` from `step` on `obj`, an object of
+  /// step_class(p, step)'s constituent in `site`'s database, entirely within
+  /// that database. Step 0 evaluates the whole predicate on a root object;
+  /// a later step is an assistant check's suffix, and the reported unsolved
+  /// step stays absolute. Charges fetches/comparisons to `meter`.
+  [[nodiscard]] LocalPredOutcome eval_predicate(
+      Site site, std::size_t p, const Object& obj, std::size_t step = 0,
+      AccessMeter* meter = nullptr, FetchCache* cache = nullptr) const;
+
+  /// Evaluates target `t` on root object `root` within `site`'s database;
+  /// returns the value in *global* form (references globalized), or null
+  /// when missing.
+  [[nodiscard]] Value eval_target(Site site, std::size_t t, const Object& root,
+                                  AccessMeter* meter = nullptr,
+                                  FetchCache* cache = nullptr) const;
+
+ private:
+  static constexpr std::uint32_t kMissing = UINT32_MAX;
+
+  struct Path {
+    const PathExpr* expr = nullptr;
+    std::vector<GlobalStep> steps;
+    /// local[slot * steps.size() + step]: local attribute index, or kMissing.
+    std::vector<std::uint32_t> local;
+
+    [[nodiscard]] std::uint32_t at(Site site, std::size_t step) const {
+      return local[site.slot * steps.size() + step];
+    }
+  };
+
+  [[nodiscard]] Path bind(const PathExpr& expr) const;
+  [[nodiscard]] LocalPredOutcome eval_from(Site site, const Path& path,
+                                           const Predicate& pred,
+                                           const Object& obj, std::size_t step,
+                                           AccessMeter* meter,
+                                           FetchCache* cache) const;
+  [[nodiscard]] Value target_from(Site site, const Path& path,
+                                  const Object& root, std::size_t step,
+                                  AccessMeter* meter, FetchCache* cache) const;
+
+  const Federation* federation_;
+  const GlobalQuery* query_;
+  std::vector<Site> sites_;  ///< Federation::db_ids() order
+  std::vector<Path> predicates_;
+  std::vector<Path> targets_;
+};
 
 /// Per-predicate status carried by a local result row. For conjunctive
 /// queries False never appears — objects failing any conjunct are

@@ -133,8 +133,9 @@ bool maybe_switch_to_central(const std::shared_ptr<OperatorContext>& ctx,
   if (observed < factor * run->assignment->est_rows_bytes) return false;
   if (run->assignment->extent_bytes >= observed) return false;
 
-  env.mark(Phase::Plan, run->site, "plan.switch", env.sim().now(),
-           env.sim().now());
+  if (env.traced())
+    env.mark(Phase::Plan, run->site, "plan.switch", env.sim().now(),
+             env.sim().now());
   if (run->decision != nullptr) {
     run->decision->switched = true;
     run->decision->executed = SitePath::Central;
@@ -249,10 +250,11 @@ void launch_plan(ExecEnv& env, const ExecPlan& plan,
     run->site = env.site_of(homes[i]);
     run->decision = &ctx->telemetry->decisions[i];
     run->assignment = assignments[i];
-    env.mark(
-        Phase::Plan, run->site,
-        "plan.site " + std::string(to_string(run->assignment->path)),
-        env.sim().now(), env.sim().now());
+    if (env.traced())
+      env.mark(
+          Phase::Plan, run->site,
+          "plan.site " + std::string(to_string(run->assignment->path)),
+          env.sim().now(), env.sim().now());
     if (run->assignment->path == SitePath::Central)
       central_home(ctx, run);
     else

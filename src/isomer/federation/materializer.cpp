@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "isomer/common/error.hpp"
-#include "isomer/query/eval.hpp"
 
 namespace isomer {
 
@@ -57,6 +56,43 @@ std::vector<std::string> classes_involved(const GlobalSchema& schema,
   return classes;
 }
 
+namespace {
+
+/// One constituent of a global class, bound once per materialization: its
+/// database, its local class and, per global attribute, the local
+/// attribute index (nullopt where the constituent holds it as missing).
+struct ConstituentTable {
+  const ComponentDatabase* database = nullptr;
+  const ClassDef* local_class = nullptr;
+  std::vector<std::optional<std::size_t>> local_index;
+};
+
+std::vector<ConstituentTable> bind_constituents(const Federation& federation,
+                                                const GlobalClass& cls) {
+  std::vector<ConstituentTable> tables;
+  tables.reserve(cls.constituents().size());
+  for (std::size_t c = 0; c < cls.constituents().size(); ++c) {
+    const ComponentDatabase& database = federation.db(cls.constituents()[c].db);
+    ConstituentTable table{
+        &database, &database.schema().cls(cls.constituents()[c].local_class),
+        {}};
+    table.local_index.reserve(cls.def().attribute_count());
+    for (std::size_t a = 0; a < cls.def().attribute_count(); ++a) {
+      const auto& local_name = cls.local_attr(c, a);
+      std::optional<std::size_t> index;
+      if (local_name) {
+        index = table.local_class->find_attribute(*local_name);
+        ensures(index.has_value(), "bound local attribute must exist");
+      }
+      table.local_index.push_back(index);
+    }
+    tables.push_back(std::move(table));
+  }
+  return tables;
+}
+
+}  // namespace
+
 MaterializedView materialize(const Federation& federation,
                              const std::vector<std::string>& classes,
                              AccessMeter* meter, MergePolicy policy,
@@ -68,40 +104,46 @@ MaterializedView materialize(const Federation& federation,
   for (const std::string& class_name : classes) {
     const GlobalClass& cls = schema.cls(class_name);
     MaterializedExtent& extent = view.add_extent(cls, goids);
+    const std::vector<ConstituentTable> tables =
+        bind_constituents(federation, cls);
+    const std::size_t attr_count = cls.def().attribute_count();
+    std::vector<bool> union_merge(attr_count, false);
+    if (policy == MergePolicy::UnionSets)
+      for (std::size_t a = 0; a < attr_count; ++a) {
+        const auto* cplx =
+            std::get_if<ComplexType>(&cls.def().attribute(a).type);
+        union_merge[a] = cplx != nullptr && cplx->multi_valued;
+      }
 
     // The GOid table knows the class's entity count before the outerjoin
     // starts: every entity yields exactly one materialized object.
     const std::vector<GOid>& entities = goids.entities_of(class_name);
     extent.reserve(entities.size());
     for (const GOid entity : entities) {
-      MaterializedObject merged{entity,
-                                std::vector<Value>(cls.def().attribute_count())};
+      MaterializedObject merged{entity, std::vector<Value>(attr_count)};
       // Isomers are kept in ascending DbId order; first non-null wins.
       for (const LOid& isomer : goids.isomers_of(entity)) {
         if (exclude != nullptr && exclude->count(isomer.db) != 0) continue;
-        const ComponentDatabase& db = federation.db(isomer.db);
-        const Object* obj = db.fetch(isomer, meter);
-        ensures(obj != nullptr, "GOid table validated at construction");
+        const auto table = std::find_if(
+            tables.begin(), tables.end(), [&](const ConstituentTable& t) {
+              return t.database->db() == isomer.db;
+            });
+        ensures(table != tables.end(),
+                "isomer's database must hold a constituent");
+        const ResolvedObject resolved = table->database->resolve(isomer, meter);
+        ensures(resolved.obj != nullptr, "GOid table validated at construction");
+        ensures(resolved.cls == table->local_class,
+                "isomer is an object of its constituent class");
         if (meter != nullptr) ++meter->comparisons;  // outerjoin GOid probe
 
-        const auto constituent = cls.constituent_in(isomer.db);
-        ensures(constituent.has_value(),
-                "isomer's database must hold a constituent");
-        const ClassDef& local_class = db.schema().cls(db.class_of(isomer));
-        for (std::size_t a = 0; a < cls.def().attribute_count(); ++a) {
-          const AttrDef& attr = cls.def().attribute(a);
-          const auto* cplx = std::get_if<ComplexType>(&attr.type);
-          const bool union_merge = policy == MergePolicy::UnionSets &&
-                                   cplx != nullptr && cplx->multi_valued;
-          if (!union_merge && !merged.values[a].is_null()) continue;
-          const auto& local_name = cls.local_attr(*constituent, a);
-          if (!local_name) continue;
-          const auto index = local_class.find_attribute(*local_name);
-          ensures(index.has_value(), "bound local attribute must exist");
-          const Value& raw = obj->value(*index);
+        for (std::size_t a = 0; a < attr_count; ++a) {
+          if (!union_merge[a] && !merged.values[a].is_null()) continue;
+          const auto& index = table->local_index[a];
+          if (!index) continue;
+          const Value& raw = resolved.obj->value(*index);
           if (raw.is_null()) continue;
           Value global_value = goids.globalize(raw, meter);
-          if (union_merge && !merged.values[a].is_null() &&
+          if (union_merge[a] && !merged.values[a].is_null() &&
               !global_value.is_null()) {
             // Union this isomer's reference set into the accumulated one.
             GlobalRefSet combined{merged.values[a].as_global_ref_set()};
@@ -113,7 +155,8 @@ MaterializedView materialize(const Federation& federation,
             merged.values[a] = Value(std::move(combined));
             continue;
           }
-          if (union_merge && global_value.kind() == ValueKind::GlobalRefSet) {
+          if (union_merge[a] &&
+              global_value.kind() == ValueKind::GlobalRefSet) {
             GlobalRefSet sorted{global_value.as_global_ref_set()};
             std::sort(sorted.targets.begin(), sorted.targets.end());
             global_value = Value(std::move(sorted));
@@ -140,25 +183,63 @@ struct MatStall {
   bool set = false;
 };
 
-void note_stall(MatStall* stall, GOid holder, std::size_t step) noexcept {
-  if (stall == nullptr || stall->set) return;
-  stall->holder = holder;
-  stall->step = step;
-  stall->set = true;
+void note_stall(MatStall& stall, GOid holder, std::size_t step) noexcept {
+  if (stall.set) return;
+  stall.holder = holder;
+  stall.step = step;
+  stall.set = true;
 }
 
-/// Predicate evaluation over materialized objects; mirrors query/eval.cpp
-/// but navigates GOid references between materialized extents.
-Truth eval_materialized(const MaterializedView& view, const GlobalSchema& schema,
-                        const MaterializedObject& obj,
-                        const GlobalClass& cls, const Predicate& pred,
-                        std::size_t step, AccessMeter* meter,
-                        MatStall* stall = nullptr) {
-  const auto index = cls.def().find_attribute(pred.path.step(step));
-  ensures(index.has_value(), "global query resolved before evaluation");
-  const Value& v = obj.values[*index];
-  const bool last = (step + 1 == pred.path.length());
-  if (last) {
+/// A global path bound to a materialized view once per evaluate_global
+/// call: per step, the attribute index in the step's class and, for a
+/// navigating step, the extent of its domain class.
+struct MatPath {
+  struct Step {
+    std::size_t attr = 0;
+    const GlobalClass* domain = nullptr;       ///< navigating steps only
+    const MaterializedExtent* extent = nullptr;  ///< nullptr: not in the view
+  };
+  const PathExpr* expr = nullptr;
+  std::vector<Step> steps;
+
+  /// The domain extent of navigating step `step`; throws FederationError
+  /// (as MaterializedView::extent) when the view lacks it.
+  [[nodiscard]] const MaterializedExtent& extent(std::size_t step) const {
+    if (steps[step].extent == nullptr)
+      throw FederationError("no materialized extent for global class " +
+                            steps[step].domain->name());
+    return *steps[step].extent;
+  }
+  [[nodiscard]] bool last(std::size_t step) const noexcept {
+    return step + 1 == steps.size();
+  }
+};
+
+MatPath bind_path(const MaterializedView& view, const GlobalSchema& schema,
+                  const GlobalQuery& query, const PathExpr& expr) {
+  const std::vector<GlobalStep> steps =
+      schema.resolve_steps(query.range_class, expr);
+  MatPath path{&expr, {}};
+  path.steps.reserve(steps.size());
+  for (std::size_t step = 0; step < steps.size(); ++step) {
+    MatPath::Step bound{steps[step].attr};
+    if (step + 1 < steps.size()) {
+      bound.domain = steps[step + 1].cls;
+      if (view.has_extent(bound.domain->name()))
+        bound.extent = &view.extent(bound.domain->name());
+    }
+    path.steps.push_back(bound);
+  }
+  return path;
+}
+
+/// Three-valued predicate evaluation over materialized objects, navigating
+/// GOid references between materialized extents.
+Truth eval_bound(const MatPath& path, const Predicate& pred,
+                 const MaterializedObject& obj, std::size_t step,
+                 AccessMeter* meter, MatStall& stall) {
+  const Value& v = obj.values[path.steps[step].attr];
+  if (path.last(step)) {
     if (meter != nullptr) ++meter->comparisons;
     const Truth t = apply(pred.op, v, pred.literal);
     if (is_unknown(t)) note_stall(stall, obj.id, step);
@@ -168,11 +249,7 @@ Truth eval_materialized(const MaterializedView& view, const GlobalSchema& schema
     note_stall(stall, obj.id, step);
     return Truth::Unknown;
   }
-  const auto& cplx =
-      std::get<ComplexType>(cls.def().attribute(*index).type);
-  const GlobalClass& domain = schema.cls(cplx.domain_class);
-  const MaterializedExtent& extent = view.extent(domain.name());
-
+  const MaterializedExtent& extent = path.extent(step);
   const auto descend = [&](GOid target) -> Truth {
     const MaterializedObject* next = extent.find(target);
     if (next == nullptr) {
@@ -180,8 +257,7 @@ Truth eval_materialized(const MaterializedView& view, const GlobalSchema& schema
       return Truth::Unknown;
     }
     if (meter != nullptr) ++meter->objects_fetched;
-    return eval_materialized(view, schema, *next, domain, pred, step + 1,
-                             meter, stall);
+    return eval_bound(path, pred, *next, step + 1, meter, stall);
   };
 
   if (v.kind() == ValueKind::GlobalRef) return descend(v.as_global_ref());
@@ -194,31 +270,21 @@ Truth eval_materialized(const MaterializedView& view, const GlobalSchema& schema
     }
     return acc;
   }
-  throw QueryError("materialized path step " + pred.path.step(step) +
+  throw QueryError("materialized path step " + path.expr->step(step) +
                    " is not a reference");
 }
 
-Value eval_materialized_path(const MaterializedView& view,
-                             const GlobalSchema& schema,
-                             const MaterializedObject& obj,
-                             const GlobalClass& cls, const PathExpr& path,
-                             std::size_t step, AccessMeter* meter) {
-  const auto index = cls.def().find_attribute(path.step(step));
-  ensures(index.has_value(), "global query resolved before evaluation");
-  const Value& v = obj.values[*index];
-  const bool last = (step + 1 == path.length());
-  if (last) return v;
+Value eval_bound_target(const MatPath& path, const MaterializedObject& obj,
+                        std::size_t step, AccessMeter* meter) {
+  const Value& v = obj.values[path.steps[step].attr];
+  if (path.last(step)) return v;
   if (v.is_null()) return Value::null();
-  const auto& cplx = std::get<ComplexType>(cls.def().attribute(*index).type);
-  const GlobalClass& domain = schema.cls(cplx.domain_class);
-  const MaterializedExtent& extent = view.extent(domain.name());
-
+  const MaterializedExtent& extent = path.extent(step);
   const auto descend = [&](GOid target) -> Value {
     const MaterializedObject* next = extent.find(target);
     if (next == nullptr) return Value::null();
     if (meter != nullptr) ++meter->objects_fetched;
-    return eval_materialized_path(view, schema, *next, domain, path, step + 1,
-                                  meter);
+    return eval_bound_target(path, *next, step + 1, meter);
   };
 
   if (v.kind() == ValueKind::GlobalRef) return descend(v.as_global_ref());
@@ -229,7 +295,7 @@ Value eval_materialized_path(const MaterializedView& view,
     }
     return Value::null();
   }
-  throw QueryError("materialized path step " + path.step(step) +
+  throw QueryError("materialized path step " + path.expr->step(step) +
                    " is not a reference");
 }
 
@@ -238,14 +304,17 @@ Value eval_materialized_path(const MaterializedView& view,
 QueryResult evaluate_global(const MaterializedView& view,
                             const GlobalSchema& schema,
                             const GlobalQuery& query, AccessMeter* meter) {
-  // Resolve every path once up front so malformed queries fail loudly.
+  // Binding resolves every path up front, so malformed queries fail loudly.
+  std::vector<MatPath> predicates, targets;
+  predicates.reserve(query.predicates.size());
   for (const Predicate& pred : query.predicates)
-    (void)resolve_path(schema.lookup(), query.range_class, pred.path);
+    predicates.push_back(bind_path(view, schema, query, pred.path));
+  targets.reserve(query.targets.size());
   for (const PathExpr& target : query.targets)
-    (void)resolve_path(schema.lookup(), query.range_class, target);
+    targets.push_back(bind_path(view, schema, query, target));
 
-  const GlobalClass& range = schema.cls(query.range_class);
-  const MaterializedExtent& extent = view.extent(range.name());
+  const MaterializedExtent& extent =
+      view.extent(schema.cls(query.range_class).name());
 
   QueryResult result;
   for (const MaterializedObject& obj : extent.objects()) {
@@ -253,9 +322,8 @@ QueryResult evaluate_global(const MaterializedView& view,
     truths.reserve(query.predicates.size());
     std::vector<MatStall> stalls(query.predicates.size());
     for (std::size_t p = 0; p < query.predicates.size(); ++p)
-      truths.push_back(eval_materialized(view, schema, obj, range,
-                                         query.predicates[p], 0, meter,
-                                         &stalls[p]));
+      truths.push_back(eval_bound(predicates[p], query.predicates[p], obj, 0,
+                                  meter, stalls[p]));
     const Truth truth = query.combine(truths);
     if (is_false(truth)) continue;
 
@@ -284,9 +352,8 @@ QueryResult evaluate_global(const MaterializedView& view,
       row.condition = combine_conditions(query, per_pred);
     }
     row.targets.reserve(query.targets.size());
-    for (const PathExpr& target : query.targets)
-      row.targets.push_back(eval_materialized_path(view, schema, obj, range,
-                                                   target, 0, meter));
+    for (const MatPath& target : targets)
+      row.targets.push_back(eval_bound_target(target, obj, 0, meter));
     result.rows.push_back(std::move(row));
   }
   result.normalize();

@@ -85,18 +85,20 @@ SignatureIndex SignatureIndex::build(const Federation& federation) {
   return index;
 }
 
-SignatureIndex::Screen SignatureIndex::screen(LOid obj,
-                                              std::string_view global_attr,
-                                              const Value& literal,
+SignatureIndex::Probe SignatureIndex::probe(std::string_view global_attr,
+                                            const Value& literal) {
+  return Probe{value_mask(global_attr, literal), null_mask(global_attr)};
+}
+
+SignatureIndex::Screen SignatureIndex::screen(LOid obj, const Probe& probe,
                                               AccessMeter* meter) const {
   if (meter != nullptr) ++meter->comparisons;
   if (obj.db.value() >= signatures_.size()) return Screen::MaybeSatisfies;
   const std::vector<Signature>& column = signatures_[obj.db.value()];
   if (obj.local >= column.size()) return Screen::MaybeSatisfies;
   const Signature& sig = column[obj.local];
-  if (sig.contains(value_mask(global_attr, literal)))
+  if (sig.contains(probe.value) || sig.contains(probe.null))
     return Screen::MaybeSatisfies;
-  if (sig.contains(null_mask(global_attr))) return Screen::MaybeSatisfies;
   return Screen::CannotSatisfy;
 }
 

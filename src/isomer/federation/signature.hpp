@@ -71,12 +71,22 @@ class SignatureIndex {
     MaybeSatisfies  ///< may satisfy or be null: must be checked at the owner
   };
 
-  /// Screens object `obj` against `global_attr = literal`. Unindexed
-  /// objects (a non-constituent class, an absent database, local 0, an id
-  /// past the end) screen as MaybeSatisfies (no information). Charges one
-  /// comparison to `meter`.
-  [[nodiscard]] Screen screen(LOid obj, std::string_view global_attr,
-                              const Value& literal,
+  /// The token masks of one equality predicate `global_attr = literal`.
+  /// Building them costs a string concatenation and three hashes per mask,
+  /// so a caller screening many objects against one predicate builds them
+  /// once.
+  struct Probe {
+    Signature value;
+    Signature null;
+  };
+  [[nodiscard]] static Probe probe(std::string_view global_attr,
+                                   const Value& literal);
+
+  /// Screens object `obj` against the predicate `probe` was built for.
+  /// Unindexed objects (a non-constituent class, an absent database, local
+  /// 0, an id past the end) screen as MaybeSatisfies (no information).
+  /// Charges one comparison to `meter`.
+  [[nodiscard]] Screen screen(LOid obj, const Probe& probe,
                               AccessMeter* meter = nullptr) const;
 
   /// Number of indexed objects.

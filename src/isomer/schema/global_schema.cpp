@@ -101,41 +101,33 @@ ClassLookup GlobalSchema::lookup() const {
   };
 }
 
+std::vector<GlobalStep> GlobalSchema::resolve_steps(
+    std::string_view global_class, const PathExpr& path) const {
+  const ResolvedPath resolved = resolve_path(lookup(), global_class, path);
+  std::vector<GlobalStep> steps;
+  steps.reserve(resolved.steps.size());
+  for (const ResolvedStep& step : resolved.steps)
+    steps.push_back(GlobalStep{&cls(step.class_name), step.attr_index});
+  return steps;
+}
+
 PathTranslation GlobalSchema::translate_path(std::string_view global_class,
                                              const PathExpr& path,
                                              DbId db) const {
-  // Resolving first guarantees the path is well-formed against the global
-  // schema, so the walk below only has to handle missing attributes.
-  const ResolvedPath resolved = resolve_path(lookup(), global_class, path);
-
-  const GlobalClass* current = &cls(global_class);
+  const std::vector<GlobalStep> steps = resolve_steps(global_class, path);
   PathTranslation result;
   std::vector<std::string> local_steps;
-  for (std::size_t step = 0; step < path.length(); ++step) {
-    const auto constituent = current->constituent_in(db);
-    if (!constituent) {
-      // The database does not participate in this branch class at all, so
-      // every attribute of it is missing from this database's perspective.
-      result.local = PathExpr(std::move(local_steps));
+  for (std::size_t step = 0; step < steps.size(); ++step) {
+    const GlobalClass& current = *steps[step].cls;
+    // A database that does not participate in this branch class at all
+    // misses every attribute of it.
+    const auto constituent = current.constituent_in(db);
+    if (!constituent ||
+        current.is_missing(*constituent, steps[step].attr)) {
       result.missing_at = step;
-      return result;
+      break;
     }
-    const auto attr_index =
-        current->def().find_attribute(path.step(step));
-    ensures(attr_index.has_value(), "resolved path step must exist globally");
-    const auto& local_name = current->local_attr(*constituent, *attr_index);
-    if (!local_name) {
-      result.local = PathExpr(std::move(local_steps));
-      result.missing_at = step;
-      return result;
-    }
-    local_steps.push_back(*local_name);
-
-    const bool last = (step + 1 == path.length());
-    if (!last) {
-      const auto& cplx = std::get<ComplexType>(resolved.steps[step].attr_type);
-      current = &cls(cplx.domain_class);
-    }
+    local_steps.push_back(*current.local_attr(*constituent, steps[step].attr));
   }
   result.local = PathExpr(std::move(local_steps));
   return result;

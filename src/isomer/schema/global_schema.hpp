@@ -94,6 +94,15 @@ struct PathTranslation {
   }
 };
 
+/// One step of a global path resolved against the global schema: the class
+/// whose attribute the step reads and that attribute's index in its
+/// definition. The class is static — the object model has no subclassing —
+/// so every object reached at a step belongs to it.
+struct GlobalStep {
+  const GlobalClass* cls = nullptr;
+  std::size_t attr = 0;
+};
+
 /// The integrated global schema: global classes plus the reverse mapping
 /// from (database, local class) to global class.
 class GlobalSchema {
@@ -116,6 +125,11 @@ class GlobalSchema {
 
   /// Class lookup over global class definitions, for resolve_path().
   [[nodiscard]] ClassLookup lookup() const;
+
+  /// Resolves a global-name path rooted at `global_class` step by step;
+  /// throws QueryError, as resolve_path() does, when the path is malformed.
+  [[nodiscard]] std::vector<GlobalStep> resolve_steps(
+      std::string_view global_class, const PathExpr& path) const;
 
   /// Translates a global-name path rooted at `global_class` into the local
   /// attribute names of database `db`. Requires that `db` has a constituent

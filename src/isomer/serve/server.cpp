@@ -448,7 +448,7 @@ void QueryServer::start(const Waiting& next) {
   // admission and launch, charged to its tenant (Phase::Serve, global
   // site). Only multi-tenant runs record it, so tenant-less traces stay
   // exactly as before.
-  if (!spec_.tenants.empty())
+  if (env->traced() && !spec_.tenants.empty())
     env->mark(Phase::Serve, kGlobalSite,
               "serve.tenant/" + spec_.tenants[next.tenant].id,
               outcome.arrival, outcome.start);

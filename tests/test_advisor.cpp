@@ -139,5 +139,15 @@ TEST(Advisor, RejectsMalformedQueries) {
   EXPECT_THROW((void)advise_strategy(*example.federation, bad), QueryError);
 }
 
+TEST(Advisor, RejectsPathsPastPrimitivesAndUnknownAttributes) {
+  const paper::UniversityExample example = paper::make_university();
+  for (const char* path : {"no_such_attr", "name.more"}) {
+    GlobalQuery bad = paper::q1();
+    bad.where(path, CompOp::Eq, "x");
+    EXPECT_THROW((void)advise_strategy(*example.federation, bad), QueryError)
+        << path;
+  }
+}
+
 }  // namespace
 }  // namespace isomer

@@ -227,14 +227,34 @@ TEST_F(CertifyFixture, TargetsMergeAcrossRowsInDbOrder) {
 }
 
 TEST_F(CertifyFixture, SuffixEvaluationStartsMidPath) {
-  // Directly exercise eval_global_predicate_at with start_step > 0: check
-  // "department.name = CS" on Kelly's DB3 object (t2'' -> d2'' CS).
-  const Predicate& pred = query_.predicates[2];  // advisor.department.name
+  // Directly exercise the bound evaluator from step 1: check
+  // "department.name = CS" (predicate 2, advisor.department.name) on
+  // Kelly's DB3 object (t2'' -> d2'' CS).
   const Object* kelly = fed().db(DbId{3}).fetch(example_.ids.t2pp);
   ASSERT_NE(kelly, nullptr);
-  const LocalPredOutcome outcome = eval_global_predicate_at(
-      fed(), DbId{3}, *kelly, fed().schema().cls("Teacher"), pred, 1);
+  const BoundQuery bound(fed(), query_);
+  EXPECT_EQ(&bound.step_class(2, 1), &fed().schema().cls("Teacher"));
+  const LocalPredOutcome outcome =
+      bound.eval_predicate(bound.site(DbId{3}), 2, *kelly, 1);
   EXPECT_EQ(outcome.truth, Truth::True);
+}
+
+TEST_F(CertifyFixture, CheckEntryPointsRejectMalformedPaths) {
+  // Binding validates every path, so a malformed one is a QueryError at
+  // each entry point — even when there is nothing to walk — never a
+  // contract violation or a silent Unknown.
+  for (const char* path : {"no_such_attr", "name.more"}) {
+    GlobalQuery bad = query_;
+    bad.where(path, CompOp::Eq, "x");
+    EXPECT_THROW((void)unsolved_items_of_all_roots(fed(), bad, DbId{1},
+                                                   nullptr),
+                 QueryError)
+        << path;
+    EXPECT_THROW((void)plan_checks(fed(), bad, DbId{1}, {}), QueryError)
+        << path;
+    EXPECT_THROW((void)run_checks(fed(), bad, DbId{3}, {}), QueryError)
+        << path;
+  }
 }
 
 // ---- residual-condition goldens ----------------------------------------

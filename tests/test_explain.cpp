@@ -20,6 +20,17 @@ class ExplainFixture : public ::testing::Test {
   GlobalQuery query_;
 };
 
+TEST_F(ExplainFixture, MalformedPathsAreQueryErrors) {
+  // A path naming no global attribute used to be narrated as a null value;
+  // binding rejects it, and a path continuing past a primitive, up front.
+  for (const char* path : {"no_such_attr", "name.more"}) {
+    GlobalQuery bad = query_;
+    bad.where(path, CompOp::Eq, "x");
+    EXPECT_THROW((void)explain(fed(), bad, g(example_.ids.s1p)), QueryError)
+        << path;
+  }
+}
+
 TEST_F(ExplainFixture, HedyIsCertainThroughAnAssistant) {
   const Explanation e = explain(fed(), query_, g(example_.ids.s1p));
   EXPECT_EQ(e.outcome, Outcome::Certain);

@@ -2,8 +2,8 @@
 // its consistency with the protocol-level LocalQuery derivation.
 #include <gtest/gtest.h>
 
+#include "eval_oracle.hpp"
 #include "isomer/core/local_exec.hpp"
-#include "isomer/query/eval.hpp"
 #include "isomer/schema/translate.hpp"
 #include "isomer/workload/paper_example.hpp"
 #include "isomer/workload/synth.hpp"
@@ -64,20 +64,19 @@ TEST_F(LocalExecFixture, LocallyCertainHelper) {
 
 TEST_F(LocalExecFixture, EvalGlobalPathReturnsGlobalRefs) {
   const Object* s1 = fed().db(DbId{1}).fetch(example_.ids.s1);
-  const Value advisor = eval_global_path(
-      fed(), DbId{1}, *s1, fed().schema().cls("Student"),
-      PathExpr::parse("advisor"));
-  EXPECT_EQ(advisor, Value(GlobalRef{example_.entity(example_.ids.t1)}));
-  const Value missing = eval_global_path(
-      fed(), DbId{1}, *s1, fed().schema().cls("Student"),
-      PathExpr::parse("address.city"));
-  EXPECT_TRUE(missing.is_null());
+  GlobalQuery query;
+  query.range_class = "Student";
+  query.select("advisor").select("address.city");
+  const BoundQuery bound(fed(), query);
+  const BoundQuery::Site site = bound.site(DbId{1});
+  EXPECT_EQ(bound.eval_target(site, 0, *s1),
+            Value(GlobalRef{example_.entity(example_.ids.t1)}));
+  EXPECT_TRUE(bound.eval_target(site, 1, *s1).is_null());
 }
 
-// The two views of local evaluation must agree: evaluating the derived
-// LocalQuery's local predicates with the plain component-database evaluator
-// gives the same truths as the translation-aware global evaluator, and the
-// schema-stripped predicates are exactly those the global evaluator can
+// The two views of local evaluation must agree: the bound evaluator gives
+// the by-name reference walker's truths for the derived LocalQuery's local
+// predicates, and the schema-stripped predicates are exactly those it can
 // never resolve beyond Unknown for *any* object of that database.
 class LocalViewsAgree : public ::testing::TestWithParam<std::uint64_t> {};
 
@@ -89,30 +88,29 @@ TEST_P(LocalViewsAgree, OnRandomWorkloads) {
   const SynthFederation synth = materialize_sample(sample);
   const Federation& fed = *synth.federation;
   const GlobalClass& range = fed.schema().cls(synth.query.range_class);
+  const BoundQuery bound(fed, synth.query);
 
   for (const DbId db : fed.db_ids()) {
     const auto local = derive_local_query(fed.schema(), synth.query, db);
     ASSERT_TRUE(local.has_value());
     const ComponentDatabase& database = fed.db(db);
+    const BoundQuery::Site site = bound.site(db);
 
     for (const Object& obj : database.extent(local->root_class).objects()) {
-      // (a) local predicates agree with the global evaluator.
+      // (a) local predicates agree with the reference walker.
       for (std::size_t lp = 0; lp < local->local_predicates.size(); ++lp) {
         const std::size_t gp = local->local_predicate_origin[lp];
-        const Truth via_local =
-            eval_predicate(database, obj, local->local_predicates[lp]).truth;
-        const Truth via_global =
-            eval_global_predicate_at(fed, db, obj, range,
-                                     synth.query.predicates[gp], 0)
+        const Truth via_oracle =
+            oracle::eval_global_predicate_at(fed, db, obj, range,
+                                             synth.query.predicates[gp], 0)
                 .truth;
-        EXPECT_EQ(via_local, via_global);
+        EXPECT_EQ(bound.eval_predicate(site, gp, obj).truth, via_oracle);
       }
       // (b) schema-stripped predicates are Unknown for every object here.
       for (const UnsolvedPredicate& unsolved : local->unsolved_predicates) {
-        const Truth t =
-            eval_global_predicate_at(fed, db, obj, range, unsolved.original, 0)
-                .truth;
-        EXPECT_EQ(t, Truth::Unknown);
+        EXPECT_EQ(
+            bound.eval_predicate(site, unsolved.predicate_index, obj).truth,
+            Truth::Unknown);
       }
     }
   }

@@ -2,185 +2,240 @@
 #include <gtest/gtest.h>
 
 #include "isomer/common/error.hpp"
-#include "isomer/query/eval.hpp"
+#include "isomer/core/local_exec.hpp"
 #include "isomer/query/printer.hpp"
+#include "isomer/schema/integrator.hpp"
 
 namespace isomer {
 namespace {
 
-/// A small school database with deliberate missing data:
+/// A small school federation with deliberate missing data at DB1:
 ///  - t_nodept has a null department,
 ///  - t_dangling references a department that does not exist,
-///  - the Teacher class itself lacks a `speciality` attribute.
+///  - nameless has no name,
+///  - DB1's Teacher lacks the `speciality` attribute and its Department the
+///    `head` attribute, which DB2's constituents define.
+/// Evaluation goes through the bound evaluator at DB1.
 class EvalFixture : public ::testing::Test {
  protected:
   void SetUp() override {
-    ComponentSchema schema(DbId{1}, "DB1");
-    schema.add_class("Department")
+    ComponentSchema schema1(DbId{1}, "DB1");
+    schema1.add_class("Department")
         .add_attribute("name", PrimType::String)
         .add_attribute("budget", PrimType::Int);
-    schema.add_class("Teacher")
+    schema1.add_class("Teacher")
         .add_attribute("name", PrimType::String)
         .add_attribute("department", ComplexType{"Department"})
         .add_attribute("committees", ComplexType{"Department", true});
-    db_ = std::make_unique<ComponentDatabase>(std::move(schema));
-    cs_ = db_->insert("Department", {{"name", "CS"}, {"budget", 100}});
-    ee_ = db_->insert("Department", {{"name", "EE"}, {"budget", 50}});
-    t_cs_ = db_->insert("Teacher",
+    auto db1 = std::make_unique<ComponentDatabase>(std::move(schema1));
+    cs_ = db1->insert("Department", {{"name", "CS"}, {"budget", 100}});
+    ee_ = db1->insert("Department", {{"name", "EE"}, {"budget", 50}});
+    t_cs_ = db1->insert("Teacher",
                         {{"name", "Ann"}, {"department", LocalRef{cs_}}});
-    t_nodept_ = db_->insert("Teacher", {{"name", "Bob"}});
-    t_dangling_ = db_->insert(
+    t_nodept_ = db1->insert("Teacher", {{"name", "Bob"}});
+    t_dangling_ = db1->insert(
         "Teacher",
         {{"name", "Cid"}, {"department", LocalRef{LOid{DbId{1}, 999}}}});
-    t_committees_ = db_->insert(
+    t_committees_ = db1->insert(
         "Teacher", {{"name", "Dot"}, {"committees", LocalRefSet{{ee_, cs_}}}});
+    nameless_ = db1->insert("Teacher", {});
+
+    ComponentSchema schema2(DbId{2}, "DB2");
+    schema2.add_class("Department")
+        .add_attribute("name", PrimType::String)
+        .add_attribute("head", PrimType::String);
+    schema2.add_class("Teacher")
+        .add_attribute("name", PrimType::String)
+        .add_attribute("speciality", PrimType::String);
+    auto db2 = std::make_unique<ComponentDatabase>(std::move(schema2));
+
+    IntegrationSpec spec;
+    for (const char* name : {"Department", "Teacher"})
+      spec.add_class(name).constituents = {Constituent{DbId{1}, name},
+                                           Constituent{DbId{2}, name}};
+    GlobalSchema global = integrate({&db1->schema(), &db2->schema()}, spec);
+
+    GoidTable goids;
+    for (const LOid id : {cs_, ee_})
+      goids.register_entity("Department", {id});
+    for (const LOid id :
+         {t_cs_, t_nodept_, t_dangling_, t_committees_, nameless_})
+      goids.register_entity("Teacher", {id});
+
+    std::vector<std::unique_ptr<ComponentDatabase>> databases;
+    databases.push_back(std::move(db1));
+    databases.push_back(std::move(db2));
+    fed_ = std::make_unique<Federation>(std::move(global),
+                                        std::move(databases), std::move(goids));
   }
 
-  const Object& obj(LOid id) { return *db_->fetch(id); }
+  const Object& obj(LOid id) { return *fed_->db(DbId{1}).fetch(id); }
 
-  std::unique_ptr<ComponentDatabase> db_;
-  LOid cs_, ee_, t_cs_, t_nodept_, t_dangling_, t_committees_;
+  /// Evaluates one Teacher predicate from `step` on `root` at DB1.
+  LocalPredOutcome eval(LOid root, const char* path, CompOp op, Value literal,
+                        AccessMeter* meter = nullptr, std::size_t step = 0) {
+    GlobalQuery query;
+    query.range_class = "Teacher";
+    query.where(path, op, std::move(literal));
+    const BoundQuery bound(*fed_, query);
+    return bound.eval_predicate(bound.site(DbId{1}), 0, obj(root), step,
+                                meter);
+  }
+
+  /// Evaluates one Teacher target path on `root` at DB1.
+  Value target(LOid root, const char* path) {
+    GlobalQuery query;
+    query.range_class = "Teacher";
+    query.select(path);
+    const BoundQuery bound(*fed_, query);
+    return bound.eval_target(bound.site(DbId{1}), 0, obj(root));
+  }
+
+  /// The DB1 row of `root` under `query`; nullptr when eliminated.
+  static const LocalRow* row_of(const LocalExecution& exec, LOid root) {
+    for (const LocalRow& row : exec.rows)
+      if (row.root == root) return &row;
+    return nullptr;
+  }
+
+  std::unique_ptr<Federation> fed_;
+  LOid cs_, ee_, t_cs_, t_nodept_, t_dangling_, t_committees_, nameless_;
 };
 
-Predicate pred(const char* path, CompOp op, Value literal) {
-  return Predicate{PathExpr::parse(path), op, std::move(literal)};
-}
-
 TEST_F(EvalFixture, SimplePredicate) {
-  EXPECT_EQ(eval_predicate(*db_, obj(t_cs_), pred("name", CompOp::Eq, "Ann"))
-                .truth,
-            Truth::True);
-  EXPECT_EQ(eval_predicate(*db_, obj(t_cs_), pred("name", CompOp::Eq, "Zed"))
-                .truth,
-            Truth::False);
+  EXPECT_EQ(eval(t_cs_, "name", CompOp::Eq, "Ann").truth, Truth::True);
+  EXPECT_EQ(eval(t_cs_, "name", CompOp::Eq, "Zed").truth, Truth::False);
 }
 
 TEST_F(EvalFixture, NestedPredicate) {
-  EXPECT_EQ(eval_predicate(*db_, obj(t_cs_),
-                           pred("department.name", CompOp::Eq, "CS"))
-                .truth,
+  EXPECT_EQ(eval(t_cs_, "department.name", CompOp::Eq, "CS").truth,
             Truth::True);
-  EXPECT_EQ(eval_predicate(*db_, obj(t_cs_),
-                           pred("department.budget", CompOp::Gt, 200))
-                .truth,
+  EXPECT_EQ(eval(t_cs_, "department.budget", CompOp::Gt, 200).truth,
             Truth::False);
 }
 
 TEST_F(EvalFixture, NullRefYieldsUnknownWithSite) {
-  const PredicateOutcome outcome = eval_predicate(
-      *db_, obj(t_nodept_), pred("department.name", CompOp::Eq, "CS"));
+  const LocalPredOutcome outcome =
+      eval(t_nodept_, "department.name", CompOp::Eq, "CS");
   EXPECT_EQ(outcome.truth, Truth::Unknown);
-  ASSERT_TRUE(outcome.site.has_value());
-  EXPECT_EQ(outcome.site->holder, t_nodept_);
-  EXPECT_EQ(outcome.site->step, 0u);
+  EXPECT_EQ(outcome.holder, t_nodept_);
+  EXPECT_EQ(outcome.step, 0u);
 }
 
 TEST_F(EvalFixture, DanglingRefYieldsUnknown) {
-  const PredicateOutcome outcome = eval_predicate(
-      *db_, obj(t_dangling_), pred("department.name", CompOp::Eq, "CS"));
+  const LocalPredOutcome outcome =
+      eval(t_dangling_, "department.name", CompOp::Eq, "CS");
   EXPECT_EQ(outcome.truth, Truth::Unknown);
-  ASSERT_TRUE(outcome.site.has_value());
-  EXPECT_EQ(outcome.site->holder, t_dangling_);
+  EXPECT_EQ(outcome.holder, t_dangling_);
+  EXPECT_EQ(outcome.step, 0u);
 }
 
 TEST_F(EvalFixture, MissingAttributeYieldsUnknown) {
-  // `speciality` is not an attribute of Teacher at all.
-  const PredicateOutcome outcome = eval_predicate(
-      *db_, obj(t_cs_), pred("speciality", CompOp::Eq, "db"));
+  // `speciality` is a global attribute DB1's Teacher does not define.
+  const LocalPredOutcome outcome =
+      eval(t_cs_, "speciality", CompOp::Eq, "db");
   EXPECT_EQ(outcome.truth, Truth::Unknown);
-  ASSERT_TRUE(outcome.site.has_value());
-  EXPECT_EQ(outcome.site->holder, t_cs_);
-  EXPECT_EQ(outcome.site->step, 0u);
+  EXPECT_EQ(outcome.holder, t_cs_);
+  EXPECT_EQ(outcome.step, 0u);
 }
 
 TEST_F(EvalFixture, NullFinalValueYieldsUnknownAtFinalStep) {
-  const LOid nameless = db_->insert("Teacher", {});
-  const PredicateOutcome outcome =
-      eval_predicate(*db_, obj(nameless), pred("name", CompOp::Eq, "Ann"));
+  const LocalPredOutcome outcome = eval(nameless_, "name", CompOp::Eq, "Ann");
   EXPECT_EQ(outcome.truth, Truth::Unknown);
-  ASSERT_TRUE(outcome.site.has_value());
-  EXPECT_EQ(outcome.site->holder, nameless);
+  EXPECT_EQ(outcome.holder, nameless_);
+  EXPECT_EQ(outcome.step, 0u);
 }
 
 TEST_F(EvalFixture, RefSetHasExistentialSemantics) {
   // Dot sits on the EE and CS committees: exists one named CS.
-  EXPECT_EQ(eval_predicate(*db_, obj(t_committees_),
-                           pred("committees.name", CompOp::Eq, "CS"))
-                .truth,
+  EXPECT_EQ(eval(t_committees_, "committees.name", CompOp::Eq, "CS").truth,
             Truth::True);
-  EXPECT_EQ(eval_predicate(*db_, obj(t_committees_),
-                           pred("committees.name", CompOp::Eq, "PH"))
-                .truth,
+  EXPECT_EQ(eval(t_committees_, "committees.name", CompOp::Eq, "PH").truth,
             Truth::False);
 }
 
 TEST_F(EvalFixture, PredicateContractChecks) {
-  EXPECT_THROW((void)eval_predicate(*db_, obj(t_cs_),
-                                    pred("name", CompOp::Eq, Value::null())),
+  // A null literal compares Unknown against every value (the kernels'
+  // convention too); the site is the object holding the compared value.
+  const LocalPredOutcome null_literal =
+      eval(t_cs_, "name", CompOp::Eq, Value::null());
+  EXPECT_EQ(null_literal.truth, Truth::Unknown);
+  EXPECT_EQ(null_literal.holder, t_cs_);
+  EXPECT_THROW((void)eval(t_cs_, "name.more", CompOp::Eq, "x"), QueryError)
+      << "paths continuing past primitives are malformed at bind time";
+  EXPECT_THROW((void)eval(t_cs_, "no_such_attr", CompOp::Eq, "x"), QueryError)
+      << "a path naming no global attribute is malformed at bind time";
+  EXPECT_THROW((void)eval(t_cs_, "name", CompOp::Eq, "Ann", nullptr, 1),
                ContractViolation)
-      << "null literals are rejected";
-  EXPECT_THROW(
-      (void)eval_predicate(*db_, obj(t_cs_),
-                           pred("name.more", CompOp::Eq, "x")),
-      QueryError)
-      << "paths continuing past primitives are malformed";
+      << "a start step past the path";
 }
 
 TEST_F(EvalFixture, ComparisonsAreMetered) {
   AccessMeter meter;
-  (void)eval_predicate(*db_, obj(t_cs_),
-                       pred("department.name", CompOp::Eq, "CS"), &meter);
+  (void)eval(t_cs_, "department.name", CompOp::Eq, "CS", &meter);
   EXPECT_EQ(meter.comparisons, 1u);
   EXPECT_EQ(meter.objects_fetched, 1u);  // the department
 }
 
 TEST_F(EvalFixture, ConjunctionCollectsAllUnknownSites) {
-  const std::vector<Predicate> preds = {
-      pred("name", CompOp::Eq, "Bob"),
-      pred("department.name", CompOp::Eq, "CS"),
-      pred("speciality", CompOp::Eq, "db"),
-  };
-  const ObjectEval eval = eval_conjunction(*db_, obj(t_nodept_), preds);
-  EXPECT_EQ(eval.truth, Truth::Unknown);
-  ASSERT_EQ(eval.unknowns.size(), 2u);
-  EXPECT_EQ(eval.unknowns[0].predicate_index, 1u);
-  EXPECT_EQ(eval.unknowns[1].predicate_index, 2u);
+  GlobalQuery query;
+  query.range_class = "Teacher";
+  query.where("name", CompOp::Eq, "Bob")
+      .where("department.name", CompOp::Eq, "CS")
+      .where("speciality", CompOp::Eq, "db");
+  const LocalExecution exec = run_local_query(*fed_, query, DbId{1});
+  const LocalRow* row = row_of(exec, t_nodept_);
+  ASSERT_NE(row, nullptr);
+  EXPECT_FALSE(row->locally_certain());
+  ASSERT_EQ(row->preds.size(), 3u);
+  EXPECT_EQ(row->preds[0].truth, Truth::True);
+  EXPECT_EQ(row->preds[1].truth, Truth::Unknown);
+  EXPECT_EQ(row->preds[2].truth, Truth::Unknown);
+  EXPECT_EQ(row->preds[1].item, row->entity);
+  EXPECT_EQ(row->preds[2].item, row->entity);
 }
 
 TEST_F(EvalFixture, ConjunctionFalseDominates) {
-  const std::vector<Predicate> preds = {
-      pred("name", CompOp::Eq, "NotBob"),
-      pred("speciality", CompOp::Eq, "db"),
-  };
-  EXPECT_EQ(eval_conjunction(*db_, obj(t_nodept_), preds).truth,
-            Truth::False);
+  GlobalQuery query;
+  query.range_class = "Teacher";
+  query.where("name", CompOp::Eq, "NotBob")
+      .where("speciality", CompOp::Eq, "db");
+  const LocalExecution exec = run_local_query(*fed_, query, DbId{1});
+  EXPECT_EQ(row_of(exec, t_nodept_), nullptr);
 }
 
 TEST_F(EvalFixture, EmptyConjunctionIsTrue) {
-  EXPECT_EQ(eval_conjunction(*db_, obj(t_cs_), {}).truth, Truth::True);
+  GlobalQuery query;
+  query.range_class = "Teacher";
+  query.select("name");
+  const LocalExecution exec = run_local_query(*fed_, query, DbId{1});
+  const LocalRow* row = row_of(exec, t_cs_);
+  ASSERT_NE(row, nullptr);
+  EXPECT_TRUE(row->locally_certain());
 }
 
 TEST_F(EvalFixture, EvalPath) {
-  EXPECT_EQ(eval_path(*db_, obj(t_cs_), PathExpr::parse("department.name")),
-            Value("CS"));
-  EXPECT_TRUE(eval_path(*db_, obj(t_nodept_),
-                        PathExpr::parse("department.name"))
-                  .is_null());
-  EXPECT_TRUE(
-      eval_path(*db_, obj(t_cs_), PathExpr::parse("speciality")).is_null());
-  EXPECT_EQ(eval_path(*db_, obj(t_cs_), PathExpr::parse("department")),
-            Value(LocalRef{cs_}));
+  EXPECT_EQ(target(t_cs_, "department.name"), Value("CS"));
+  EXPECT_TRUE(target(t_nodept_, "department.name").is_null());
+  EXPECT_TRUE(target(t_cs_, "speciality").is_null());
+  // Reference targets arrive globalized.
+  const auto cs_entity = fed_->goids().goid_of(cs_);
+  ASSERT_TRUE(cs_entity.has_value());
+  EXPECT_EQ(target(t_cs_, "department"), Value(GlobalRef{*cs_entity}));
 }
 
 TEST_F(EvalFixture, WalkPrefix) {
-  const Object* reached =
-      walk_prefix(*db_, obj(t_cs_), PathExpr::parse("department"));
-  ASSERT_NE(reached, nullptr);
-  EXPECT_EQ(reached->id(), cs_);
-  EXPECT_EQ(walk_prefix(*db_, obj(t_nodept_), PathExpr::parse("department")),
-            nullptr);
-  EXPECT_EQ(walk_prefix(*db_, obj(t_cs_), PathExpr::parse("name")), nullptr)
-      << "primitive steps reach no object";
+  // Evaluating from step 1 on the object the prefix reaches (an assistant
+  // check's suffix) agrees with the whole path from its referrer and keeps
+  // absolute step numbers.
+  EXPECT_EQ(eval(cs_, "department.name", CompOp::Eq, "CS", nullptr, 1).truth,
+            eval(t_cs_, "department.name", CompOp::Eq, "CS").truth);
+  const LocalPredOutcome missing =
+      eval(cs_, "department.head", CompOp::Eq, "Kim", nullptr, 1);
+  EXPECT_EQ(missing.truth, Truth::Unknown);
+  EXPECT_EQ(missing.holder, cs_);
+  EXPECT_EQ(missing.step, 1u);
+  EXPECT_EQ(eval(t_cs_, "department.head", CompOp::Eq, "Kim").step, 1u);
 }
 
 // --- operators ---

@@ -84,12 +84,14 @@ TEST_F(SignatureIndexFixture, NeverScreensOutAMatchOrANull) {
           if (actual.is_null()) {
             // Null (or missing) values must never be screened out against
             // any literal: Unknown is not False.
-            EXPECT_EQ(index_->screen(obj.id(), cls.def().attribute(a).name,
-                                     Value(0)),
+            EXPECT_EQ(index_->screen(obj.id(),
+                                     SignatureIndex::probe(
+                                         cls.def().attribute(a).name, Value(0))),
                       SignatureIndex::Screen::MaybeSatisfies);
           } else {
-            EXPECT_EQ(index_->screen(obj.id(), cls.def().attribute(a).name,
-                                     actual),
+            EXPECT_EQ(index_->screen(obj.id(),
+                                     SignatureIndex::probe(
+                                         cls.def().attribute(a).name, actual)),
                       SignatureIndex::Screen::MaybeSatisfies);
           }
         }
@@ -106,7 +108,8 @@ TEST_F(SignatureIndexFixture, ScreensOutMostMismatches) {
   std::size_t total = 0, screened = 0;
   for (const Object& obj : db.extent("C1").objects()) {
     ++total;
-    if (index_->screen(obj.id(), "id", Value(999'999)) ==
+    if (index_->screen(obj.id(),
+                       SignatureIndex::probe("id", Value(999'999))) ==
         SignatureIndex::Screen::CannotSatisfy)
       ++screened;
   }
@@ -114,14 +117,16 @@ TEST_F(SignatureIndexFixture, ScreensOutMostMismatches) {
 }
 
 TEST_F(SignatureIndexFixture, UnindexedObjectsPass) {
-  EXPECT_EQ(index_->screen(LOid{DbId{9}, 1}, "id", Value(1)),
+  EXPECT_EQ(index_->screen(LOid{DbId{9}, 1},
+                           SignatureIndex::probe("id", Value(1))),
             SignatureIndex::Screen::MaybeSatisfies);
   const DbId db = synth_.federation->db_ids().front();
   const auto past_end = static_cast<std::uint32_t>(
       synth_.federation->db(db).object_count() + 1);
   for (const std::uint32_t local : {std::uint32_t{0}, past_end, past_end + 50})
     for (const Value& literal : {Value(1), Value("x"), Value::null()})
-      EXPECT_EQ(index_->screen(LOid{db, local}, "id", literal),
+      EXPECT_EQ(index_->screen(LOid{db, local},
+                               SignatureIndex::probe("id", literal)),
                 SignatureIndex::Screen::MaybeSatisfies)
           << local;
 
@@ -146,15 +151,18 @@ TEST_F(SignatureIndexFixture, UnindexedObjectsPass) {
       "entity \"C\" 1:1\n");
   const SignatureIndex index = SignatureIndex::build(*federation);
   EXPECT_EQ(index.size(), 1u) << "only constituent objects are indexed";
-  EXPECT_EQ(index.screen(LOid{DbId{1}, 1}, "k", Value(6)),
+  EXPECT_EQ(index.screen(LOid{DbId{1}, 1},
+                         SignatureIndex::probe("k", Value(6))),
             SignatureIndex::Screen::CannotSatisfy);
-  EXPECT_EQ(index.screen(LOid{DbId{1}, 2}, "k", Value(6)),
+  EXPECT_EQ(index.screen(LOid{DbId{1}, 2},
+                         SignatureIndex::probe("k", Value(6))),
             SignatureIndex::Screen::MaybeSatisfies);
 }
 
 TEST_F(SignatureIndexFixture, ScreeningIsMetered) {
   AccessMeter meter;
-  (void)index_->screen(LOid{DbId{1}, 1}, "id", Value(1), &meter);
+  (void)index_->screen(LOid{DbId{1}, 1},
+                       SignatureIndex::probe("id", Value(1)), &meter);
   EXPECT_EQ(meter.comparisons, 1u);
 }
 
