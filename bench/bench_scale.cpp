@@ -22,8 +22,8 @@
 //   --strategy-cap=N    largest size that also runs full CA/BL/PL parity
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "harness.hpp"
@@ -253,36 +253,21 @@ int main(int argc, char** argv) {
   std::int64_t strategy_cap = 200'000;
   std::vector<char*> rest{argv[0]};
   for (int i = 1; i < argc; ++i) {
-    const char* arg = argv[i];
-    if (std::strncmp(arg, "--sizes=", 8) == 0) {
-      sizes.clear();
-      std::string list = arg + 8;
-      for (std::size_t pos = 0; pos < list.size();) {
-        const std::size_t comma = list.find(',', pos);
-        const std::string item =
-            list.substr(pos, comma == std::string::npos ? comma : comma - pos);
-        const std::int64_t n = std::atoll(item.c_str());
-        if (n <= 0) {
-          std::fprintf(stderr, "bench_scale: --sizes wants positive counts\n");
-          return 2;
-        }
-        sizes.push_back(n);
-        if (comma == std::string::npos) break;
-        pos = comma + 1;
+    const std::string_view arg = argv[i];
+    try {
+      const spec::Reader in("flag", arg, spec::raise<Error>);
+      if (arg.starts_with("--sizes=")) {
+        sizes.clear();
+        for (const std::string_view item : in.split(arg.substr(8), ','))
+          sizes.push_back(in.uint<std::int64_t>("--sizes", item, 1));
+      } else if (arg.starts_with("--strategy-cap=")) {
+        strategy_cap = in.uint<std::int64_t>("--strategy-cap", arg.substr(15));
+      } else {
+        rest.push_back(argv[i]);
       }
-      if (sizes.empty()) {
-        std::fprintf(stderr, "bench_scale: --sizes wants at least one count\n");
-        return 2;
-      }
-    } else if (std::strncmp(arg, "--strategy-cap=", 15) == 0) {
-      strategy_cap = std::atoll(arg + 15);
-      if (strategy_cap < 0) {
-        std::fprintf(stderr,
-                     "bench_scale: --strategy-cap wants a size (0 = none)\n");
-        return 2;
-      }
-    } else {
-      rest.push_back(argv[i]);
+    } catch (const Error& error) {
+      std::fprintf(stderr, "bench_scale: %s\n", error.what());
+      return 2;
     }
   }
   HarnessOptions options =

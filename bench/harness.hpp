@@ -24,19 +24,23 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <memory>
+#include <optional>
 #include <string>
+#include <string_view>
+#include <tuple>
 #include <utility>
 #include <vector>
 
 #include "isomer/analytic/impute.hpp"
 #include "isomer/common/parallel.hpp"
+#include "isomer/common/spec.hpp"
 #include "isomer/core/strategy.hpp"
 #include "isomer/obs/jsonl.hpp"
 #include "isomer/obs/metrics.hpp"
 #include "isomer/obs/trace_session.hpp"
+#include "isomer/serve/planner.hpp"
 #include "isomer/serve/serve_spec.hpp"
 #include "isomer/workload/synth.hpp"
 
@@ -97,21 +101,26 @@ struct HarnessOptions {
   bool impute_set = false;
 };
 
+/// The canonical print of an on|off|N flag value: "off", "on" (no cap) or
+/// the cap.
+[[nodiscard]] inline std::string on_off_or_cap_string(bool enabled,
+                                                      std::size_t cap) {
+  if (!enabled) return "off";
+  return cap == 0 ? "on" : std::to_string(cap);
+}
+
 /// The canonical --batch spec string for provenance headers: "off", "on"
 /// (unbounded frames) or the per-frame record cap.
 [[nodiscard]] inline std::string batch_spec_string(const BatchOptions& batch) {
-  if (!batch.enabled) return "off";
-  if (batch.max_records == 0) return "on";
-  return std::to_string(batch.max_records);
+  return on_off_or_cap_string(batch.enabled, batch.max_records);
 }
 
 /// The canonical --certcache spec string for provenance headers: "off",
 /// "on" (unbounded) or the resident-certificate cap.
 [[nodiscard]] inline std::string certcache_spec_string(
     const HarnessOptions& options) {
-  if (!options.cert_cache_enabled) return "off";
-  if (options.cert_cache_entries == 0) return "on";
-  return std::to_string(options.cert_cache_entries);
+  return on_off_or_cap_string(options.cert_cache_enabled,
+                              options.cert_cache_entries);
 }
 
 /// The thread count a --jobs value resolves to (0 = all hardware threads) —
@@ -128,168 +137,91 @@ struct HarnessOptions {
                "[--batch=on|off|N] [--serve=SPEC] "
                "[--plan=static|adaptive|hybrid] [--certcache=on|off|N] "
                "[--impute=off|thresh=P[,mech=mcar|mar]] "
-               "[--signatures] [--paper] "
-               "[--quick]\n"
-               "  --faults SPEC items (comma-separated): drop=P, spike=P:DUR,"
-               " down=DB[@DUR..[DUR]],\n"
-               "  seed=N, retries=N, timeout=DUR, backoff=DUR,"
-               " degrade=fail|partial (see docs/FAULTS.md)\n"
-               "  --batch batched semijoin shipping: on, off (default), or a"
-               " positive per-frame record cap\n"
-               "  --serve SPEC: (open|closed)[:items][/tenant:ID,items...]"
-               " with rate=R, clients=N, think=DUR, n=N,\n"
-               "  policy=fifo|spc|wfq|edf, queue=N, inflight=N,"
-               " autoscale=on|off, seed=N; tenant items weight=W,\n"
-               "  quota=N, slo=DUR, rate=R"
-               " (see docs/SERVING.md)\n"
-               "  --plan pool planning mode for bench_serve: static"
-               " (advisor, default), adaptive, hybrid"
-               " (see docs/PLANNING.md)\n"
-               "  --certcache cross-query certificate cache for bench_serve:"
-               " on, off (default), or a\n"
-               "  positive resident-certificate cap"
-               " (see docs/CONDITIONS.md)\n"
-               "  --impute IM-strategy imputation for bench_impute: off"
-               " (default), or thresh=P in [0,1]\n"
-               "  with optional mech=mcar|mar"
-               " (see docs/IMPUTATION.md)\n",
+               "[--signatures] [--paper] [--quick]\n"
+               "  flags and the shared spec grammar: README.md, \"Harness "
+               "flags\"; spec keys: docs/FAULTS.md,\n"
+               "  docs/SERVING.md, docs/IMPUTATION.md\n",
                argv0);
   std::exit(2);
 }
 
+/// Reads an on|off|N flag value: (enabled, cap), where cap 0 = no cap.
+inline std::pair<bool, std::size_t> read_on_off_or_cap(
+    const spec::Reader& in, std::string_view key, std::string_view value) {
+  if (const std::optional<bool> on = spec::lookup(spec::kOnOff, value))
+    return {*on, 0};
+  return {true, in.uint<std::size_t>(key, value, 1)};
+}
+
+/// Parses the shared flags. A malformed value prints its error and the
+/// usage line, and exits 2. Numbers and on|off values are read through the
+/// shared spec grammar (common/spec.hpp).
 inline HarnessOptions parse_options(int argc, char** argv) {
   HarnessOptions options;
   for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const auto value = [&](const char* prefix) -> const char* {
-      const std::size_t n = std::strlen(prefix);
-      return arg.compare(0, n, prefix) == 0 ? arg.c_str() + n : nullptr;
-    };
-    if (const char* v = value("--samples=")) {
-      options.samples = std::atoi(v);
-      options.samples_set = true;
-    } else if (const char* v = value("--scale=")) {
-      options.scale = std::atof(v);
-      options.scale_set = true;
-    } else if (const char* v = value("--seed=")) {
-      options.seed = std::strtoull(v, nullptr, 10);
-    } else if (const char* v = value("--jobs=")) {
-      options.jobs = std::atoi(v);
-      if (options.jobs <= 0) {
-        std::fprintf(stderr, "%s: --jobs wants a positive thread count\n",
-                     argv[0]);
-        usage_error(argv[0]);
-      }
-    } else if (const char* v = value("--json=")) {
-      options.json_path = v;
-      if (options.json_path.empty()) {
-        std::fprintf(stderr, "%s: --json wants a file path\n", argv[0]);
-        usage_error(argv[0]);
-      }
-    } else if (const char* v = value("--trace=")) {
-      options.trace_path = v;
-      if (options.trace_path.empty()) {
-        std::fprintf(stderr, "%s: --trace wants a file path\n", argv[0]);
-        usage_error(argv[0]);
-      }
-    } else if (const char* v = value("--faults=")) {
-      try {
+    const std::string_view arg = argv[i];
+    try {
+      const spec::Reader in("flag", arg, spec::raise<Error>);
+      std::string_view v;  // the value of the `--name=` flag `is` matched
+      const auto is = [&](std::string_view prefix) {
+        if (!arg.starts_with(prefix)) return false;
+        v = arg.substr(prefix.size());
+        if (v.empty()) in.fail("empty value");
+        return true;
+      };
+      if (is("--samples=")) {
+        options.samples = in.uint<int>("--samples", v, 1);
+        options.samples_set = true;
+      } else if (is("--scale=")) {
+        // Capped so that apply_scale's object counts stay within an int.
+        options.scale = in.real("--scale", v, {0, 1000, true});
+        options.scale_set = true;
+      } else if (is("--seed=")) {
+        options.seed = in.uint<std::uint64_t>("--seed", v);
+      } else if (is("--jobs=")) {
+        options.jobs = in.uint<int>("--jobs", v, 1);
+      } else if (is("--json=")) {
+        options.json_path = v;
+      } else if (is("--trace=")) {
+        options.trace_path = v;
+      } else if (is("--faults=")) {
         options.faults = fault::parse_fault_spec(v);
-      } catch (const FaultError& error) {
-        std::fprintf(stderr, "%s: %s\n", argv[0], error.what());
-        usage_error(argv[0]);
-      }
-      options.faults_set = true;
-    } else if (const char* v = value("--batch=")) {
-      const std::string mode = v;
-      if (mode == "on") {
-        options.batch.enabled = true;
-      } else if (mode == "off") {
-        options.batch = BatchOptions{};
-      } else {
-        const int cap = std::atoi(v);
-        if (cap <= 0) {
-          std::fprintf(stderr,
-                       "%s: --batch wants on, off or a positive record cap\n",
-                       argv[0]);
-          usage_error(argv[0]);
-        }
-        options.batch.enabled = true;
-        options.batch.max_records = static_cast<std::size_t>(cap);
-      }
-      options.batch_set = true;
-    } else if (const char* v = value("--serve=")) {
-      try {
+        options.faults_set = true;
+      } else if (is("--batch=")) {
+        std::tie(options.batch.enabled, options.batch.max_records) =
+            read_on_off_or_cap(in, "--batch", v);
+        options.batch_set = true;
+      } else if (is("--serve=")) {
         options.serve = serve::parse_serve_spec(v);
-      } catch (const ServeError& error) {
-        std::fprintf(stderr, "%s: %s\n", argv[0], error.what());
-        usage_error(argv[0]);
-      }
-      options.serve_set = true;
-    } else if (const char* v = value("--plan=")) {
-      options.plan = v;
-      if (options.plan != "static" && options.plan != "adaptive" &&
-          options.plan != "hybrid") {
-        std::fprintf(stderr,
-                     "%s: --plan wants static, adaptive or hybrid\n",
-                     argv[0]);
-        usage_error(argv[0]);
-      }
-      options.plan_set = true;
-    } else if (const char* v = value("--certcache=")) {
-      const std::string mode = v;
-      if (mode == "on") {
-        options.cert_cache_enabled = true;
-        options.cert_cache_entries = 0;
-      } else if (mode == "off") {
-        options.cert_cache_enabled = false;
-        options.cert_cache_entries = 0;
-      } else {
-        const int cap = std::atoi(v);
-        if (cap <= 0) {
-          std::fprintf(
-              stderr,
-              "%s: --certcache wants on, off or a positive entry cap\n",
-              argv[0]);
-          usage_error(argv[0]);
-        }
-        options.cert_cache_enabled = true;
-        options.cert_cache_entries = static_cast<std::size_t>(cap);
-      }
-      options.certcache_set = true;
-    } else if (const char* v = value("--impute=")) {
-      try {
+        options.serve_set = true;
+      } else if (is("--plan=")) {
+        (void)serve::parse_plan_mode(v);
+        options.plan = v;
+        options.plan_set = true;
+      } else if (is("--certcache=")) {
+        std::tie(options.cert_cache_enabled, options.cert_cache_entries) =
+            read_on_off_or_cap(in, "--certcache", v);
+        options.certcache_set = true;
+      } else if (is("--impute=")) {
         options.impute = parse_impute_spec(v);
-      } catch (const ImputeError& error) {
-        std::fprintf(stderr, "%s: %s\n", argv[0], error.what());
+        options.impute_set = true;
+      } else if (arg == "--signatures") {
+        options.run_signatures = true;
+      } else if (arg == "--paper") {
+        options.samples = 500;
+        options.scale = 1.0;
+        options.samples_set = options.scale_set = true;
+      } else if (arg == "--quick") {
+        options.samples = 8;
+        options.scale = 0.1;
+        options.samples_set = options.scale_set = true;
+      } else {
         usage_error(argv[0]);
       }
-      options.impute_set = true;
-    } else if (arg == "--signatures") {
-      options.run_signatures = true;
-    } else if (arg == "--paper") {
-      options.samples = 500;
-      options.scale = 1.0;
-      options.samples_set = options.scale_set = true;
-    } else if (arg == "--quick") {
-      options.samples = 8;
-      options.scale = 0.1;
-      options.samples_set = options.scale_set = true;
-    }
-    else {
+    } catch (const Error& error) {
+      std::fprintf(stderr, "%s: %s\n", argv[0], error.what());
       usage_error(argv[0]);
     }
-  }
-  if (options.samples <= 0) {
-    // Averaging divides by --samples; zero or negative counts are a usage
-    // error, not a division by zero.
-    std::fprintf(stderr, "%s: --samples wants a positive trial count\n",
-                 argv[0]);
-    usage_error(argv[0]);
-  }
-  if (options.scale <= 0) {
-    std::fprintf(stderr, "%s: --scale wants a positive factor\n", argv[0]);
-    usage_error(argv[0]);
   }
   return options;
 }

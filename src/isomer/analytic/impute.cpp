@@ -3,11 +3,9 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
-#include <set>
 
 #include "isomer/common/error.hpp"
+#include "isomer/common/spec.hpp"
 #include "isomer/federation/federation.hpp"
 #include "isomer/query/query.hpp"
 
@@ -23,20 +21,8 @@ constexpr double kMcarTolerance = 0.2;
 /// marginal histogram — a handful of values is noise, not a distribution.
 constexpr std::uint64_t kMinStratum = 8;
 
-[[noreturn]] void bad_spec(std::string_view spec, const std::string& why) {
-  throw ImputeError("malformed --impute spec '" + std::string(spec) + "': " +
-                    why);
-}
-
-double parse_probability(std::string_view spec, std::string_view text) {
-  char* end = nullptr;
-  const std::string owned(text);
-  const double value = std::strtod(owned.c_str(), &end);
-  // The negated form also catches NaN, whose every comparison is false.
-  if (end == owned.c_str() || *end != '\0' || !(value >= 0 && value <= 1))
-    bad_spec(spec, "expected a real in [0, 1], got '" + owned + "'");
-  return value;
-}
+constexpr spec::Named<ImputeMechanism> kMechanisms[] = {
+    {"mcar", ImputeMechanism::MCAR}, {"mar", ImputeMechanism::MAR}};
 
 /// Covariate bucket of a value relative to the split: 0 for `v <= split`,
 /// 1 for `v > split`, under the exact ValueOrder (total over every kind,
@@ -117,64 +103,33 @@ std::uint64_t satisfying_count(const ValueHistogram& hist, CompOp op,
 }
 
 std::string_view to_string(ImputeMechanism mech) noexcept {
-  return mech == ImputeMechanism::MAR ? "mar" : "mcar";
+  return spec::name_of(kMechanisms, mech);
 }
 
-ImputeSpec parse_impute_spec(std::string_view spec) {
-  if (spec.empty()) bad_spec(spec, "empty specification");
-  if (spec == "off") return ImputeSpec{};
+ImputeSpec parse_impute_spec(std::string_view text) {
+  const spec::Reader in("--impute spec", text, spec::raise<ImputeError>);
+  if (text == "off") return ImputeSpec{};
 
   ImputeSpec out;
   out.enabled = true;
-  std::set<std::string, std::less<>> seen;
-  const auto note = [&](std::string_view key) {
-    if (!seen.emplace(key).second)
-      bad_spec(spec, "duplicate key '" + std::string(key) + "'");
-  };
-  std::size_t begin = 0;
-  while (begin <= spec.size()) {
-    const std::size_t comma = spec.find(',', begin);
-    const std::string_view item =
-        spec.substr(begin, comma == std::string_view::npos
-                               ? std::string_view::npos
-                               : comma - begin);
-    begin = comma == std::string_view::npos ? spec.size() + 1 : comma + 1;
-    if (item.empty()) bad_spec(spec, "empty item");
-    if (item == "off") bad_spec(spec, "'off' must stand alone");
-
-    const std::size_t eq = item.find('=');
-    if (eq == std::string_view::npos)
-      bad_spec(spec, "item '" + std::string(item) + "' has no '='");
-    const std::string_view key = item.substr(0, eq);
-    const std::string_view value = item.substr(eq + 1);
-    if (value.empty())
-      bad_spec(spec, "item '" + std::string(item) + "' has no value");
-
+  bool has_threshold = false;
+  for (const auto& [key, value] : in.items(text)) {
     if (key == "thresh") {
-      note(key);
-      out.threshold = parse_probability(spec, value);
+      out.threshold = in.real(key, value, spec::kUnitInterval);
+      has_threshold = true;
     } else if (key == "mech") {
-      note(key);
-      if (value == "mcar")
-        out.mechanism = ImputeMechanism::MCAR;
-      else if (value == "mar")
-        out.mechanism = ImputeMechanism::MAR;
-      else
-        bad_spec(spec, "mech wants 'mcar' or 'mar'");
+      out.mechanism = in.choice(key, value, kMechanisms);
     } else {
-      bad_spec(spec, "unknown key '" + std::string(key) + "'");
+      in.fail("unknown key '" + std::string(key) + "'");
     }
   }
-  if (seen.find("thresh") == seen.end())
-    bad_spec(spec, "missing required key 'thresh'");
+  if (!has_threshold) in.fail("missing required key 'thresh'");
   return out;
 }
 
 std::string to_string(const ImputeSpec& spec) {
   if (!spec.enabled) return "off";
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.17g", spec.threshold);
-  return "thresh=" + std::string(buf) +
+  return "thresh=" + spec::real_string(spec.threshold) +
          ",mech=" + std::string(to_string(spec.mechanism));
 }
 

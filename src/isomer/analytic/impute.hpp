@@ -7,8 +7,8 @@
 // layer:
 //
 //   * ImputeSpec / parse_impute_spec — the `--impute=off|thresh=P[,mech=..]`
-//     harness grammar, following the --faults / --serve spec conventions
-//     (duplicate-key and out-of-range hard errors, canonical to_string with
+//     harness grammar, on the shared spec grammar (common/spec.hpp:
+//     duplicate-key and out-of-range hard errors, canonical to_string with
 //     parse(to_string(s)) == s);
 //   * AttrEstimator — per-(global class, attribute) plug-in statistics:
 //     count/null/absent tallies, mean, mode, median and the full empirical
@@ -98,8 +98,9 @@ enum class ImputeMechanism : unsigned char { MCAR, MAR };
 ///   spec      := "off" | item ("," item)*
 ///   item      := "thresh=" REAL          (required; in [0, 1])
 ///              | "mech=" ("mcar"|"mar")  (optional; default mcar)
-/// Every key may appear at most once. `to_string` re-prints the canonical
-/// form ("off", or "thresh=<%.17g>,mech=<m>") and round-trips exactly.
+/// REAL and the once-per-key rule follow common/spec.hpp. `to_string`
+/// re-prints the canonical form ("off", or "thresh=<%.17g>,mech=<m>") and
+/// round-trips exactly.
 struct ImputeSpec {
   bool enabled = false;
   /// Confidence an estimate must reach before the check is imputed away.

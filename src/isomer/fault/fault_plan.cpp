@@ -1,199 +1,85 @@
 #include "isomer/fault/fault_plan.hpp"
 
-#include <cstdio>
-#include <cstdlib>
-#include <functional>
-#include <set>
-
 #include "isomer/common/error.hpp"
+#include "isomer/common/spec.hpp"
 
 namespace isomer::fault {
 
-std::string_view to_string(DegradeMode mode) noexcept {
-  return mode == DegradeMode::Fail ? "fail" : "partial";
-}
-
 namespace {
 
-[[noreturn]] void bad_spec(std::string_view spec, const std::string& why) {
-  throw FaultError("malformed --faults spec '" + std::string(spec) + "': " +
-                   why);
-}
+constexpr spec::Named<DegradeMode> kDegradeModes[] = {
+    {"fail", DegradeMode::Fail}, {"partial", DegradeMode::Partial}};
 
-/// Parses a non-negative integer prefix of `text`; advances `pos`.
-std::uint64_t parse_uint(std::string_view spec, std::string_view text,
-                         std::size_t& pos) {
-  if (pos >= text.size() || text[pos] < '0' || text[pos] > '9')
-    bad_spec(spec, "expected a number in '" + std::string(text) + "'");
-  std::uint64_t value = 0;
-  while (pos < text.size() && text[pos] >= '0' && text[pos] <= '9') {
-    value = value * 10 + static_cast<std::uint64_t>(text[pos] - '0');
-    ++pos;
-  }
-  return value;
-}
-
-/// Parses a duration "INT(ns|us|ms|s)"; advances `pos`.
-SimTime parse_duration(std::string_view spec, std::string_view text,
-                       std::size_t& pos) {
-  const auto count = static_cast<SimTime>(parse_uint(spec, text, pos));
-  const std::string_view rest = text.substr(pos);
-  SimTime scale = 0;
-  std::size_t unit_len = 0;
-  if (rest.rfind("ns", 0) == 0) {
-    scale = 1;
-    unit_len = 2;
-  } else if (rest.rfind("us", 0) == 0) {
-    scale = 1'000;
-    unit_len = 2;
-  } else if (rest.rfind("ms", 0) == 0) {
-    scale = 1'000'000;
-    unit_len = 2;
-  } else if (rest.rfind("s", 0) == 0) {
-    scale = 1'000'000'000;
-    unit_len = 1;
-  } else {
-    bad_spec(spec, "duration needs a unit (ns|us|ms|s) in '" +
-                       std::string(text) + "'");
-  }
-  pos += unit_len;
-  return count * scale;
-}
-
-double parse_real(std::string_view spec, std::string_view text) {
-  char* end = nullptr;
-  const std::string owned(text);
-  const double value = std::strtod(owned.c_str(), &end);
-  if (end == owned.c_str() || *end != '\0' || value < 0)
-    bad_spec(spec, "expected a non-negative real, got '" + owned + "'");
-  return value;
+/// Parses a 'down' value: ID['@'FROM'..'[UNTIL]].
+Outage read_outage(const spec::Reader& in, std::string_view value) {
+  Outage outage;
+  std::string_view rest = value;
+  outage.db = DbId{in.read_uint<DbId::rep_type>("down", rest)};
+  if (rest.empty()) return outage;
+  if (!rest.starts_with('@')) in.fail("down wants 'ID[@FROM..[UNTIL]]'");
+  rest.remove_prefix(1);
+  outage.from = in.read_duration("down", rest);
+  if (!rest.starts_with("..")) in.fail("down window wants 'FROM..[UNTIL]'");
+  rest.remove_prefix(2);
+  if (!rest.empty()) outage.until = in.duration("down", rest);
+  if (outage.until <= outage.from)
+    in.fail("down window must end after it starts");
+  return outage;
 }
 
 }  // namespace
 
+std::string_view to_string(DegradeMode mode) noexcept {
+  return spec::name_of(kDegradeModes, mode);
+}
+
 std::string to_string(const FaultSpec& spec) {
-  std::string out;
-  char buf[64];
-  const auto real = [&](double v) {
-    std::snprintf(buf, sizeof buf, "%.17g", v);
-    return std::string(buf);
-  };
-  out += "drop=" + real(spec.plan.drop_probability);
-  out += ",spike=" + real(spec.plan.spike_probability) + ":" +
-         std::to_string(spec.plan.spike_ns) + "ns";
+  using spec::duration_string;
+  std::string out = "drop=" + spec::real_string(spec.plan.drop_probability);
+  out += ",spike=" + spec::real_string(spec.plan.spike_probability) + ":" +
+         duration_string(spec.plan.spike_ns);
   for (const Outage& outage : spec.plan.outages) {
     out += ",down=" + std::to_string(outage.db.value()) + "@" +
-           std::to_string(outage.from) + "ns..";
-    if (outage.until != kForever) out += std::to_string(outage.until) + "ns";
+           duration_string(outage.from) + "..";
+    if (outage.until != kForever) out += duration_string(outage.until);
   }
   out += ",seed=" + std::to_string(spec.plan.seed);
   out += ",retries=" + std::to_string(spec.retry.max_retries);
-  out += ",timeout=" + std::to_string(spec.retry.timeout_ns) + "ns";
-  out += ",backoff=" + std::to_string(spec.retry.backoff_ns) + "ns";
+  out += ",timeout=" + duration_string(spec.retry.timeout_ns);
+  out += ",backoff=" + duration_string(spec.retry.backoff_ns);
   out += ",degrade=" + std::string(to_string(spec.degrade));
   return out;
 }
 
-FaultSpec parse_fault_spec(std::string_view spec) {
+FaultSpec parse_fault_spec(std::string_view text) {
+  const spec::Reader in("--faults spec", text, spec::raise<FaultError>);
   FaultSpec out;
-  // Every scalar key may appear at most once: a repeated key is almost
-  // always a typo'd sweep script, and silently letting the last occurrence
-  // win hides it. Only `down` is repeatable — each occurrence *adds* an
-  // outage window rather than overwriting a setting.
-  std::set<std::string, std::less<>> seen;
-  const auto note_scalar = [&](std::string_view key) {
-    if (!seen.emplace(key).second)
-      bad_spec(spec, "duplicate key '" + std::string(key) + "'");
-  };
-  std::size_t begin = 0;
-  while (begin <= spec.size()) {
-    const std::size_t comma = spec.find(',', begin);
-    const std::string_view item =
-        spec.substr(begin, comma == std::string_view::npos ? std::string_view::npos
-                                                           : comma - begin);
-    begin = comma == std::string_view::npos ? spec.size() + 1 : comma + 1;
-    if (item.empty()) {
-      if (spec.empty()) bad_spec(spec, "empty specification");
-      bad_spec(spec, "empty item");
-    }
-
-    const std::size_t eq = item.find('=');
-    if (eq == std::string_view::npos)
-      bad_spec(spec, "item '" + std::string(item) + "' has no '='");
-    const std::string_view key = item.substr(0, eq);
-    const std::string_view value = item.substr(eq + 1);
-    if (value.empty())
-      bad_spec(spec, "item '" + std::string(item) + "' has no value");
-
+  // Only 'down' is repeatable: each occurrence adds an outage window
+  // rather than overwriting a setting.
+  for (const auto& [key, value] : in.items(text, {"down"})) {
     if (key == "drop") {
-      note_scalar(key);
-      out.plan.drop_probability = parse_real(spec, value);
-      if (out.plan.drop_probability > 1)
-        bad_spec(spec, "drop probability must be in [0, 1]");
+      out.plan.drop_probability = in.real(key, value, spec::kUnitInterval);
     } else if (key == "spike") {
-      note_scalar(key);
       const std::size_t colon = value.find(':');
       if (colon == std::string_view::npos)
-        bad_spec(spec, "spike wants 'PROB:DURATION'");
-      out.plan.spike_probability = parse_real(spec, value.substr(0, colon));
-      if (out.plan.spike_probability > 1)
-        bad_spec(spec, "spike probability must be in [0, 1]");
-      std::size_t pos = 0;
-      const std::string_view dur = value.substr(colon + 1);
-      out.plan.spike_ns = parse_duration(spec, dur, pos);
-      if (pos != dur.size()) bad_spec(spec, "trailing junk after spike delay");
+        in.fail("spike wants 'PROB:DURATION'");
+      out.plan.spike_probability =
+          in.real(key, value.substr(0, colon), spec::kUnitInterval);
+      out.plan.spike_ns = in.duration(key, value.substr(colon + 1));
     } else if (key == "down") {
-      Outage outage;
-      std::size_t pos = 0;
-      const std::uint64_t db = parse_uint(spec, value, pos);
-      outage.db = DbId{static_cast<DbId::rep_type>(db)};
-      if (pos < value.size()) {
-        if (value[pos] != '@')
-          bad_spec(spec, "down wants 'ID[@FROM..[UNTIL]]'");
-        ++pos;
-        outage.from = parse_duration(spec, value, pos);
-        if (value.substr(pos).rfind("..", 0) != 0)
-          bad_spec(spec, "down window wants 'FROM..[UNTIL]'");
-        pos += 2;
-        if (pos < value.size()) outage.until = parse_duration(spec, value, pos);
-        if (pos != value.size())
-          bad_spec(spec, "trailing junk after down window");
-        if (outage.until <= outage.from)
-          bad_spec(spec, "down window must end after it starts");
-      }
-      out.plan.outages.push_back(outage);
+      out.plan.outages.push_back(read_outage(in, value));
     } else if (key == "seed") {
-      note_scalar(key);
-      std::size_t pos = 0;
-      out.plan.seed = parse_uint(spec, value, pos);
-      if (pos != value.size()) bad_spec(spec, "trailing junk after seed");
+      out.plan.seed = in.uint<std::uint64_t>(key, value);
     } else if (key == "retries") {
-      note_scalar(key);
-      std::size_t pos = 0;
-      out.retry.max_retries = static_cast<int>(parse_uint(spec, value, pos));
-      if (pos != value.size()) bad_spec(spec, "trailing junk after retries");
+      out.retry.max_retries = in.uint<int>(key, value);
     } else if (key == "timeout") {
-      note_scalar(key);
-      std::size_t pos = 0;
-      out.retry.timeout_ns = parse_duration(spec, value, pos);
-      if (pos != value.size()) bad_spec(spec, "trailing junk after timeout");
-      if (out.retry.timeout_ns <= 0)
-        bad_spec(spec, "timeout must be positive");
+      out.retry.timeout_ns = in.duration(key, value, 1);
     } else if (key == "backoff") {
-      note_scalar(key);
-      std::size_t pos = 0;
-      out.retry.backoff_ns = parse_duration(spec, value, pos);
-      if (pos != value.size()) bad_spec(spec, "trailing junk after backoff");
+      out.retry.backoff_ns = in.duration(key, value);
     } else if (key == "degrade") {
-      note_scalar(key);
-      if (value == "fail")
-        out.degrade = DegradeMode::Fail;
-      else if (value == "partial")
-        out.degrade = DegradeMode::Partial;
-      else
-        bad_spec(spec, "degrade wants 'fail' or 'partial'");
+      out.degrade = in.choice(key, value, kDegradeModes);
     } else {
-      bad_spec(spec, "unknown key '" + std::string(key) + "'");
+      in.fail("unknown key '" + std::string(key) + "'");
     }
   }
   return out;

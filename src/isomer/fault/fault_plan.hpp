@@ -41,6 +41,8 @@ struct Outage {
   DbId db;
   SimTime from = 0;
   SimTime until = kForever;
+
+  friend bool operator==(const Outage&, const Outage&) = default;
 };
 
 /// What goes wrong during one simulated execution. Default-constructed
@@ -70,6 +72,8 @@ struct FaultPlan {
         return true;
     return false;
   }
+
+  friend bool operator==(const FaultPlan&, const FaultPlan&) = default;
 };
 
 /// How a sender reacts to an unacknowledged message: it declares the
@@ -89,6 +93,8 @@ struct RetryPolicy {
     if (backoff_ns > 0 && factor > kForever / backoff_ns) return kForever / 2;
     return backoff_ns * factor;
   }
+
+  friend bool operator==(const RetryPolicy&, const RetryPolicy&) = default;
 };
 
 /// What an executor does when the retry policy is exhausted.
@@ -105,6 +111,8 @@ struct FaultSpec {
   FaultPlan plan;
   RetryPolicy retry;
   DegradeMode degrade = DegradeMode::Partial;
+
+  friend bool operator==(const FaultSpec&, const FaultSpec&) = default;
 };
 
 /// Canonical re-print of a parsed spec: every resolved field in a fixed
@@ -124,11 +132,11 @@ struct FaultSpec {
 ///            | 'timeout=' DUR
 ///            | 'backoff=' DUR
 ///            | 'degrade=' ('fail' | 'partial')
-///   DUR     := INT ('ns' | 'us' | 'ms' | 's')
 ///
-/// Every scalar key (everything except 'down') may appear at most once; a
-/// repeated one is a hard parse error, not last-one-wins. 'down' is
-/// repeatable: each occurrence adds another outage window.
+/// INT, DUR and REAL follow the shared spec grammar (common/spec.hpp):
+/// numbers past their field's range, including overflow, are errors, and
+/// probabilities must be finite reals in [0, 1]. Every key except 'down'
+/// may appear at most once; each 'down' adds another outage window.
 ///
 /// Example: "drop=0.05,spike=0.1:1ms,down=2,retries=4,degrade=partial".
 [[nodiscard]] FaultSpec parse_fault_spec(std::string_view spec);

@@ -1,27 +1,26 @@
 #include "isomer/serve/planner.hpp"
 
 #include "isomer/common/error.hpp"
+#include "isomer/common/spec.hpp"
 
 namespace isomer::serve {
 
+namespace {
+
+constexpr spec::Named<PlanMode> kPlanModes[] = {
+    {"static", PlanMode::Static},
+    {"adaptive", PlanMode::Adaptive},
+    {"hybrid", PlanMode::Hybrid}};
+
+}  // namespace
+
 std::string_view to_string(PlanMode mode) noexcept {
-  switch (mode) {
-    case PlanMode::Static:
-      return "static";
-    case PlanMode::Adaptive:
-      return "adaptive";
-    case PlanMode::Hybrid:
-      return "hybrid";
-  }
-  return "static";
+  return spec::name_of(kPlanModes, mode);
 }
 
 PlanMode parse_plan_mode(std::string_view text) {
-  if (text == "static") return PlanMode::Static;
-  if (text == "adaptive") return PlanMode::Adaptive;
-  if (text == "hybrid") return PlanMode::Hybrid;
-  throw ServeError("unknown plan mode '" + std::string(text) +
-                   "' (expected static, adaptive, or hybrid)");
+  return spec::Reader("--plan value", text, spec::raise<ServeError>)
+      .choice("plan", text, kPlanModes);
 }
 
 std::vector<ServeRequest> plan_pool(const Federation& federation,

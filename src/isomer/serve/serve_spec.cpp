@@ -1,88 +1,21 @@
 #include "isomer/serve/serve_spec.hpp"
 
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
-#include <functional>
-#include <set>
 
 #include "isomer/common/error.hpp"
+#include "isomer/common/spec.hpp"
 
 namespace isomer::serve {
 
-std::string_view to_string(ArrivalMode mode) noexcept {
-  return mode == ArrivalMode::Open ? "open" : "closed";
-}
-
-std::string_view to_string(SchedPolicy policy) noexcept {
-  switch (policy) {
-    case SchedPolicy::Fifo: return "fifo";
-    case SchedPolicy::Spc: return "spc";
-    case SchedPolicy::Wfq: return "wfq";
-    case SchedPolicy::Edf: return "edf";
-  }
-  return "fifo";
-}
-
 namespace {
 
-[[noreturn]] void bad_spec(std::string_view spec, const std::string& why) {
-  throw ServeError("malformed --serve spec '" + std::string(spec) + "': " +
-                   why);
-}
-
-/// Parses a non-negative integer prefix of `text`; advances `pos`.
-std::uint64_t parse_uint(std::string_view spec, std::string_view text,
-                         std::size_t& pos) {
-  if (pos >= text.size() || text[pos] < '0' || text[pos] > '9')
-    bad_spec(spec, "expected a number in '" + std::string(text) + "'");
-  std::uint64_t value = 0;
-  while (pos < text.size() && text[pos] >= '0' && text[pos] <= '9') {
-    value = value * 10 + static_cast<std::uint64_t>(text[pos] - '0');
-    ++pos;
-  }
-  return value;
-}
-
-std::uint64_t parse_whole_uint(std::string_view spec, std::string_view text) {
-  std::size_t pos = 0;
-  const std::uint64_t value = parse_uint(spec, text, pos);
-  if (pos != text.size())
-    bad_spec(spec, "trailing junk in '" + std::string(text) + "'");
-  return value;
-}
-
-/// Parses a duration "INT(ns|us|ms|s)" — the same grammar as --faults.
-SimTime parse_duration(std::string_view spec, std::string_view text) {
-  std::size_t pos = 0;
-  const auto count = static_cast<SimTime>(parse_uint(spec, text, pos));
-  const std::string_view rest = text.substr(pos);
-  SimTime scale = 0;
-  if (rest == "ns")
-    scale = 1;
-  else if (rest == "us")
-    scale = 1'000;
-  else if (rest == "ms")
-    scale = 1'000'000;
-  else if (rest == "s")
-    scale = 1'000'000'000;
-  else
-    bad_spec(spec, "duration needs a unit (ns|us|ms|s) in '" +
-                       std::string(text) + "'");
-  return count * scale;
-}
-
-double parse_real(std::string_view spec, std::string_view text) {
-  char* end = nullptr;
-  const std::string owned(text);
-  const double value = std::strtod(owned.c_str(), &end);
-  // std::isfinite rejects the 'inf'/'nan' spellings strtod accepts — an
-  // infinite rate or NaN weight would poison every downstream division.
-  if (end == owned.c_str() || *end != '\0' || !std::isfinite(value) ||
-      value < 0)
-    bad_spec(spec, "expected a finite non-negative real, got '" + owned + "'");
-  return value;
-}
+constexpr spec::Named<ArrivalMode> kArrivalModes[] = {
+    {"open", ArrivalMode::Open}, {"closed", ArrivalMode::Closed}};
+constexpr spec::Named<SchedPolicy> kPolicies[] = {
+    {"fifo", SchedPolicy::Fifo},
+    {"spc", SchedPolicy::Spc},
+    {"wfq", SchedPolicy::Wfq},
+    {"edf", SchedPolicy::Edf}};
 
 bool valid_tenant_id(std::string_view id) {
   if (id.empty()) return false;
@@ -94,65 +27,34 @@ bool valid_tenant_id(std::string_view id) {
 }
 
 /// Parses one '/'-separated 'tenant:ID,key=value,...' clause.
-TenantSpec parse_tenant_clause(std::string_view spec, std::string_view clause,
+TenantSpec parse_tenant_clause(const spec::Reader& in, std::string_view clause,
                                ArrivalMode mode) {
   constexpr std::string_view kPrefix = "tenant:";
-  if (clause.substr(0, kPrefix.size()) != kPrefix)
-    bad_spec(spec, "expected a 'tenant:' clause, got '" + std::string(clause) +
-                       "'");
+  if (!clause.starts_with(kPrefix))
+    in.fail("expected a 'tenant:' clause, got '" + std::string(clause) + "'");
   const std::string_view body = clause.substr(kPrefix.size());
   const std::size_t comma = body.find(',');
   TenantSpec tenant;
   tenant.id = std::string(body.substr(0, comma));
   if (!valid_tenant_id(tenant.id))
-    bad_spec(spec, "tenant id must be non-empty [A-Za-z0-9_-]+, got '" +
-                       tenant.id + "'");
+    in.fail("tenant id must be non-empty [A-Za-z0-9_-]+, got '" + tenant.id +
+            "'");
   if (comma == std::string_view::npos) return tenant;
 
-  const std::string_view items = body.substr(comma + 1);
-  std::set<std::string, std::less<>> seen;
-  const auto note = [&](std::string_view key) {
-    if (!seen.emplace(key).second)
-      bad_spec(spec, "duplicate key '" + std::string(key) + "' for tenant '" +
-                         tenant.id + "'");
-  };
-  std::size_t begin = 0;
-  while (begin <= items.size()) {
-    const std::size_t next = items.find(',', begin);
-    const std::string_view item =
-        items.substr(begin, next == std::string_view::npos
-                                ? std::string_view::npos
-                                : next - begin);
-    begin = next == std::string_view::npos ? items.size() + 1 : next + 1;
-    if (item.empty()) bad_spec(spec, "empty item");
-
-    const std::size_t eq = item.find('=');
-    if (eq == std::string_view::npos)
-      bad_spec(spec, "item '" + std::string(item) + "' has no '='");
-    const std::string_view key = item.substr(0, eq);
-    const std::string_view value = item.substr(eq + 1);
-    if (value.empty())
-      bad_spec(spec, "item '" + std::string(item) + "' has no value");
-
+  for (const auto& [key, value] : in.items(body.substr(comma + 1))) {
     if (key == "weight") {
-      note(key);
-      tenant.weight = parse_real(spec, value);
-      if (tenant.weight <= 0) bad_spec(spec, "tenant weight must be positive");
+      tenant.weight = in.real(key, value, spec::kPositive);
     } else if (key == "quota") {
-      note(key);
-      tenant.quota = static_cast<std::size_t>(parse_whole_uint(spec, value));
+      tenant.quota = in.uint<std::size_t>(key, value);
     } else if (key == "slo") {
-      note(key);
-      tenant.slo_ns = parse_duration(spec, value);
-      if (tenant.slo_ns == 0) bad_spec(spec, "a zero SLO can never be met");
+      // A zero SLO can never be met.
+      tenant.slo_ns = in.duration(key, value, 1);
     } else if (key == "rate") {
-      note(key);
       if (mode != ArrivalMode::Open)
-        bad_spec(spec, "a tenant 'rate' only applies to open-loop arrivals");
-      tenant.rate_qps = parse_real(spec, value);
-      if (tenant.rate_qps <= 0) bad_spec(spec, "tenant rate must be positive");
+        in.fail("a tenant 'rate' only applies to open-loop arrivals");
+      tenant.rate_qps = in.real(key, value, spec::kPositive);
     } else {
-      bad_spec(spec, "unknown tenant key '" + std::string(key) + "'");
+      in.fail("unknown tenant key '" + std::string(key) + "'");
     }
   }
   return tenant;
@@ -160,147 +62,82 @@ TenantSpec parse_tenant_clause(std::string_view spec, std::string_view clause,
 
 }  // namespace
 
-ServeSpec parse_serve_spec(std::string_view spec) {
-  ServeSpec out;
+std::string_view to_string(ArrivalMode mode) noexcept {
+  return spec::name_of(kArrivalModes, mode);
+}
+
+std::string_view to_string(SchedPolicy policy) noexcept {
+  return spec::name_of(kPolicies, policy);
+}
+
+ServeSpec parse_serve_spec(std::string_view text) {
+  const spec::Reader in("--serve spec", text, spec::raise<ServeError>);
   // Tenant clauses are '/'-separated so the main clause's comma grammar
   // stays untouched (and the separator survives CMake argument lists,
   // where ';' would split).
-  const std::size_t slash = spec.find('/');
-  const std::string_view main_clause = spec.substr(0, slash);
-
+  const std::vector<std::string_view> clauses = in.split(text, '/', "clause");
+  const std::string_view main_clause = clauses.front();
   const std::size_t colon = main_clause.find(':');
-  const std::string_view mode = main_clause.substr(0, colon);
-  if (mode == "open")
-    out.mode = ArrivalMode::Open;
-  else if (mode == "closed")
-    out.mode = ArrivalMode::Closed;
-  else
-    bad_spec(spec, "mode must be 'open' or 'closed', got '" +
-                       std::string(mode) + "'");
+  ServeSpec out;
+  out.mode = in.choice("mode", main_clause.substr(0, colon), kArrivalModes);
 
-  if (colon != std::string_view::npos) {
-    const std::string_view items = main_clause.substr(colon + 1);
-    // Same rule as --faults: a repeated key is a hard error, never
-    // last-one-wins — a duplicate is almost always a typo'd sweep script.
-    std::set<std::string, std::less<>> seen;
-    const auto note = [&](std::string_view key) {
-      if (!seen.emplace(key).second)
-        bad_spec(spec, "duplicate key '" + std::string(key) + "'");
-    };
-    std::size_t begin = 0;
-    while (begin <= items.size()) {
-      const std::size_t comma = items.find(',', begin);
-      const std::string_view item =
-          items.substr(begin, comma == std::string_view::npos
-                                  ? std::string_view::npos
-                                  : comma - begin);
-      begin = comma == std::string_view::npos ? items.size() + 1 : comma + 1;
-      if (item.empty()) bad_spec(spec, "empty item");
-
-      const std::size_t eq = item.find('=');
-      if (eq == std::string_view::npos)
-        bad_spec(spec, "item '" + std::string(item) + "' has no '='");
-      const std::string_view key = item.substr(0, eq);
-      const std::string_view value = item.substr(eq + 1);
-      if (value.empty())
-        bad_spec(spec, "item '" + std::string(item) + "' has no value");
-
-      // Keys of the *other* arrival mode are hard errors, not silently
-      // ignored settings: "closed:rate=50" means the author thinks they are
-      // configuring an offered rate, and a closed loop has none.
+  // Keys of the *other* arrival mode are hard errors, not silently ignored
+  // settings: "closed:rate=50" means the author thinks they are configuring
+  // an offered rate, and a closed loop has none.
+  const auto require = [&](ArrivalMode mode, std::string_view key) {
+    if (out.mode != mode)
+      in.fail("'" + std::string(key) + "' only applies to " +
+              std::string(to_string(mode)) + "-loop arrivals");
+  };
+  if (colon != std::string_view::npos)
+    for (const auto& [key, value] : in.items(main_clause.substr(colon + 1))) {
       if (key == "rate") {
-        note(key);
-        if (out.mode != ArrivalMode::Open)
-          bad_spec(spec, "'rate' only applies to open-loop arrivals");
-        out.rate_qps = parse_real(spec, value);
-        if (out.rate_qps <= 0) bad_spec(spec, "rate must be positive");
+        require(ArrivalMode::Open, key);
+        out.rate_qps = in.real(key, value, spec::kPositive);
       } else if (key == "clients") {
-        note(key);
-        if (out.mode != ArrivalMode::Closed)
-          bad_spec(spec, "'clients' only applies to closed-loop arrivals");
-        out.clients = static_cast<std::size_t>(parse_whole_uint(spec, value));
-        if (out.clients == 0) bad_spec(spec, "need at least one client");
+        require(ArrivalMode::Closed, key);
+        out.clients = in.uint<std::size_t>(key, value, 1);
       } else if (key == "think") {
-        note(key);
-        if (out.mode != ArrivalMode::Closed)
-          bad_spec(spec, "'think' only applies to closed-loop arrivals");
-        out.think_ns = parse_duration(spec, value);
+        require(ArrivalMode::Closed, key);
+        out.think_ns = in.duration(key, value);
       } else if (key == "n") {
-        note(key);
-        out.n_queries = static_cast<std::size_t>(parse_whole_uint(spec, value));
-        if (out.n_queries == 0) bad_spec(spec, "need at least one query");
+        out.n_queries = in.uint<std::size_t>(key, value, 1);
       } else if (key == "policy") {
-        note(key);
-        if (value == "fifo")
-          out.policy = SchedPolicy::Fifo;
-        else if (value == "spc")
-          out.policy = SchedPolicy::Spc;
-        else if (value == "wfq")
-          out.policy = SchedPolicy::Wfq;
-        else if (value == "edf")
-          out.policy = SchedPolicy::Edf;
-        else
-          bad_spec(spec, "policy wants 'fifo', 'spc', 'wfq' or 'edf'");
+        out.policy = in.choice(key, value, kPolicies);
       } else if (key == "queue") {
-        note(key);
-        out.queue_limit =
-            static_cast<std::size_t>(parse_whole_uint(spec, value));
+        out.queue_limit = in.uint<std::size_t>(key, value);
       } else if (key == "inflight") {
-        note(key);
-        out.site_inflight =
-            static_cast<std::size_t>(parse_whole_uint(spec, value));
+        out.site_inflight = in.uint<std::size_t>(key, value);
       } else if (key == "autoscale") {
-        note(key);
-        if (value == "on")
-          out.autoscale = true;
-        else if (value == "off")
-          out.autoscale = false;
-        else
-          bad_spec(spec, "autoscale wants 'on' or 'off'");
+        out.autoscale = in.choice(key, value, spec::kOnOff);
       } else if (key == "seed") {
-        note(key);
-        out.seed = parse_whole_uint(spec, value);
+        out.seed = in.uint<std::uint64_t>(key, value);
       } else {
-        bad_spec(spec, "unknown key '" + std::string(key) + "'");
+        in.fail("unknown key '" + std::string(key) + "'");
       }
     }
-  } else if (slash != std::string_view::npos) {
-    // "open/tenant:a" (no ':' in the main clause) is fine; anything else
-    // between mode and '/' was caught by the mode check above.
-  }
 
-  std::size_t begin = slash == std::string_view::npos ? spec.size() + 1
-                                                      : slash + 1;
-  while (begin <= spec.size()) {
-    const std::size_t next = spec.find('/', begin);
-    const std::string_view clause =
-        spec.substr(begin, next == std::string_view::npos
-                               ? std::string_view::npos
-                               : next - begin);
-    begin = next == std::string_view::npos ? spec.size() + 1 : next + 1;
-    if (clause.empty()) bad_spec(spec, "empty tenant clause");
-    TenantSpec tenant = parse_tenant_clause(spec, clause, out.mode);
+  for (std::size_t c = 1; c < clauses.size(); ++c) {
+    TenantSpec tenant = parse_tenant_clause(in, clauses[c], out.mode);
     for (const TenantSpec& existing : out.tenants)
       if (existing.id == tenant.id)
-        bad_spec(spec, "duplicate tenant id '" + tenant.id + "'");
+        in.fail("duplicate tenant id '" + tenant.id + "'");
     out.tenants.push_back(std::move(tenant));
   }
 
   if (out.autoscale && out.site_inflight == 0)
-    bad_spec(spec, "autoscale needs a per-site in-flight cap (inflight > 0)");
+    in.fail("autoscale needs a per-site in-flight cap (inflight > 0)");
   return out;
 }
 
 std::string to_string(const ServeSpec& spec) {
   std::string out(to_string(spec.mode));
   out += ":";
-  char buf[64];
   if (spec.mode == ArrivalMode::Open) {
-    std::snprintf(buf, sizeof buf, "%.17g", spec.rate_qps);
-    out += "rate=" + std::string(buf);
+    out += "rate=" + spec::real_string(spec.rate_qps);
   } else {
     out += "clients=" + std::to_string(spec.clients);
-    out += ",think=" + std::to_string(spec.think_ns) + "ns";
+    out += ",think=" + spec::duration_string(spec.think_ns);
   }
   out += ",n=" + std::to_string(spec.n_queries);
   out += ",policy=" + std::string(to_string(spec.policy));
@@ -311,14 +148,12 @@ std::string to_string(const ServeSpec& spec) {
   out += ",seed=" + std::to_string(spec.seed);
   for (const TenantSpec& tenant : spec.tenants) {
     out += "/tenant:" + tenant.id;
-    std::snprintf(buf, sizeof buf, "%.17g", tenant.weight);
-    out += ",weight=" + std::string(buf);
+    out += ",weight=" + spec::real_string(tenant.weight);
     out += ",quota=" + std::to_string(tenant.quota);
-    if (tenant.slo_ns > 0) out += ",slo=" + std::to_string(tenant.slo_ns) + "ns";
-    if (spec.mode == ArrivalMode::Open && tenant.rate_qps > 0) {
-      std::snprintf(buf, sizeof buf, "%.17g", tenant.rate_qps);
-      out += ",rate=" + std::string(buf);
-    }
+    if (tenant.slo_ns > 0)
+      out += ",slo=" + spec::duration_string(tenant.slo_ns);
+    if (spec.mode == ArrivalMode::Open && tenant.rate_qps > 0)
+      out += ",rate=" + spec::real_string(tenant.rate_qps);
   }
   return out;
 }

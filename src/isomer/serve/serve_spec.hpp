@@ -6,9 +6,8 @@
 // rate, or a closed loop of N clients that each submit, wait, think and
 // resubmit), the total number of query submissions, and the scheduler
 // knobs — policy, admission-queue bound, per-site in-flight cap. It is
-// parsed from the same kind of comma-separated mini-language as --faults
-// (fault/fault_plan.hpp) and --batch, with the same duplicate-key
-// hard-error rule, and re-prints canonically so archived bench headers are
+// parsed with the key=value grammar every spec shares (common/spec.hpp)
+// and re-prints canonically so archived bench headers are
 // self-describing.
 //
 // A spec may additionally carry tenant clauses ('/tenant:ID,...'): named
@@ -110,13 +109,12 @@ struct ServeSpec {
 ///            | 'quota=' INT        per-tenant queue share (0 = unbounded)
 ///            | 'slo=' DUR          latency SLO target
 ///            | 'rate=' REAL        open loop: this tenant's offered rate
-///   DUR     := INT ('ns' | 'us' | 'ms' | 's')
 ///
-/// Every key may appear at most once per clause — a repeated key is a hard
-/// parse error, never last-one-wins (the rule established for --faults),
-/// and a repeated tenant id is a hard error too. Keys of the other arrival
-/// mode ('rate' under closed, 'clients'/'think' under open) are hard
-/// errors. Reals must be finite ('inf'/'nan' are rejected).
+/// INT, DUR and REAL follow the shared spec grammar (common/spec.hpp):
+/// every key appears at most once per clause, numbers past their field's
+/// range are errors, and reals are finite (rates and weights positive).
+/// A repeated tenant id is a hard error too, and so are keys of the other
+/// arrival mode ('rate' under closed, 'clients'/'think' under open).
 /// Example: "open:rate=50,n=500,policy=wfq/tenant:gold,weight=3/tenant:free".
 /// Throws ServeError on malformed input.
 [[nodiscard]] ServeSpec parse_serve_spec(std::string_view spec);

@@ -220,6 +220,82 @@ TEST(FaultSpecMutation, CorruptedSpecsFailCleanlyOrParse) {
   }
 }
 
+TEST(FaultSpecErrors, MalformedSpecsAreHardErrors) {
+  const char* const malformed[] = {
+      "drop=nan",                     // NaN compares false with everything
+      "spike=nan:1ms",
+      "drop=inf",
+      "timeout=10000000000s",         // overflows 2^63-1 ns
+      "backoff=9223372036854775808ns",
+      "down=1@10000000000s..",
+      "seed=99999999999999999999999", // overflows 64 bits
+      "retries=4294967297",           // past int
+      "retries=2147483648",
+      "down=4294967297",              // past the 16-bit DbId
+      "down=65536",
+      "retries=-1",
+      "down=1@5ms..5ms",              // the window must end after it starts
+  };
+  for (const char* spec : malformed)
+    EXPECT_THROW((void)fault::parse_fault_spec(spec), FaultError) << spec;
+}
+
+TEST(FaultSpecErrors, FieldMaximaAreAccepted) {
+  const fault::FaultSpec spec = fault::parse_fault_spec(
+      "seed=18446744073709551615,retries=2147483647,down=65535,"
+      "timeout=9223372036854775807ns,backoff=9223372036s");
+  EXPECT_EQ(spec.plan.seed, ~std::uint64_t{0});
+  EXPECT_EQ(spec.retry.max_retries, 2147483647);
+  EXPECT_EQ(spec.plan.outages.at(0).db, DbId{65535});
+  EXPECT_EQ(spec.retry.timeout_ns, fault::kForever);
+  EXPECT_EQ(spec.retry.backoff_ns, 9'223'372'036'000'000'000);
+}
+
+/// A random FaultSpec over every field: outages with and without a window
+/// (open-ended ones included), spikes, retries and both degrade modes.
+fault::FaultSpec random_fault_spec(Rng& rng) {
+  fault::FaultSpec spec;
+  spec.plan.drop_probability =
+      rng.bernoulli(0.2) ? 0.0 : rng.uniform_real(0.0, 1.0);
+  spec.plan.spike_probability =
+      rng.bernoulli(0.2) ? 1.0 : rng.uniform_real(0.0, 1.0);
+  spec.plan.spike_ns = rng.uniform_int(0, 5'000'000'000);
+  const std::size_t n_outages = rng.index(4);
+  for (std::size_t o = 0; o < n_outages; ++o) {
+    fault::Outage outage;
+    outage.db = DbId{static_cast<DbId::rep_type>(rng.index(65536))};
+    if (rng.bernoulli(0.6)) {
+      outage.from = rng.uniform_int(0, 1'000'000'000);
+      if (rng.bernoulli(0.6))
+        outage.until = outage.from + rng.uniform_int(1, 1'000'000'000);
+    }
+    spec.plan.outages.push_back(outage);
+  }
+  spec.plan.seed = rng();
+  spec.retry.max_retries = static_cast<int>(rng.index(16));
+  spec.retry.timeout_ns = rng.uniform_int(1, 50'000'000);
+  spec.retry.backoff_ns = rng.uniform_int(0, 50'000'000);
+  spec.degrade = rng.bernoulli(0.5) ? fault::DegradeMode::Fail
+                                    : fault::DegradeMode::Partial;
+  return spec;
+}
+
+class FaultSpecRoundTrip : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(FaultSpecRoundTrip, PrintedSpecsParseBackIdentically) {
+  Rng rng(derive_stream(0xFA17'E014ULL, GetParam()));
+  const fault::FaultSpec spec = random_fault_spec(rng);
+  const std::string text = fault::to_string(spec);
+  fault::FaultSpec parsed;
+  ASSERT_NO_THROW(parsed = fault::parse_fault_spec(text)) << text;
+  EXPECT_EQ(parsed, spec) << text;
+  // The canonical form is a fixed point: printing the parse reproduces it.
+  EXPECT_EQ(fault::to_string(parsed), text);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, FaultSpecRoundTrip,
+                         ::testing::Range<std::uint64_t>(1, 301));
+
 // ---- serve spec (serve/serve_spec.hpp) ----
 
 /// A random but valid ServeSpec. Fields the spec grammar ties to the other
@@ -335,6 +411,8 @@ TEST(ServeSpecErrors, MalformedTenantClausesAreHardErrors) {
       "open:rate=nan",
       "open:rate=1,autoscale=bogus",       // autoscale wants on|off
       "open:rate=1,autoscale=on,inflight=0",  // autoscale needs a finite cap
+      "open:rate=1/tenant:a,slo=10000000000s",  // overflows 2^63-1 ns
+      "open:rate=1/tenant:a,quota=18446744073709551616",
   };
   for (const char* spec : malformed)
     EXPECT_THROW((void)serve::parse_serve_spec(spec), ServeError) << spec;
@@ -368,6 +446,9 @@ TEST(ServeSpecErrors, MalformedSpecsAreHardErrors) {
       "closed:think=5",    // duration needs a unit
       "closed:think=5m",   // unknown unit
       "open:policy=lifo",  // unknown policy
+      "closed:think=10000000000s",            // overflows 2^63-1 ns
+      "open:rate=1,n=18446744073709551617",   // overflows 64 bits
+      "open:seed=99999999999999999999999",
   };
   for (const char* spec : malformed)
     EXPECT_THROW((void)serve::parse_serve_spec(spec), ServeError) << spec;

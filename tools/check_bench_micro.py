@@ -4,8 +4,11 @@
 Usage:
     build/bench/bench_micro \
         --benchmark_filter='PredicateEval(Row|Columnar)|GoidProbe' \
+        --benchmark_repetitions=5 \
         --benchmark_format=json --benchmark_out=now.json
     python3 tools/check_bench_micro.py now.json
+
+Each check reads a benchmark's median rate over its repetitions.
 
 Two kinds of checks, from tools/bench_micro_baseline.json:
 
@@ -24,20 +27,26 @@ errors. Re-record the baseline with --update after an intentional change.
 
 import argparse
 import json
+import statistics
 import sys
 
 
 def load_rates(path):
+    """Median items_per_second per benchmark name over its iteration rows.
+
+    Under --benchmark_repetitions=N every repetition is a row with the same
+    name; the median keeps one noisy repetition from deciding a check.
+    """
     with open(path) as f:
         data = json.load(f)
-    rates = {}
+    samples = {}
     for bench in data.get("benchmarks", []):
         if bench.get("run_type") == "aggregate":
             continue
         rate = bench.get("items_per_second")
         if rate:
-            rates[bench["name"]] = float(rate)
-    return rates
+            samples.setdefault(bench["name"], []).append(float(rate))
+    return {name: statistics.median(rates) for name, rates in samples.items()}
 
 
 def main():
