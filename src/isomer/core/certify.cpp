@@ -78,15 +78,27 @@ QueryResult certify(
                                                          : nullptr;
   };
 
-  // Scratch reused across entities, so a row whose condition folds to a
-  // constant allocates nothing.
+  // Scratch reused across entities: the builder keeps its capacity, so a
+  // row whose condition folds to a constant allocates nothing.
   std::vector<Truth> truths(query.predicates.size());
-  std::vector<Condition> pooled;
-  std::vector<Condition> per_pred;
+  Condition::Builder builder;
+  std::vector<Condition::Builder::Id> pooled;
+  std::vector<Condition::Builder::Id> per_pred;
   std::vector<VerdictKey> imputed_used;
-  std::vector<CondAtom> atoms;
+  // Residual leaves per predicate, written to stats once per call.
+  std::vector<std::uint64_t> unresolved(query.predicates.size(), 0);
+  const auto count_residual = [&](const Condition& condition) {
+    if (stats == nullptr) return;
+    for (const Condition::Node& node : condition.nodes())
+      if (node.kind == Condition::Kind::Leaf) ++unresolved[node.atom.predicate];
+  };
 
   QueryResult result;
+  std::size_t entity_count = 0;
+  for (std::size_t i = 0; i < rows_by_entity.size(); ++i)
+    if (i == 0 || rows_by_entity[i - 1].first != rows_by_entity[i].first)
+      ++entity_count;
+  result.rows.reserve(entity_count);
   for (auto group = rows_by_entity.begin(); group != rows_by_entity.end();) {
     const GOid entity = group->first;
     const auto group_end =
@@ -117,15 +129,17 @@ QueryResult certify(
     // evidence — decided row statuses as constants, Unknown statuses as
     // leaves — combined in the query's AND/OR shape. A consulted verdict
     // is substituted as its leaf is made, and every node is built through
-    // Condition::fold, so the condition arrives simplified and its truth
+    // the builder's fold, so the condition arrives simplified and its truth
     // is, by construction, the flat pool's answer; the condition
     // additionally *names* the atoms that kept a maybe row maybe. Building
     // it charges nothing: the meter sees exactly the comparisons the flat
     // loop makes.
     Truth overall = Truth::True;
-    Condition condition;  // constant True
+    Condition::Builder::Id condition =
+        Condition::Builder::constant(Truth::True);
     double confidence = 1.0;  // product over distinct imputed verdicts used
     if (!eliminated) {
+      builder.clear();
       per_pred.clear();
       imputed_used.clear();
       for (std::size_t p = 0; p < query.predicates.size(); ++p) {
@@ -137,7 +151,7 @@ QueryResult certify(
           if (is_true(status.truth)) any_true = true;
           if (is_false(status.truth)) any_false = true;
           if (!is_unknown(status.truth)) {
-            pooled.push_back(Condition::constant(status.truth));
+            pooled.push_back(Condition::Builder::constant(status.truth));
             continue;
           }
           // Step-0 sites are decided by the other rows in this very pool,
@@ -147,14 +161,14 @@ QueryResult certify(
           const Truth* verdict =
               status.step > 0 ? find_verdict(status.item, p) : nullptr;
           if (verdict == nullptr) {
-            pooled.push_back(Condition::leaf(
+            pooled.push_back(builder.leaf(
                 CondAtom{status.item, p, status.step, status.step == 0}));
             continue;
           }
           if (meter != nullptr) ++meter->comparisons;
           if (is_false(*verdict)) any_false = true;
           if (is_true(*verdict)) any_true = true;
-          pooled.push_back(Condition::constant(*verdict));
+          pooled.push_back(Condition::Builder::constant(*verdict));
           // Probabilistic certification (the IM strategy): a consulted
           // verdict that was synthesized from the population model
           // discounts the row's confidence — once per distinct atom,
@@ -173,11 +187,11 @@ QueryResult certify(
         truths[p] = any_false  ? Truth::False
                     : any_true ? Truth::True
                                : Truth::Unknown;
-        per_pred.push_back(Condition::fold(Condition::Kind::Pool, pooled));
+        per_pred.push_back(builder.fold(Condition::Kind::Pool, pooled));
       }
       overall = query.combine(truths);
-      condition = combine_conditions(query, per_pred);
-      ensures(condition.truth() == overall,
+      condition = builder.combine(query, per_pred);
+      ensures(builder.truth(condition) == overall,
               "row condition must agree with the flat certification pool");
       if (is_false(overall)) eliminated = true;
     }
@@ -194,19 +208,14 @@ QueryResult certify(
     // A certain row is final — no residual (a True condition can still
     // carry leaves whose False would refute it, but on consistent
     // federations decided evidence never flips). Maybe rows keep the
-    // simplified residual naming what is still undecided.
-    out.condition = out.status == ResultStatus::Certain
-                        ? Condition::constant(Truth::True)
-                        : std::move(condition);
-    if (stats != nullptr) {
-      ++(out.status == ResultStatus::Certain ? stats->certain : stats->maybe);
-      atoms.clear();
-      out.condition.collect_atoms(atoms);
-      for (const CondAtom& atom : atoms) {
-        ++stats->unresolved_atoms;
-        ++stats->unresolved_by_predicate[atom.predicate];
-      }
+    // simplified residual naming what is still undecided, copied out of
+    // the builder in one allocation.
+    if (out.status == ResultStatus::Maybe) {
+      out.condition = builder.take(condition);
+      count_residual(out.condition);
     }
+    if (stats != nullptr)
+      ++(out.status == ResultStatus::Certain ? stats->certain : stats->maybe);
     out.targets.assign(query.targets.size(), Value::null());
     // Rows are in ascending DbId order; the first non-null target wins.
     for (const auto& [row_entity, row] : rows)
@@ -249,26 +258,28 @@ QueryResult certify(
       // entity itself. root_level because no assistant verdict can decide
       // it — the data lives only at unreachable sites.
       if (out.status == ResultStatus::Maybe) {
+        builder.clear();
         per_pred.clear();
         for (std::size_t p = 0; p < query.predicates.size(); ++p)
-          per_pred.push_back(
-              Condition::leaf(CondAtom{entity, p, 0, true}));
-        out.condition = combine_conditions(query, per_pred);
+          per_pred.push_back(builder.leaf(CondAtom{entity, p, 0, true}));
+        out.condition = builder.take(builder.combine(query, per_pred));
+        count_residual(out.condition);
       }
       if (stats != nullptr) {
         ++stats->entities;
         ++(is_true(overall) ? stats->certain : stats->maybe);
-        if (out.status == ResultStatus::Maybe)
-          for (const CondAtom& atom : out.condition.atoms()) {
-            ++stats->unresolved_atoms;
-            ++stats->unresolved_by_predicate[atom.predicate];
-          }
       }
       out.targets.assign(query.targets.size(), Value::null());
       result.rows.push_back(std::move(out));
     }
   }
 
+  if (stats != nullptr)
+    for (std::size_t p = 0; p < unresolved.size(); ++p)
+      if (unresolved[p] != 0) {
+        stats->unresolved_atoms += unresolved[p];
+        stats->unresolved_by_predicate[p] += unresolved[p];
+      }
   result.normalize();
   return result;
 }

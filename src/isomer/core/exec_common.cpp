@@ -238,7 +238,8 @@ void ExecEnv::attempt_ship(SiteIndex from, SiteIndex to, Bytes bytes,
       arrive = [this, to, step, spike, inner = std::move(arrive)]() mutable {
         const SimTime at = sim_->now();
         if (traced())
-          mark(Phase::Fault, to, "fault.spike " + step, at, at + spike);
+          mark(Phase::Fault, to, "fault.spike " + step, at,
+               clock_add(at, spike));
         sim_->schedule_after(spike, std::move(inner));
       };
     }
@@ -250,10 +251,10 @@ void ExecEnv::attempt_ship(SiteIndex from, SiteIndex to, Bytes bytes,
   // hear them; the sender only learns of the loss when the timeout fires.
   transfer_traced(from, to, bytes, step, []() {});
   const fault::RetryPolicy& retry = options_.retry;
-  const SimTime deadline = begin + retry.timeout_ns;
+  const SimTime deadline = clock_add(begin, retry.timeout_ns);
   if (attempt < retry.max_retries) {
     ++retries_;
-    const SimTime resend = deadline + retry.backoff(attempt);
+    const SimTime resend = clock_add(deadline, retry.backoff(attempt));
     if (traced())
       mark(Phase::Fault, from, "fault.retry " + step, begin, resend);
     sim_->schedule_at(

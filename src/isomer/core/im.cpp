@@ -204,7 +204,9 @@ void ImputeState::discharge(ExecEnv& env,
         confidence *= decision.confidence;
     }
     if (row_used.empty()) continue;
-    const Truth truth = cond.simplify().truth();
+    // simplify() never changes truth(), so the substituted condition is
+    // evaluated as it stands.
+    const Truth truth = cond.truth();
     // Undecided: the estimates were not enough — leave the row exactly as
     // certified rather than leaking partial guesses into its residual.
     if (is_unknown(truth)) continue;

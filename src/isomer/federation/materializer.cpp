@@ -316,14 +316,20 @@ QueryResult evaluate_global(const MaterializedView& view,
   const MaterializedExtent& extent =
       view.extent(schema.cls(query.range_class).name());
 
+  // Scratch reused across objects.
+  std::vector<Truth> truths(query.predicates.size());
+  std::vector<MatStall> stalls(query.predicates.size());
+  Condition::Builder builder;
+  std::vector<Condition::Builder::Id> per_pred;
+  per_pred.reserve(query.predicates.size());
+
   QueryResult result;
   for (const MaterializedObject& obj : extent.objects()) {
-    std::vector<Truth> truths;
-    truths.reserve(query.predicates.size());
-    std::vector<MatStall> stalls(query.predicates.size());
-    for (std::size_t p = 0; p < query.predicates.size(); ++p)
-      truths.push_back(eval_bound(predicates[p], query.predicates[p], obj, 0,
-                                  meter, stalls[p]));
+    for (std::size_t p = 0; p < query.predicates.size(); ++p) {
+      stalls[p] = MatStall{};
+      truths[p] = eval_bound(predicates[p], query.predicates[p], obj, 0,
+                             meter, stalls[p]);
+    }
     const Truth truth = query.combine(truths);
     if (is_false(truth)) continue;
 
@@ -337,19 +343,19 @@ QueryResult evaluate_global(const MaterializedView& view,
     // the localized approaches build from per-database rows — conditions
     // are deliberately outside ResultRow equality for this reason.)
     if (row.status == ResultStatus::Maybe) {
-      std::vector<Condition> per_pred;
-      per_pred.reserve(query.predicates.size());
+      builder.clear();
+      per_pred.clear();
       for (std::size_t p = 0; p < query.predicates.size(); ++p) {
         if (is_unknown(truths[p])) {
           const MatStall& s = stalls[p];
           ensures(s.set, "Unknown evaluation must report its stall site");
-          per_pred.push_back(Condition::leaf(CondAtom{
+          per_pred.push_back(builder.leaf(CondAtom{
               s.holder, p, s.step, s.step == 0 && s.holder == obj.id}));
         } else {
-          per_pred.push_back(Condition::constant(truths[p]));
+          per_pred.push_back(Condition::Builder::constant(truths[p]));
         }
       }
-      row.condition = combine_conditions(query, per_pred);
+      row.condition = builder.take(builder.combine(query, per_pred));
     }
     row.targets.reserve(query.targets.size());
     for (const MatPath& target : targets)

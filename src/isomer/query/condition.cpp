@@ -1,6 +1,6 @@
 #include "isomer/query/condition.hpp"
 
-#include <algorithm>
+#include <array>
 #include <ostream>
 #include <sstream>
 
@@ -15,111 +15,165 @@ std::ostream& operator<<(std::ostream& os, const CondAtom& atom) {
   return os;
 }
 
-Condition Condition::constant(Truth value) {
-  Condition c;
-  c.kind_ = Kind::Constant;
-  c.value_ = value;
-  return c;
+namespace {
+
+using Node = Condition::Node;
+using Kind = Condition::Kind;
+
+/// A connective's value before negation, given which truth values its
+/// children took (`seen` is indexed by Truth). And is min and Or is max.
+/// Pool is the certification rule's evidence pool: any False refutes, else
+/// any True solves, else Unknown — not min, not max (see the header).
+Truth connective_value(Kind kind, const std::array<bool, 3>& seen) {
+  const bool any_false = seen[static_cast<std::size_t>(Truth::False)];
+  const bool any_unknown = seen[static_cast<std::size_t>(Truth::Unknown)];
+  const bool any_true = seen[static_cast<std::size_t>(Truth::True)];
+  switch (kind) {
+    case Kind::And:
+      return any_false     ? Truth::False
+             : any_unknown ? Truth::Unknown
+                           : Truth::True;
+    case Kind::Or:
+      return any_true      ? Truth::True
+             : any_unknown ? Truth::Unknown
+                           : Truth::False;
+    default:
+      return any_false  ? Truth::False
+             : any_true ? Truth::True
+                        : Truth::Unknown;
+  }
 }
 
-Condition Condition::leaf(CondAtom atom) {
-  Condition c;
-  c.kind_ = Kind::Leaf;
-  c.atom_ = atom;
-  return c;
-}
-
-Condition Condition::make_and(std::vector<Condition> children) {
-  Condition c;
-  c.kind_ = Kind::And;
-  c.children_ = std::move(children);
-  return c;
-}
-
-Condition Condition::make_or(std::vector<Condition> children) {
-  Condition c;
-  c.kind_ = Kind::Or;
-  c.children_ = std::move(children);
-  return c;
-}
-
-Condition Condition::pool(std::vector<Condition> children) {
-  Condition c;
-  c.kind_ = Kind::Pool;
-  c.children_ = std::move(children);
-  return c;
-}
-
-Condition Condition::negate() const {
-  Condition c = *this;
-  c.negated_ = !c.negated_;
-  return c;
-}
-
-Truth Condition::truth(const Assignment& assignment) const {
+Truth evaluate(std::span<const Node> nodes, std::size_t at,
+               const Condition::Assignment& assignment) {
+  const Node& node = nodes[at];
   Truth base = Truth::Unknown;
-  switch (kind_) {
+  switch (node.kind) {
     case Kind::Constant:
-      base = value_;
+      base = node.value;
       break;
     case Kind::Leaf: {
       const auto it =
-          assignment.find(std::pair{atom_.item, atom_.predicate});
+          assignment.find(std::pair{node.atom.item, node.atom.predicate});
       base = it == assignment.end() ? Truth::Unknown : it->second;
       break;
     }
-    case Kind::And: {
-      base = Truth::True;
-      for (const Condition& child : children_)
-        base = base && child.truth(assignment);
-      break;
-    }
-    case Kind::Or: {
-      base = Truth::False;
-      for (const Condition& child : children_)
-        base = base || child.truth(assignment);
-      break;
-    }
+    case Kind::And:
+    case Kind::Or:
     case Kind::Pool: {
-      // The certification rule's evidence pool: any False refutes, else any
-      // True solves, else Unknown. Not min, not max — see the header.
-      bool any_true = false, any_false = false;
-      for (const Condition& child : children_) {
-        const Truth t = child.truth(assignment);
-        if (is_true(t)) any_true = true;
-        if (is_false(t)) any_false = true;
-      }
-      base = any_false  ? Truth::False
-             : any_true ? Truth::True
-                        : Truth::Unknown;
+      std::array<bool, 3> seen{};
+      for (std::size_t c = at + 1; c < at + node.size; c += nodes[c].size)
+        seen[static_cast<std::size_t>(evaluate(nodes, c, assignment))] = true;
+      base = connective_value(node.kind, seen);
       break;
     }
   }
-  return negated_ ? !base : base;
+  return node.negated ? !base : base;
+}
+
+void print(std::ostream& os, std::span<const Node> nodes, std::size_t at) {
+  const Node& node = nodes[at];
+  if (node.negated) os << "not ";
+  switch (node.kind) {
+    case Kind::Constant:
+      os << to_string(node.value);
+      return;
+    case Kind::Leaf:
+      os << node.atom;
+      return;
+    case Kind::And:
+    case Kind::Or:
+    case Kind::Pool:
+      break;
+  }
+  os << (node.kind == Kind::And  ? "and("
+         : node.kind == Kind::Or ? "or("
+                                 : "pool(");
+  for (std::size_t c = at + 1; c < at + node.size; c += nodes[c].size) {
+    if (c != at + 1) os << ", ";
+    print(os, nodes, c);
+  }
+  os << ")";
+}
+
+bool is_true_constant(const Node& node) {
+  return node.kind == Kind::Constant && !node.negated && is_true(node.value);
+}
+
+}  // namespace
+
+Condition::Condition(std::vector<Node> nodes) {
+  if (nodes.size() != 1 || !is_true_constant(nodes.front()))
+    nodes_ = std::move(nodes);
+}
+
+const Condition::Node& Condition::root() const noexcept {
+  static const Node kTrue{};
+  return nodes_.empty() ? kTrue : nodes_.front();
+}
+
+Condition Condition::constant(Truth value) {
+  return Condition({Node{Kind::Constant, false, value, 1, {}}});
+}
+
+Condition Condition::leaf(CondAtom atom) {
+  return Condition({Node{Kind::Leaf, false, Truth::True, 1, atom}});
+}
+
+Condition Condition::connective(Kind kind,
+                                std::span<const Condition> children) {
+  std::vector<Node> nodes(1, Node{kind, false, Truth::True, 1, {}});
+  for (const Condition& child : children) {
+    if (child.nodes_.empty())
+      nodes.push_back(Node{});  // the constant True
+    else
+      nodes.insert(nodes.end(), child.nodes_.begin(), child.nodes_.end());
+  }
+  nodes.front().size = static_cast<std::uint32_t>(nodes.size());
+  return Condition(std::move(nodes));
+}
+
+Condition Condition::make_and(std::vector<Condition> children) {
+  return connective(Kind::And, children);
+}
+
+Condition Condition::make_or(std::vector<Condition> children) {
+  return connective(Kind::Or, children);
+}
+
+Condition Condition::pool(std::vector<Condition> children) {
+  return connective(Kind::Pool, children);
+}
+
+std::vector<Condition> Condition::children() const {
+  std::vector<Condition> out;
+  if (nodes_.empty()) return out;
+  for (std::size_t c = 1; c < nodes_.front().size; c += nodes_[c].size)
+    out.push_back(Condition(std::vector<Node>(
+        nodes_.begin() + static_cast<std::ptrdiff_t>(c),
+        nodes_.begin() + static_cast<std::ptrdiff_t>(c + nodes_[c].size))));
+  return out;
+}
+
+Condition Condition::negate() const {
+  std::vector<Node> nodes = nodes_.empty() ? std::vector<Node>(1) : nodes_;
+  nodes.front().negated = !nodes.front().negated;
+  return Condition(std::move(nodes));
+}
+
+Truth Condition::truth(const Assignment& assignment) const {
+  return nodes_.empty() ? Truth::True : evaluate(nodes_, 0, assignment);
 }
 
 template <typename Match>
 Condition Condition::replace_leaves(const Match& match, Truth value) const {
-  switch (kind_) {
-    case Kind::Constant:
-      return *this;
-    case Kind::Leaf:
-      // The negation flag folds into the constant right away — a negated
-      // leaf decided True is the constant False.
-      return match(atom_) ? constant(negated_ ? !value : value) : *this;
-    case Kind::And:
-    case Kind::Or:
-    case Kind::Pool: {
-      Condition c;
-      c.kind_ = kind_;
-      c.negated_ = negated_;
-      c.children_.reserve(children_.size());
-      for (const Condition& child : children_)
-        c.children_.push_back(child.replace_leaves(match, value));
-      return c;
-    }
-  }
-  return *this;
+  std::vector<Node> nodes = nodes_;
+  for (Node& node : nodes)
+    // The negation flag folds into the constant right away — a negated
+    // leaf decided True is the constant False.
+    if (node.kind == Kind::Leaf && match(node.atom))
+      node = Node{Kind::Constant, false, node.negated ? !value : value, 1, {}};
+  return Condition(std::move(nodes));
 }
 
 Condition Condition::substitute(GOid item, std::size_t predicate,
@@ -137,92 +191,22 @@ Condition Condition::substitute_atom(const CondAtom& atom,
 }
 
 Condition Condition::simplify() const {
-  switch (kind_) {
-    case Kind::Constant:
-      return negated_ ? constant(!value_) : *this;
-    case Kind::Leaf:
-      return *this;
-    case Kind::And:
-    case Kind::Or:
-    case Kind::Pool: {
-      std::vector<Condition> simplified;
-      simplified.reserve(children_.size());
-      for (const Condition& child : children_)
-        simplified.push_back(child.simplify());
-      return fold(kind_, simplified, negated_);
-    }
-  }
-  return *this;
+  Builder builder;
+  return builder.take(builder.copy(*this));
 }
 
-Condition Condition::fold(Kind kind, std::span<Condition> children,
+Condition Condition::fold(Kind kind, std::span<const Condition> children,
                           bool negated) {
-  expects(kind == Kind::And || kind == Kind::Or || kind == Kind::Pool,
-          "fold builds connectives only");
-  // Folds the node's negation into `base` and returns it.
-  const auto finish = [negated](Condition base) -> Condition {
-    if (!negated) return base;
-    if (base.kind_ == Kind::Constant && !base.negated_)
-      return constant(!base.value_);
-    base.negated_ = !base.negated_;
-    return base;
-  };
-
-  // Kept children are compacted to the front of `children`.
-  std::size_t kept = 0;
-  const auto keep = [&](Condition& child) {
-    if (&children[kept] != &child) children[kept] = std::move(child);
-    ++kept;
-  };
-  if (kind == Kind::Pool) {
-    bool only_true = true;  // every kept child a True constant
-    for (Condition& child : children) {
-      const bool decided = child.is_constant() && !child.negated_;
-      if (decided && is_false(child.value_))
-        return finish(constant(Truth::False));
-      if (decided && is_unknown(child.value_))
-        continue;  // contributes no evidence
-      // A True child is kept: Pool{True, x} still turns False with x.
-      only_true = only_true && decided;
-      keep(child);
-    }
-    if (kept == 0) return finish(constant(Truth::Unknown));
-    // Only True constants left: no child can ever turn False.
-    if (only_true) return finish(constant(Truth::True));
-  } else {
-    const Truth identity = kind == Kind::And ? Truth::True : Truth::False;
-    const Truth annihilator = !identity;
-    for (Condition& child : children) {
-      if (child.is_constant() && !child.negated_) {
-        if (child.value_ == annihilator) return finish(constant(annihilator));
-        if (child.value_ == identity) continue;  // no effect on min/max
-      }
-      keep(child);
-    }
-    if (kept == 0) return finish(constant(identity));
-  }
-  if (kept == 1) return finish(std::move(children.front()));
-  Condition c;
-  c.kind_ = kind;
-  const std::span<Condition> survivors = children.first(kept);
-  c.children_.assign(std::make_move_iterator(survivors.begin()),
-                     std::make_move_iterator(survivors.end()));
-  return finish(std::move(c));
+  Builder builder;
+  std::vector<Builder::Id> ids;
+  ids.reserve(children.size());
+  for (const Condition& child : children) ids.push_back(builder.copy(child));
+  return builder.take(builder.fold(kind, ids, negated));
 }
 
 void Condition::collect_atoms(std::vector<CondAtom>& out) const {
-  switch (kind_) {
-    case Kind::Constant:
-      return;
-    case Kind::Leaf:
-      out.push_back(atom_);
-      return;
-    case Kind::And:
-    case Kind::Or:
-    case Kind::Pool:
-      for (const Condition& child : children_) child.collect_atoms(out);
-      return;
-  }
+  for (const Node& node : nodes_)
+    if (node.kind == Kind::Leaf) out.push_back(node.atom);
 }
 
 std::vector<CondAtom> Condition::atoms() const {
@@ -238,56 +222,196 @@ std::string Condition::to_string() const {
 }
 
 std::ostream& operator<<(std::ostream& os, const Condition& condition) {
-  if (condition.negated()) os << "not ";
-  switch (condition.kind()) {
-    case Condition::Kind::Constant:
-      return os << to_string(condition.constant_value());
-    case Condition::Kind::Leaf:
-      return os << condition.atom();
-    case Condition::Kind::And:
-    case Condition::Kind::Or:
-    case Condition::Kind::Pool: {
-      os << (condition.kind() == Condition::Kind::And  ? "and("
-             : condition.kind() == Condition::Kind::Or ? "or("
-                                                       : "pool(");
-      bool first = true;
-      for (const Condition& child : condition.children()) {
-        if (!first) os << ", ";
-        first = false;
-        os << child;
-      }
-      return os << ")";
-    }
-  }
+  if (condition.nodes().empty()) return os << to_string(Truth::True);
+  print(os, condition.nodes(), 0);
   return os;
 }
 
-Condition combine_conditions(const GlobalQuery& query,
-                             std::span<Condition> per_pred) {
+// ---- Builder ---------------------------------------------------------------
+
+Condition::Builder::Builder() { clear(); }
+
+void Condition::Builder::clear() {
+  entries_.clear();
+  edges_.clear();
+  pending_.clear();
+  // Ids 0, 1 and 2 are the constants False, Unknown and True.
+  for (const Truth value : {Truth::False, Truth::Unknown, Truth::True})
+    entries_.push_back(Entry{Node{Kind::Constant, false, value, 1, {}}});
+}
+
+Condition::Builder::Id Condition::Builder::push(const Entry& entry) {
+  entries_.push_back(entry);
+  return static_cast<Id>(entries_.size() - 1);
+}
+
+Condition::Builder::Id Condition::Builder::leaf(const CondAtom& atom) {
+  return push(Entry{Node{Kind::Leaf, false, Truth::True, 1, atom}});
+}
+
+Condition::Builder::Id Condition::Builder::fold(Kind kind,
+                                                std::span<const Id> children,
+                                                bool negated) {
+  expects(kind == Kind::And || kind == Kind::Or || kind == Kind::Pool,
+          "fold builds connectives only");
+  // Folds the node's negation into `base` and returns it.
+  const auto finish = [&](Id base) -> Id {
+    if (!negated) return base;
+    Entry entry = entries_[base];
+    if (entry.node.kind == Kind::Constant && !entry.node.negated)
+      return constant(!entry.node.value);
+    entry.node.negated = !entry.node.negated;
+    return push(entry);
+  };
+  // A decided child is an un-negated constant.
+  const auto decided = [this](Id id) -> const Truth* {
+    const Node& node = entries_[id].node;
+    return node.kind == Kind::Constant && !node.negated ? &node.value
+                                                        : nullptr;
+  };
+
+  // Kept children are appended to edges_, where the node will read them.
+  const std::size_t first = edges_.size();
+  const auto give_up = [&](Truth value) {
+    edges_.resize(first);
+    return finish(constant(value));
+  };
+  if (kind == Kind::Pool) {
+    bool only_true = true;  // every kept child a True constant
+    for (const Id child : children) {
+      const Truth* value = decided(child);
+      if (value != nullptr && is_false(*value)) return give_up(Truth::False);
+      if (value != nullptr && is_unknown(*value))
+        continue;  // contributes no evidence
+      // A True child is kept: Pool{True, x} still turns False with x.
+      only_true = only_true && value != nullptr;
+      edges_.push_back(child);
+    }
+    if (edges_.size() == first) return give_up(Truth::Unknown);
+    // Only True constants left: no child can ever turn False.
+    if (only_true) return give_up(Truth::True);
+  } else {
+    const Truth identity = kind == Kind::And ? Truth::True : Truth::False;
+    const Truth annihilator = !identity;
+    for (const Id child : children) {
+      if (const Truth* value = decided(child)) {
+        if (*value == annihilator) return give_up(annihilator);
+        if (*value == identity) continue;  // no effect on min/max
+      }
+      edges_.push_back(child);
+    }
+    if (edges_.size() == first) return give_up(identity);
+  }
+  const std::size_t kept = edges_.size() - first;
+  if (kept == 1) {
+    const Id only = edges_.back();
+    edges_.resize(first);
+    return finish(only);
+  }
+  std::uint32_t size = 1;
+  for (std::size_t k = first; k < edges_.size(); ++k)
+    size += entries_[edges_[k]].node.size;
+  return push(Entry{Node{kind, negated, Truth::True, size, {}},
+                    static_cast<std::uint32_t>(first),
+                    static_cast<std::uint32_t>(kept)});
+}
+
+Condition::Builder::Id Condition::Builder::combine(
+    const GlobalQuery& query, std::span<const Id> per_pred) {
   expects(per_pred.size() == query.predicates.size(),
           "combine_conditions needs one condition per predicate");
-  if (query.disjuncts.empty())
-    return Condition::fold(Condition::Kind::And, per_pred);
-  // Mirrors GlobalQuery::combine exactly: AND(loose) AND OR(AND(group)).
-  std::vector<bool> grouped(per_pred.size(), false);
-  std::vector<Condition> alternatives;
-  alternatives.reserve(query.disjuncts.size());
-  for (const auto& group : query.disjuncts) {
-    std::vector<Condition> conjuncts;
-    conjuncts.reserve(group.size());
-    for (const std::size_t index : group) {
-      expects(index < per_pred.size(), "disjunct index out of range");
-      grouped[index] = true;
-      conjuncts.push_back(per_pred[index]);
+  // fold_formula's algebra over node ids: the operands of the nodes still
+  // open are stacked in pending_, each node's from its `start` on.
+  struct Algebra {
+    Builder& builder;
+    struct Open {
+      Kind kind;
+      std::size_t start;
+    };
+    Open open(bool conjunction) const {
+      return {conjunction ? Kind::And : Kind::Or, builder.pending_.size()};
     }
-    alternatives.push_back(
-        Condition::fold(Condition::Kind::And, conjuncts));
+    void add(Open&, Id child) const { builder.pending_.push_back(child); }
+    Id close(const Open& node) const {
+      const Id id = builder.fold(
+          node.kind, std::span<const Id>(builder.pending_).subspan(node.start));
+      builder.pending_.resize(node.start);
+      return id;
+    }
+  } algebra{*this};
+  return query.fold_formula(algebra,
+                            [per_pred](std::size_t p) { return per_pred[p]; });
+}
+
+Condition::Builder::Id Condition::Builder::copy_nodes(
+    std::span<const Node> nodes, std::size_t& at) {
+  const Node& node = nodes[at++];
+  switch (node.kind) {
+    case Kind::Constant:
+      // A negated constant folds into its complement.
+      return constant(node.negated ? !node.value : node.value);
+    case Kind::Leaf:
+      return push(Entry{node});
+    case Kind::And:
+    case Kind::Or:
+    case Kind::Pool:
+      break;
   }
-  std::vector<Condition> loose;
-  loose.push_back(Condition::fold(Condition::Kind::Or, alternatives));
-  for (std::size_t p = 0; p < per_pred.size(); ++p)
-    if (!grouped[p]) loose.push_back(std::move(per_pred[p]));
-  return Condition::fold(Condition::Kind::And, loose);
+  const std::size_t start = pending_.size();
+  const std::size_t end = at - 1 + node.size;
+  while (at < end) {
+    const Id child = copy_nodes(nodes, at);
+    pending_.push_back(child);
+  }
+  const Id id = fold(node.kind, std::span<const Id>(pending_).subspan(start),
+                     node.negated);
+  pending_.resize(start);
+  return id;
+}
+
+Condition::Builder::Id Condition::Builder::copy(const Condition& condition) {
+  std::size_t at = 0;
+  return condition.nodes_.empty() ? constant(Truth::True)
+                                  : copy_nodes(condition.nodes_, at);
+}
+
+Truth Condition::Builder::truth(Id id) const {
+  const Entry& entry = entries_[id];
+  Truth base = Truth::Unknown;  // a leaf, with no evidence
+  if (entry.node.kind == Kind::Constant) {
+    base = entry.node.value;
+  } else if (entry.node.kind != Kind::Leaf) {
+    std::array<bool, 3> seen{};
+    for (std::uint32_t k = entry.first; k < entry.first + entry.count; ++k)
+      seen[static_cast<std::size_t>(truth(edges_[k]))] = true;
+    base = connective_value(entry.node.kind, seen);
+  }
+  return entry.node.negated ? !base : base;
+}
+
+void Condition::Builder::emit(Id id, std::vector<Node>& out) const {
+  const Entry& entry = entries_[id];
+  out.push_back(entry.node);
+  for (std::uint32_t k = entry.first; k < entry.first + entry.count; ++k)
+    emit(edges_[k], out);
+}
+
+Condition Condition::Builder::take(Id id) const {
+  if (is_true_constant(entries_[id].node)) return {};
+  std::vector<Node> nodes;
+  nodes.reserve(entries_[id].node.size);
+  emit(id, nodes);
+  return Condition(std::move(nodes));
+}
+
+Condition combine_conditions(const GlobalQuery& query,
+                             std::span<const Condition> per_pred) {
+  Condition::Builder builder;
+  std::vector<Condition::Builder::Id> ids;
+  ids.reserve(per_pred.size());
+  for (const Condition& condition : per_pred)
+    ids.push_back(builder.copy(condition));
+  return builder.take(builder.combine(query, ids));
 }
 
 std::uint64_t predicate_signature(const Predicate& predicate) {

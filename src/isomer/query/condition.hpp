@@ -61,11 +61,31 @@ struct CondAtom {
 std::ostream& operator<<(std::ostream& os, const CondAtom& atom);
 
 /// A three-valued residual condition. Immutable value type; all rewrites
-/// return new trees. The default-constructed condition is the constant True
-/// (a row certain from the start has nothing residual).
+/// return new conditions. The default-constructed condition is the constant
+/// True (a row certain from the start has nothing residual).
+///
+/// Stored as data beside the row, not as an object graph: one pre-order
+/// vector of nodes, each carrying its subtree size, so a subtree is a
+/// contiguous run and a whole condition is one allocation. The constant True
+/// holds no nodes at all, so certain rows allocate nothing.
 class Condition {
  public:
   enum class Kind : unsigned char { Constant, Leaf, And, Or, Pool };
+
+  /// One pre-order node. The children of a connective follow it directly;
+  /// `size` counts the node and all its descendants, so the next sibling
+  /// starts `size` nodes further on.
+  struct Node {
+    Kind kind = Kind::Constant;
+    bool negated = false;
+    Truth value = Truth::True;  ///< Constant payload
+    std::uint32_t size = 1;     ///< nodes in this subtree, itself included
+    CondAtom atom{};            ///< Leaf payload
+
+    friend bool operator==(const Node&, const Node&) = default;
+  };
+
+  class Builder;
 
   /// Evidence assignment: (item, predicate) -> pooled verdict truth. This is
   /// the same key as certify's verdict index — one verdict decides every
@@ -80,27 +100,29 @@ class Condition {
   [[nodiscard]] static Condition make_or(std::vector<Condition> children);
   [[nodiscard]] static Condition pool(std::vector<Condition> children);
 
-  [[nodiscard]] Kind kind() const noexcept { return kind_; }
-  [[nodiscard]] bool negated() const noexcept { return negated_; }
+  [[nodiscard]] Kind kind() const noexcept { return root().kind; }
+  [[nodiscard]] bool negated() const noexcept { return root().negated; }
   /// Meaningful for Kind::Constant only (the node's value before negation).
-  [[nodiscard]] Truth constant_value() const noexcept { return value_; }
+  [[nodiscard]] Truth constant_value() const noexcept { return root().value; }
   /// Meaningful for Kind::Leaf only.
-  [[nodiscard]] const CondAtom& atom() const noexcept { return atom_; }
-  [[nodiscard]] const std::vector<Condition>& children() const noexcept {
-    return children_;
-  }
+  [[nodiscard]] const CondAtom& atom() const noexcept { return root().atom; }
+  /// Copies of the root's child subtrees, in order (empty unless the root
+  /// is a connective).
+  [[nodiscard]] std::vector<Condition> children() const;
+  /// The pre-order layout; empty for the constant True.
+  [[nodiscard]] std::span<const Node> nodes() const noexcept { return nodes_; }
 
   [[nodiscard]] bool is_constant() const noexcept {
-    return kind_ == Kind::Constant;
+    return kind() == Kind::Constant;
   }
 
-  /// Logical negation: flips the node's negation flag. Sound for every kind
+  /// Logical negation: flips the root's negation flag. Sound for every kind
   /// (truth() applies Kleene NOT on top of the node's base value).
   [[nodiscard]] Condition negate() const;
 
   /// Evaluates under `assignment`; leaves not assigned evaluate Unknown.
-  /// A pure function of the tree and the assignment — in particular the
-  /// order evidence arrived in cannot matter.
+  /// A pure function of the condition and the assignment — in particular
+  /// the order evidence arrived in cannot matter.
   [[nodiscard]] Truth truth(const Assignment& assignment) const;
   /// Evaluates with no evidence (every remaining leaf Unknown).
   [[nodiscard]] Truth truth() const { return truth(Assignment{}); }
@@ -123,9 +145,65 @@ class Condition {
                                           Truth value) const;
 
   /// Sound simplification (idempotent; never changes truth() under any
-  /// assignment): fold() applied post-order, with negated constants folded
-  /// into their complement at the leaves.
+  /// assignment): Builder::fold applied post-order, with negated constants
+  /// folded into their complement at the leaves.
   [[nodiscard]] Condition simplify() const;
+
+  /// The `kind` node (And, Or or Pool) over `children`, each already
+  /// simplified, reduced by Builder::fold's rules with `negated` folded on
+  /// top. Building bottom-up through fold() gives exactly simplify() of the
+  /// same tree built with make_and/make_or/pool.
+  [[nodiscard]] static Condition fold(Kind kind,
+                                      std::span<const Condition> children,
+                                      bool negated = false);
+
+  /// Appends every leaf atom (duplicates included, pre-order) to `out`.
+  void collect_atoms(std::vector<CondAtom>& out) const;
+  [[nodiscard]] std::vector<CondAtom> atoms() const;
+
+  /// Renders e.g. "pool(g7#1@2, true)" — see docs/CONDITIONS.md.
+  [[nodiscard]] std::string to_string() const;
+
+  friend bool operator==(const Condition&, const Condition&) = default;
+
+ private:
+  /// Takes a pre-order layout, dropping it when it is the constant True.
+  explicit Condition(std::vector<Node> nodes);
+  [[nodiscard]] const Node& root() const noexcept;
+  /// The `kind` node over `children`, unsimplified.
+  [[nodiscard]] static Condition connective(
+      Kind kind, std::span<const Condition> children);
+  /// Every leaf whose atom satisfies `match` becomes the constant `value`,
+  /// with the leaf's negation folded in.
+  template <typename Match>
+  [[nodiscard]] Condition replace_leaves(const Match& match, Truth value) const;
+
+  std::vector<Node> nodes_;
+};
+
+std::ostream& operator<<(std::ostream& os, const Condition& condition);
+
+/// A reusable arena that builds simplified conditions bottom-up. Nodes are
+/// appended to it by id; fold() and combine() apply the simplification
+/// rules over ids, and take() copies one finished condition out with a
+/// single allocation. clear() keeps the capacity, so a loop that builds one
+/// condition per row allocates only for the rows it takes. The fold rules
+/// live here alone: Condition::fold, simplify() and combine_conditions all
+/// run through it.
+class Condition::Builder {
+ public:
+  using Id = std::uint32_t;
+
+  Builder();
+
+  /// Drops every node built so far; only the constants' ids stay valid.
+  void clear();
+
+  /// The three constants exist from construction and allocate nothing.
+  [[nodiscard]] static Id constant(Truth value) noexcept {
+    return static_cast<Id>(value);
+  }
+  [[nodiscard]] Id leaf(const CondAtom& atom);
 
   /// The one simplification fold: the `kind` node (And, Or or Pool) over
   /// `children`, each already simplified, reduced by these rules with
@@ -138,45 +216,50 @@ class Condition {
   ///  * empty And/Or/Pool fold to their identities (True/False/Unknown).
   /// Note Pool *keeps* True children: Pool{True, x} is True even while x is
   /// Unknown, but becomes False if x turns False — dropping the True would
-  /// lose that, and collapsing early would mis-eliminate. The children are
-  /// moved from. Building a tree bottom-up through fold() gives exactly
-  /// simplify() of the same tree built with make_and/make_or/pool, and a
-  /// node that folds to a constant allocates nothing.
-  [[nodiscard]] static Condition fold(Kind kind, std::span<Condition> children,
-                                      bool negated = false);
+  /// lose that, and collapsing early would mis-eliminate. A node that folds
+  /// to a constant adds nothing to the arena.
+  [[nodiscard]] Id fold(Kind kind, std::span<const Id> children,
+                        bool negated = false);
 
-  /// Appends every leaf atom in the tree (duplicates included) to `out`.
-  void collect_atoms(std::vector<CondAtom>& out) const;
-  [[nodiscard]] std::vector<CondAtom> atoms() const;
+  /// Combines simplified per-predicate conditions (aligned with
+  /// `query.predicates`) in GlobalQuery::combine's shape, AND(loose
+  /// predicates) AND OR(AND(group) for each disjunct group), through fold().
+  [[nodiscard]] Id combine(const GlobalQuery& query,
+                           std::span<const Id> per_pred);
 
-  /// Renders e.g. "pool(g7#1@2, true)" — see docs/CONDITIONS.md.
-  [[nodiscard]] std::string to_string() const;
+  /// Copies `condition` in through fold(), post-order: the copy is
+  /// `condition.simplify()` (the condition itself when already simplified).
+  [[nodiscard]] Id copy(const Condition& condition);
 
-  friend bool operator==(const Condition&, const Condition&) = default;
+  /// Evaluates node `id` with every leaf Unknown.
+  [[nodiscard]] Truth truth(Id id) const;
+
+  /// The condition rooted at `id`, in one allocation (none for True).
+  [[nodiscard]] Condition take(Id id) const;
 
  private:
-  /// Every leaf whose atom satisfies `match` becomes the constant `value`,
-  /// with the leaf's negation folded in.
-  template <typename Match>
-  [[nodiscard]] Condition replace_leaves(const Match& match, Truth value) const;
+  struct Entry {
+    Node node;
+    std::uint32_t first = 0;  ///< the node's children in edges_
+    std::uint32_t count = 0;
+  };
 
-  Kind kind_ = Kind::Constant;
-  bool negated_ = false;
-  Truth value_ = Truth::True;        ///< Constant payload
-  CondAtom atom_{};                  ///< Leaf payload
-  std::vector<Condition> children_;  ///< And / Or / Pool payload
+  [[nodiscard]] Id push(const Entry& entry);
+  [[nodiscard]] Id copy_nodes(std::span<const Node> nodes, std::size_t& at);
+  void emit(Id id, std::vector<Node>& out) const;
+
+  std::vector<Entry> entries_;
+  std::vector<Id> edges_;
+  std::vector<Id> pending_;  ///< child lists under construction, stacked
 };
 
-std::ostream& operator<<(std::ostream& os, const Condition& condition);
-
 /// Combines simplified per-predicate conditions (aligned with
-/// `query.predicates`, moved from) into one row condition with exactly
-/// GlobalQuery::combine's shape, AND(loose predicates) AND OR(AND(group) for
-/// each disjunct group), built through Condition::fold so the result is
-/// already simplified. For every assignment, combine_conditions(q, cs)
-/// .truth(a) == q.combine([c.truth(a) for c in cs]).
-[[nodiscard]] Condition combine_conditions(const GlobalQuery& query,
-                                           std::span<Condition> per_pred);
+/// `query.predicates`) into one row condition with exactly
+/// GlobalQuery::combine's shape, built through Builder::combine so the
+/// result is already simplified. For every assignment, combine_conditions(q,
+/// cs).truth(a) == q.combine([c.truth(a) for c in cs]).
+[[nodiscard]] Condition combine_conditions(
+    const GlobalQuery& query, std::span<const Condition> per_pred);
 
 /// Stable signature of a predicate atom for certificate-cache keying: an
 /// FNV-1a hash of the predicate's canonical print (`path op literal`), which

@@ -61,24 +61,30 @@ GlobalQuery& GlobalQuery::or_group(std::initializer_list<std::size_t> indices) {
   return *this;
 }
 
+namespace {
+
+/// Kleene truths as a fold_formula algebra.
+struct KleeneAlgebra {
+  struct Node {
+    bool conjunction;
+    Truth value;
+  };
+  static Node open(bool conjunction) noexcept {
+    return {conjunction, truth_of(conjunction)};
+  }
+  static void add(Node& node, Truth t) noexcept {
+    node.value = node.conjunction ? node.value && t : node.value || t;
+  }
+  static Truth close(const Node& node) noexcept { return node.value; }
+};
+
+}  // namespace
+
 Truth GlobalQuery::combine(const std::vector<Truth>& truths) const {
   expects(truths.size() == predicates.size(),
           "GlobalQuery::combine needs one truth per predicate");
-  std::vector<bool> grouped(predicates.size(), false);
-  Truth alternatives = Truth::False;
-  for (const auto& group : disjuncts) {
-    Truth conjunct = Truth::True;
-    for (const std::size_t index : group) {
-      expects(index < predicates.size(), "disjunct index out of range");
-      grouped[index] = true;
-      conjunct = conjunct && truths[index];
-    }
-    alternatives = alternatives || conjunct;
-  }
-  Truth result = disjuncts.empty() ? Truth::True : alternatives;
-  for (std::size_t p = 0; p < truths.size(); ++p)
-    if (!grouped[p]) result = result && truths[p];
-  return result;
+  KleeneAlgebra algebra;
+  return fold_formula(algebra, [&truths](std::size_t p) { return truths[p]; });
 }
 
 }  // namespace isomer

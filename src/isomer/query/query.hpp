@@ -11,10 +11,13 @@
 // data are projected so their objects can be certified later.
 #pragma once
 
+#include <algorithm>
+#include <cstdint>
 #include <ostream>
 #include <string>
 #include <vector>
 
+#include "isomer/common/error.hpp"
 #include "isomer/common/ids.hpp"
 #include "isomer/common/truth.hpp"
 #include "isomer/common/value.hpp"
@@ -70,6 +73,40 @@ struct GlobalQuery {
   /// query's overall Kleene truth. Throws ContractViolation when a disjunct
   /// index is out of range or `truths` is misaligned.
   [[nodiscard]] Truth combine(const std::vector<Truth>& truths) const;
+
+  /// Builds the matching formula, AND(loose) AND OR(AND(group) ...), in any
+  /// algebra: Kleene truths in combine(), residual conditions in
+  /// Condition::Builder. `algebra.open(conjunction)` starts an n-ary And
+  /// (true) or Or (false), `algebra.add(node, value)` appends an operand and
+  /// `algebra.close(node)` yields the result; `term(p)` is predicate p's
+  /// value. A pure conjunction is one And over every term. The grouped
+  /// predicates are marked 64 at a time in a bitmask, so no call allocates.
+  template <typename Algebra, typename Term>
+  auto fold_formula(Algebra& algebra, const Term& term) const {
+    auto all = algebra.open(true);
+    if (!disjuncts.empty()) {
+      auto alternatives = algebra.open(false);
+      for (const auto& group : disjuncts) {
+        auto conjunct = algebra.open(true);
+        for (const std::size_t index : group) {
+          expects(index < predicates.size(), "disjunct index out of range");
+          algebra.add(conjunct, term(index));
+        }
+        algebra.add(alternatives, algebra.close(conjunct));
+      }
+      algebra.add(all, algebra.close(alternatives));
+    }
+    for (std::size_t base = 0; base < predicates.size(); base += 64) {
+      std::uint64_t grouped = 0;
+      for (const auto& group : disjuncts)
+        for (const std::size_t index : group)
+          if (index - base < 64) grouped |= std::uint64_t{1} << (index - base);
+      const std::size_t end = std::min(predicates.size(), base + 64);
+      for (std::size_t p = base; p < end; ++p)
+        if ((grouped >> (p - base) & 1U) == 0) algebra.add(all, term(p));
+    }
+    return algebra.close(all);
+  }
 };
 
 /// A predicate of the global query that is *schema-unsolved* for one

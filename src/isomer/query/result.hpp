@@ -65,12 +65,14 @@ struct QueryResult {
   std::vector<ResultRow> rows;
 
   /// Sorts rows by GOid; all strategies normalize before returning so that
-  /// results compare structurally.
+  /// results compare structurally. Rows already in GOid order (what
+  /// certify and evaluate_global emit) are left as they are.
   void normalize() {
-    std::sort(rows.begin(), rows.end(),
-              [](const ResultRow& a, const ResultRow& b) {
-                return a.entity < b.entity;
-              });
+    const auto by_entity = [](const ResultRow& a, const ResultRow& b) {
+      return a.entity < b.entity;
+    };
+    if (!std::is_sorted(rows.begin(), rows.end(), by_entity))
+      std::sort(rows.begin(), rows.end(), by_entity);
   }
 
   [[nodiscard]] const ResultRow* find(GOid entity) const noexcept {

@@ -280,7 +280,7 @@ void QueryServer::submit(std::size_t pool_index, std::size_t client) {
   outcome.tenant = tenant;
   const SimTime slo =
       spec_.tenants.empty() ? 0 : spec_.tenants[tenant].slo_ns;
-  if (slo > 0) outcome.deadline = now + slo;
+  if (slo > 0) outcome.deadline = clock_add(now, slo);
 
   const std::size_t quota =
       spec_.tenants.empty() ? 0 : spec_.tenants[tenant].quota;
@@ -298,7 +298,8 @@ void QueryServer::submit(std::size_t pool_index, std::size_t client) {
     outcome.completion = now;
     if (client != kNoClient && planned_ < spec_.n_queries) {
       ++planned_;
-      schedule_client(client, now + spec_.think_ns + kRejectBackoffNs);
+      schedule_client(client, clock_add(clock_add(now, spec_.think_ns),
+                                        kRejectBackoffNs));
     }
     return;
   }
@@ -476,7 +477,7 @@ void QueryServer::start(const Waiting& next) {
         --running_;
         if (client != kNoClient && planned_ < spec_.n_queries) {
           ++planned_;
-          schedule_client(client, at + spec_.think_ns);
+          schedule_client(client, clock_add(at, spec_.think_ns));
         }
         try_dispatch();
       });

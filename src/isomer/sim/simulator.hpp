@@ -10,6 +10,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <queue>
 #include <vector>
 
@@ -23,6 +24,17 @@ using SimTime = std::int64_t;
 [[nodiscard]] constexpr SimTime microseconds(std::int64_t us) noexcept {
   return us * 1000;
 }
+
+/// The clock reading `delay` (>= 0) after `at`, saturating at the largest
+/// SimTime. Durations come from user specs and may be as large as SimTime
+/// holds, so every sum of a clock reading and a duration goes through here:
+/// a time past the clock's range reads as the end of time instead of
+/// overflowing into the past.
+[[nodiscard]] constexpr SimTime clock_add(SimTime at, SimTime delay) noexcept {
+  constexpr SimTime kEnd = std::numeric_limits<SimTime>::max();
+  return delay > 0 && at > kEnd - delay ? kEnd : at + delay;
+}
+
 [[nodiscard]] constexpr double to_milliseconds(SimTime t) noexcept {
   return static_cast<double>(t) / 1e6;
 }
@@ -42,7 +54,7 @@ class Simulator {
 
   /// Schedules `cb` after `delay` (>= 0) from now.
   void schedule_after(SimTime delay, Callback cb) {
-    schedule_at(now_ + delay, std::move(cb));
+    schedule_at(clock_add(now_, delay), std::move(cb));
   }
 
   /// Runs until no events remain. Callbacks may schedule further events.

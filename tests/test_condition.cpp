@@ -433,6 +433,88 @@ TEST(Condition, FoldBuiltTreesEqualSimplifiedNaiveTrees) {
   }
 }
 
+/// Builds `naive` bottom-up in `builder` through Builder::fold, reading the
+/// tree only through its public accessors (a negated leaf goes through a
+/// one-child fold with the negation on top, which collapses to it).
+Condition::Builder::Id build_folded(Condition::Builder& builder,
+                                    const Condition& naive) {
+  using Id = Condition::Builder::Id;
+  switch (naive.kind()) {
+    case Condition::Kind::Constant:
+      return Condition::Builder::constant(
+          naive.negated() ? !naive.constant_value() : naive.constant_value());
+    case Condition::Kind::Leaf: {
+      const Id only[] = {builder.leaf(naive.atom())};
+      return naive.negated() ? builder.fold(Condition::Kind::Or, only, true)
+                             : only[0];
+    }
+    case Condition::Kind::And:
+    case Condition::Kind::Or:
+    case Condition::Kind::Pool:
+      break;
+  }
+  std::vector<Id> children;
+  for (const Condition& child : naive.children())
+    children.push_back(build_folded(builder, child));
+  return builder.fold(naive.kind(), children, naive.negated());
+}
+
+TEST(Condition, BuilderFoldMatchesConditionFold) {
+  Condition::Builder builder;  // reused across trees, as certify reuses it
+  for (int seed = 0; seed < 4 * kSeeds; ++seed) {
+    Rng rng(derive_stream(5505, static_cast<std::uint64_t>(seed)));
+    const TwinTrees twins = random_twins(rng, 4);
+    builder.clear();
+    const Condition::Builder::Id root = build_folded(builder, twins.naive);
+    const Condition built = builder.take(root);
+    const Condition simplified = twins.naive.simplify();
+    ASSERT_EQ(built, twins.folded)
+        << "seed " << seed << ": builder gave " << built.to_string()
+        << ", Condition::fold gave " << twins.folded.to_string();
+    ASSERT_EQ(built, simplified) << "seed " << seed;
+    ASSERT_EQ(built.to_string(), twins.folded.to_string()) << "seed " << seed;
+    ASSERT_EQ(built.atoms(), twins.folded.atoms()) << "seed " << seed;
+    ASSERT_EQ(builder.truth(root), twins.folded.truth()) << "seed " << seed;
+    for (const Condition::Assignment& a :
+         all_assignments(keys_of(twins.naive)))
+      ASSERT_EQ(built.truth(a), ref_eval(twins.naive, a))
+          << "seed " << seed << ": " << twins.naive.to_string() << " vs "
+          << built.to_string();
+  }
+}
+
+TEST(Condition, CombineMarksGroupsBeyondSixtyFourPredicates) {
+  // 70 predicates: the grouped mask spans two 64-predicate words. Shape:
+  // (p1 and p65) or p66 or p3, every other predicate loose.
+  GlobalQuery query;
+  query.range_class = "C";
+  query.predicates.resize(70);
+  query.disjuncts = {{1, 65}, {66}, {3}};
+  const auto grouped = [](std::size_t p) {
+    return p == 1 || p == 3 || p == 65 || p == 66;
+  };
+  Rng rng(derive_stream(6606, 0));
+  for (int trial = 0; trial < 300; ++trial) {
+    std::vector<Truth> truths(70, Truth::True);
+    // Mostly True, so the disjunction decides most trials.
+    for (Truth& t : truths)
+      if (rng.bernoulli(0.05)) t = kTruths[rng.index(3)];
+    for (const std::size_t p : {1, 3, 65, 66})
+      truths[p] = kTruths[rng.index(3)];
+    Truth loose = Truth::True;
+    for (std::size_t p = 0; p < 70; ++p)
+      if (!grouped(p)) loose = loose && truths[p];
+    const Truth expected =
+        loose && (((truths[1] && truths[65]) || truths[66]) || truths[3]);
+    ASSERT_EQ(query.combine(truths), expected) << "trial " << trial;
+
+    std::vector<Condition> per_pred;
+    for (const Truth t : truths) per_pred.push_back(Condition::constant(t));
+    ASSERT_EQ(combine_conditions(query, per_pred).truth(), expected)
+        << "trial " << trial;
+  }
+}
+
 TEST(Condition, FoldKeepsSurvivorsInOrderAndAppliesNegation) {
   const Condition x = Condition::leaf(CondAtom{GOid{1}, 0, 1, false});
   const Condition y = Condition::leaf(CondAtom{GOid{2}, 1, 2, false});

@@ -3,7 +3,9 @@
 // TraceSession derives from its spans.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <memory>
+#include <vector>
 
 #include "isomer/sim/barrier.hpp"
 #include "isomer/sim/cluster.hpp"
@@ -51,6 +53,29 @@ TEST(Simulator, RejectsPastAndNull) {
   sim.run();
   EXPECT_THROW(sim.schedule_at(5, [] {}), SimError);
   EXPECT_THROW(sim.schedule_at(20, nullptr), ContractViolation);
+}
+
+TEST(Simulator, ClockSaturatesAtTheEndOfTime) {
+  constexpr SimTime kEnd = std::numeric_limits<SimTime>::max();
+  EXPECT_EQ(clock_add(5, 7), 12);
+  EXPECT_EQ(clock_add(kEnd - 1, 1), kEnd);
+  EXPECT_EQ(clock_add(1000, kEnd), kEnd);
+  EXPECT_EQ(clock_add(kEnd, 0), kEnd);
+
+  // A delay past the end of the clock lands on its last reading, and events
+  // scheduled from there (directly or through a resource) run there too.
+  Simulator sim;
+  Resource r(sim, "net");
+  std::vector<SimTime> fired;
+  sim.schedule_at(1000, [&] {
+    sim.schedule_after(kEnd, [&] {
+      fired.push_back(sim.now());
+      sim.schedule_after(kEnd, [&] { fired.push_back(sim.now()); });
+      r.use(10, [&] { fired.push_back(sim.now()); });
+    });
+  });
+  sim.run();
+  EXPECT_EQ(fired, (std::vector<SimTime>{kEnd, kEnd, kEnd}));
 }
 
 TEST(Resource, FifoQueueing) {
