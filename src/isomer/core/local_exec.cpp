@@ -1,5 +1,8 @@
 #include "isomer/core/local_exec.hpp"
 
+#include <span>
+#include <variant>
+
 #include "isomer/common/error.hpp"
 #include "isomer/query/kernels.hpp"
 
@@ -58,94 +61,60 @@ std::optional<std::size_t> BoundQuery::local_attr(Site site, std::size_t p,
   return index;
 }
 
+/// Component objects of one database: local attribute indexes bound per
+/// step, LOid references fetched through the buffer pool (charged on first
+/// touch only), target values globalized through the GOid table.
+struct BoundQuery::Storage {
+  using Object = isomer::Object;
+  using Id = LOid;
+  static LOid id_of(const Object& obj) noexcept { return obj.id(); }
+
+  const Path& path;
+  Site site;
+  const GoidTable& goids;
+  AccessMeter* meter;
+  FetchCache* cache;
+
+  [[nodiscard]] std::size_t length() const noexcept {
+    return path.steps.size();
+  }
+  [[nodiscard]] const Value* read(const Object& obj, std::size_t step) const {
+    const std::uint32_t index = path.at(site, step);
+    return index == kMissing ? nullptr : &obj.value(index);
+  }
+  [[nodiscard]] std::span<const LOid> members(const Value& ref,
+                                              std::size_t step) const {
+    if (const auto* one = std::get_if<LocalRef>(&ref.storage()))
+      return {&one->target, 1};
+    if (const auto* set = std::get_if<LocalRefSet>(&ref.storage()))
+      return set->targets;
+    throw QueryError("local value for global step " + path.expr->step(step) +
+                     " is not a reference");
+  }
+  [[nodiscard]] const Object* follow(LOid target, std::size_t) const {
+    return site.database->fetch(target, meter, cache);
+  }
+  [[nodiscard]] Value target(const Value& terminal) const {
+    return goids.globalize(terminal, meter);
+  }
+};
+
 LocalPredOutcome BoundQuery::eval_predicate(Site site, std::size_t p,
                                             const Object& obj,
                                             std::size_t step,
                                             AccessMeter* meter,
                                             FetchCache* cache) const {
-  const Predicate& pred = query_->predicates[p];
-  expects(step < pred.path.length(), "start step beyond predicate path");
-  return eval_from(site, predicates_[p], pred, obj, step, meter, cache);
-}
-
-LocalPredOutcome BoundQuery::eval_from(Site site, const Path& path,
-                                       const Predicate& pred,
-                                       const Object& obj, std::size_t step,
-                                       AccessMeter* meter,
-                                       FetchCache* cache) const {
-  const std::uint32_t index = path.at(site, step);
-  if (index == kMissing)  // missing attribute: this object holds the gap
-    return LocalPredOutcome{Truth::Unknown, obj.id(), step};
-
-  const Value& v = obj.value(index);
-  if (step + 1 == path.steps.size()) {
-    if (meter != nullptr) ++meter->comparisons;
-    const Truth t = apply(pred.op, v, pred.literal);
-    if (is_unknown(t)) return LocalPredOutcome{Truth::Unknown, obj.id(), step};
-    return LocalPredOutcome{t, LOid{}, 0};
-  }
-
-  if (v.is_null()) return LocalPredOutcome{Truth::Unknown, obj.id(), step};
-
-  const ComponentDatabase& database = *site.database;
-  if (v.kind() == ValueKind::LocalRef) {
-    const Object* next = database.deref(v, meter, cache);
-    if (next == nullptr)
-      return LocalPredOutcome{Truth::Unknown, obj.id(), step};
-    return eval_from(site, path, pred, *next, step + 1, meter, cache);
-  }
-  if (v.kind() == ValueKind::LocalRefSet) {
-    LocalPredOutcome acc{Truth::False, LOid{}, 0};
-    for (const LOid member : v.as_local_ref_set()) {
-      const Object* next = database.fetch(member, meter, cache);
-      const LocalPredOutcome branch =
-          next == nullptr
-              ? LocalPredOutcome{Truth::Unknown, obj.id(), step}
-              : eval_from(site, path, pred, *next, step + 1, meter, cache);
-      if (is_true(branch.truth)) return branch;
-      if (is_unknown(branch.truth) && !is_unknown(acc.truth)) acc = branch;
-    }
-    return acc;
-  }
-  throw QueryError("local value for global step " + path.expr->step(step) +
-                   " is not a reference");
+  expects(step < query_->predicates[p].path.length(),
+          "start step beyond predicate path");
+  return navigate_predicate(
+      Storage{predicates_[p], site, federation_->goids(), meter, cache},
+      query_->predicates[p], obj, step);
 }
 
 Value BoundQuery::eval_target(Site site, std::size_t t, const Object& root,
                               AccessMeter* meter, FetchCache* cache) const {
-  return target_from(site, targets_[t], root, 0, meter, cache);
-}
-
-Value BoundQuery::target_from(Site site, const Path& path, const Object& root,
-                              std::size_t step, AccessMeter* meter,
-                              FetchCache* cache) const {
-  const ComponentDatabase& database = *site.database;
-  const Object* obj = &root;
-  for (; step < path.steps.size(); ++step) {
-    const std::uint32_t index = path.at(site, step);
-    if (index == kMissing) return Value::null();
-    const Value& v = obj->value(index);
-    if (step + 1 == path.steps.size())
-      return federation_->goids().globalize(v, meter);
-    if (v.is_null()) return Value::null();
-    if (v.kind() == ValueKind::LocalRef) {
-      obj = database.deref(v, meter, cache);
-      if (obj == nullptr) return Value::null();
-      continue;
-    }
-    if (v.kind() == ValueKind::LocalRefSet) {
-      for (const LOid member : v.as_local_ref_set()) {
-        const Object* next = database.fetch(member, meter, cache);
-        if (next == nullptr) continue;
-        Value rest = target_from(site, path, *next, step + 1, meter, cache);
-        if (!rest.is_null()) return rest;
-      }
-      return Value::null();
-    }
-    throw QueryError("local value for global step " + path.expr->step(step) +
-                     " is not a reference");
-  }
-  return Value::null();
+  return navigate_target(
+      Storage{targets_[t], site, federation_->goids(), meter, cache}, root);
 }
 
 LocalExecution run_local_query(const Federation& federation,

@@ -25,18 +25,14 @@
 
 #include "isomer/federation/federation.hpp"
 #include "isomer/federation/indexes.hpp"
+#include "isomer/query/navigate.hpp"
 #include "isomer/query/query.hpp"
 
 namespace isomer {
 
-/// Outcome of evaluating one global predicate on one local object.
-struct LocalPredOutcome {
-  Truth truth = Truth::Unknown;
-  /// Valid iff truth == Unknown: the object holding the missing data and
-  /// the global path step that could not be evaluated.
-  LOid holder{};
-  std::size_t step = 0;
-};
+/// Outcome of evaluating one global predicate on one local object; an
+/// Unknown outcome's holder is the local object holding the missing data.
+using LocalPredOutcome = NavOutcome<LOid>;
 
 /// A global query bound to the federation once per call. Every predicate
 /// and target path is resolved against the global schema (QueryError when
@@ -105,15 +101,9 @@ class BoundQuery {
     }
   };
 
+  struct Storage;  ///< the navigator's policy over one database
+
   [[nodiscard]] Path bind(const PathExpr& expr) const;
-  [[nodiscard]] LocalPredOutcome eval_from(Site site, const Path& path,
-                                           const Predicate& pred,
-                                           const Object& obj, std::size_t step,
-                                           AccessMeter* meter,
-                                           FetchCache* cache) const;
-  [[nodiscard]] Value target_from(Site site, const Path& path,
-                                  const Object& root, std::size_t step,
-                                  AccessMeter* meter, FetchCache* cache) const;
 
   const Federation* federation_;
   const GlobalQuery* query_;

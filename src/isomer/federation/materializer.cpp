@@ -1,8 +1,11 @@
 #include "isomer/federation/materializer.hpp"
 
 #include <algorithm>
+#include <span>
+#include <variant>
 
 #include "isomer/common/error.hpp"
+#include "isomer/query/navigate.hpp"
 
 namespace isomer {
 
@@ -172,24 +175,6 @@ MaterializedView materialize(const Federation& federation,
 
 namespace {
 
-/// Where a materialized evaluation went Unknown: the object holding the
-/// missing data and the global path step it stalled at — the residual atom
-/// the row's condition names. Only the *first* Unknown site (in stored
-/// evaluation order) is kept, matching the local evaluator's convention of
-/// reporting the first unsolved site of set-valued branches.
-struct MatStall {
-  GOid holder;
-  std::size_t step = 0;
-  bool set = false;
-};
-
-void note_stall(MatStall& stall, GOid holder, std::size_t step) noexcept {
-  if (stall.set) return;
-  stall.holder = holder;
-  stall.step = step;
-  stall.set = true;
-}
-
 /// A global path bound to a materialized view once per evaluate_global
 /// call: per step, the attribute index in the step's class and, for a
 /// navigating step, the extent of its domain class.
@@ -209,9 +194,6 @@ struct MatPath {
       throw FederationError("no materialized extent for global class " +
                             steps[step].domain->name());
     return *steps[step].extent;
-  }
-  [[nodiscard]] bool last(std::size_t step) const noexcept {
-    return step + 1 == steps.size();
   }
 };
 
@@ -233,71 +215,39 @@ MatPath bind_path(const MaterializedView& view, const GlobalSchema& schema,
   return path;
 }
 
-/// Three-valued predicate evaluation over materialized objects, navigating
-/// GOid references between materialized extents.
-Truth eval_bound(const MatPath& path, const Predicate& pred,
-                 const MaterializedObject& obj, std::size_t step,
-                 AccessMeter* meter, MatStall& stall) {
-  const Value& v = obj.values[path.steps[step].attr];
-  if (path.last(step)) {
-    if (meter != nullptr) ++meter->comparisons;
-    const Truth t = apply(pred.op, v, pred.literal);
-    if (is_unknown(t)) note_stall(stall, obj.id, step);
-    return t;
-  }
-  if (v.is_null()) {
-    note_stall(stall, obj.id, step);
-    return Truth::Unknown;
-  }
-  const MaterializedExtent& extent = path.extent(step);
-  const auto descend = [&](GOid target) -> Truth {
-    const MaterializedObject* next = extent.find(target);
-    if (next == nullptr) {
-      note_stall(stall, obj.id, step);  // dangling: the referrer stalls
-      return Truth::Unknown;
-    }
-    if (meter != nullptr) ++meter->objects_fetched;
-    return eval_bound(path, pred, *next, step + 1, meter, stall);
-  };
+/// Materialized objects: every attribute is present (the outerjoin holds a
+/// missing one as null), references are GOids looked up in the step's
+/// domain extent, and every successful descent charges one fetched object.
+struct ViewStorage {
+  using Object = MaterializedObject;
+  using Id = GOid;
+  static GOid id_of(const Object& obj) noexcept { return obj.id; }
 
-  if (v.kind() == ValueKind::GlobalRef) return descend(v.as_global_ref());
-  if (v.kind() == ValueKind::GlobalRefSet) {
-    Truth acc = Truth::False;
-    for (const GOid target : v.as_global_ref_set()) {
-      const Truth branch = descend(target);
-      if (is_true(branch)) return branch;
-      acc = acc || branch;
-    }
-    return acc;
-  }
-  throw QueryError("materialized path step " + path.expr->step(step) +
-                   " is not a reference");
-}
+  const MatPath& path;
+  AccessMeter* meter;
 
-Value eval_bound_target(const MatPath& path, const MaterializedObject& obj,
-                        std::size_t step, AccessMeter* meter) {
-  const Value& v = obj.values[path.steps[step].attr];
-  if (path.last(step)) return v;
-  if (v.is_null()) return Value::null();
-  const MaterializedExtent& extent = path.extent(step);
-  const auto descend = [&](GOid target) -> Value {
-    const MaterializedObject* next = extent.find(target);
-    if (next == nullptr) return Value::null();
-    if (meter != nullptr) ++meter->objects_fetched;
-    return eval_bound_target(path, *next, step + 1, meter);
-  };
-
-  if (v.kind() == ValueKind::GlobalRef) return descend(v.as_global_ref());
-  if (v.kind() == ValueKind::GlobalRefSet) {
-    for (const GOid target : v.as_global_ref_set()) {
-      Value rest = descend(target);
-      if (!rest.is_null()) return rest;
-    }
-    return Value::null();
+  [[nodiscard]] std::size_t length() const noexcept {
+    return path.steps.size();
   }
-  throw QueryError("materialized path step " + path.expr->step(step) +
-                   " is not a reference");
-}
+  [[nodiscard]] const Value* read(const Object& obj, std::size_t step) const {
+    return &obj.values[path.steps[step].attr];
+  }
+  [[nodiscard]] std::span<const GOid> members(const Value& ref,
+                                              std::size_t step) const {
+    if (const auto* one = std::get_if<GlobalRef>(&ref.storage()))
+      return {&one->target, 1};
+    if (const auto* set = std::get_if<GlobalRefSet>(&ref.storage()))
+      return set->targets;
+    throw QueryError("materialized path step " + path.expr->step(step) +
+                     " is not a reference");
+  }
+  [[nodiscard]] const Object* follow(GOid target, std::size_t step) const {
+    const MaterializedObject* next = path.extent(step).find(target);
+    if (next != nullptr && meter != nullptr) ++meter->objects_fetched;
+    return next;
+  }
+  [[nodiscard]] Value target(const Value& terminal) const { return terminal; }
+};
 
 }  // namespace
 
@@ -318,7 +268,7 @@ QueryResult evaluate_global(const MaterializedView& view,
 
   // Scratch reused across objects.
   std::vector<Truth> truths(query.predicates.size());
-  std::vector<MatStall> stalls(query.predicates.size());
+  std::vector<NavOutcome<GOid>> outcomes(query.predicates.size());
   Condition::Builder builder;
   std::vector<Condition::Builder::Id> per_pred;
   per_pred.reserve(query.predicates.size());
@@ -326,9 +276,9 @@ QueryResult evaluate_global(const MaterializedView& view,
   QueryResult result;
   for (const MaterializedObject& obj : extent.objects()) {
     for (std::size_t p = 0; p < query.predicates.size(); ++p) {
-      stalls[p] = MatStall{};
-      truths[p] = eval_bound(predicates[p], query.predicates[p], obj, 0,
-                             meter, stalls[p]);
+      outcomes[p] = navigate_predicate(ViewStorage{predicates[p], meter},
+                                       query.predicates[p], obj, 0);
+      truths[p] = outcomes[p].truth;
     }
     const Truth truth = query.combine(truths);
     if (is_false(truth)) continue;
@@ -347,8 +297,7 @@ QueryResult evaluate_global(const MaterializedView& view,
       per_pred.clear();
       for (std::size_t p = 0; p < query.predicates.size(); ++p) {
         if (is_unknown(truths[p])) {
-          const MatStall& s = stalls[p];
-          ensures(s.set, "Unknown evaluation must report its stall site");
+          const NavOutcome<GOid>& s = outcomes[p];
           per_pred.push_back(builder.leaf(CondAtom{
               s.holder, p, s.step, s.step == 0 && s.holder == obj.id}));
         } else {
@@ -359,7 +308,7 @@ QueryResult evaluate_global(const MaterializedView& view,
     }
     row.targets.reserve(query.targets.size());
     for (const MatPath& target : targets)
-      row.targets.push_back(eval_bound_target(target, obj, 0, meter));
+      row.targets.push_back(navigate_target(ViewStorage{target, meter}, obj));
     result.rows.push_back(std::move(row));
   }
   result.normalize();
