@@ -54,7 +54,10 @@ bool path_hits_unavailable(const Federation& federation,
       if (v.kind() == ValueKind::GlobalRef) {
         next.insert(v.as_global_ref());
       } else if (v.kind() == ValueKind::GlobalRefSet) {
-        for (const GOid target : v.as_global_ref_set()) next.insert(target);
+        // A dangling member (GOid 0 in the view) names no entity a dead
+        // site could describe.
+        for (const GOid target : v.as_global_ref_set())
+          if (target != GOid{}) next.insert(target);
       }
     }
     frontier = std::move(next);

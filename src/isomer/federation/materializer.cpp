@@ -61,6 +61,19 @@ std::vector<std::string> classes_involved(const GlobalSchema& schema,
 
 namespace {
 
+/// The view's form of a non-null local value: globalized, except that a
+/// reference set keeps its empty sets and its dangling members — as GOid 0,
+/// which no extent finds — so the navigator reads a set as the component
+/// database does (empty: a known value; dangling member: Unknown at the
+/// referrer). One table probe per member, as globalize charges.
+Value view_value(const GoidTable& goids, const Value& raw, AccessMeter* meter) {
+  if (raw.kind() != ValueKind::LocalRefSet) return goids.globalize(raw, meter);
+  const std::vector<LOid>& members = raw.as_local_ref_set();
+  GlobalRefSet set{std::vector<GOid>(members.size())};
+  goids.goids_of(members, set.targets.data(), meter);
+  return Value(std::move(set));
+}
+
 /// One constituent of a global class, bound once per materialization: its
 /// database, its local class and, per global attribute, the local
 /// attribute index (nullopt where the constituent holds it as missing).
@@ -145,7 +158,7 @@ MaterializedView materialize(const Federation& federation,
           if (!index) continue;
           const Value& raw = resolved.obj->value(*index);
           if (raw.is_null()) continue;
-          Value global_value = goids.globalize(raw, meter);
+          Value global_value = view_value(goids, raw, meter);
           if (union_merge[a] && !merged.values[a].is_null() &&
               !global_value.is_null()) {
             // Union this isomer's reference set into the accumulated one.
@@ -181,22 +194,15 @@ namespace {
 struct MatPath {
   struct Step {
     std::size_t attr = 0;
-    const GlobalClass* domain = nullptr;       ///< navigating steps only
-    const MaterializedExtent* extent = nullptr;  ///< nullptr: not in the view
+    const MaterializedExtent* extent = nullptr;  ///< navigating steps only
   };
   const PathExpr* expr = nullptr;
   std::vector<Step> steps;
-
-  /// The domain extent of navigating step `step`; throws FederationError
-  /// (as MaterializedView::extent) when the view lacks it.
-  [[nodiscard]] const MaterializedExtent& extent(std::size_t step) const {
-    if (steps[step].extent == nullptr)
-      throw FederationError("no materialized extent for global class " +
-                            steps[step].domain->name());
-    return *steps[step].extent;
-  }
 };
 
+/// Throws FederationError (from MaterializedView::extent) when the view
+/// lacks the domain extent of a navigating step — at binding, before any
+/// object is read, whether or not an object would navigate there.
 MatPath bind_path(const MaterializedView& view, const GlobalSchema& schema,
                   const GlobalQuery& query, const PathExpr& expr) {
   const std::vector<GlobalStep> steps =
@@ -205,11 +211,8 @@ MatPath bind_path(const MaterializedView& view, const GlobalSchema& schema,
   path.steps.reserve(steps.size());
   for (std::size_t step = 0; step < steps.size(); ++step) {
     MatPath::Step bound{steps[step].attr};
-    if (step + 1 < steps.size()) {
-      bound.domain = steps[step + 1].cls;
-      if (view.has_extent(bound.domain->name()))
-        bound.extent = &view.extent(bound.domain->name());
-    }
+    if (step + 1 < steps.size())
+      bound.extent = &view.extent(steps[step + 1].cls->name());
     path.steps.push_back(bound);
   }
   return path;
@@ -242,11 +245,20 @@ struct ViewStorage {
                      " is not a reference");
   }
   [[nodiscard]] const Object* follow(GOid target, std::size_t step) const {
-    const MaterializedObject* next = path.extent(step).find(target);
+    const MaterializedObject* next = path.steps[step].extent->find(target);
     if (next != nullptr && meter != nullptr) ++meter->objects_fetched;
     return next;
   }
-  [[nodiscard]] Value target(const Value& terminal) const { return terminal; }
+  /// What globalize yields for the source value: a set without its
+  /// dangling members, null when none is left.
+  [[nodiscard]] Value target(const Value& terminal) const {
+    const auto* set = std::get_if<GlobalRefSet>(&terminal.storage());
+    if (set == nullptr) return terminal;
+    GlobalRefSet mapped;
+    for (const GOid member : set->targets)
+      if (member != GOid{}) mapped.targets.push_back(member);
+    return mapped.targets.empty() ? Value::null() : Value(std::move(mapped));
+  }
 };
 
 }  // namespace

@@ -211,7 +211,17 @@ inline MaterializedView materialize(const Federation& federation,
           ensures(index.has_value(), "bound local attribute must exist");
           const Value& raw = obj->value(*index);
           if (raw.is_null()) continue;
-          Value global_value = goids.globalize(raw, meter);
+          Value global_value;
+          if (raw.kind() == ValueKind::LocalRefSet) {
+            // Empty sets stay empty; a dangling member is kept as GOid 0.
+            GlobalRefSet set;
+            for (const LOid& member : raw.as_local_ref_set())
+              set.targets.push_back(
+                  goids.goid_of(member, meter).value_or(GOid{}));
+            global_value = Value(std::move(set));
+          } else {
+            global_value = goids.globalize(raw, meter);
+          }
           if (union_merge && !merged.values[a].is_null() &&
               !global_value.is_null()) {
             // Union this isomer's reference set into the accumulated one.
@@ -317,7 +327,14 @@ inline Value eval_materialized_path(const MaterializedView& view,
   ensures(index.has_value(), "global query resolved before evaluation");
   const Value& v = obj.values[*index];
   const bool last = (step + 1 == path.length());
-  if (last) return v;
+  if (last) {
+    // What globalize yields: the mapped members only, null when none.
+    if (v.kind() != ValueKind::GlobalRefSet) return v;
+    GlobalRefSet mapped;
+    for (const GOid member : v.as_global_ref_set())
+      if (member != GOid{}) mapped.targets.push_back(member);
+    return mapped.targets.empty() ? Value::null() : Value(std::move(mapped));
+  }
   if (v.is_null()) return Value::null();
   const auto& cplx = std::get<ComplexType>(cls.def().attribute(*index).type);
   const GlobalClass& domain = schema.cls(cplx.domain_class);

@@ -44,9 +44,11 @@ struct ParityFederation {
 /// sit in random non-empty database subsets. Values are null with
 /// probability ~0.2; references are null, dangling or real; reference sets
 /// hold 0-3 members, some dangling.
-ParityFederation make_parity_federation(std::uint64_t seed) {
+ParityFederation make_parity_federation(std::uint64_t seed,
+                                        bool one_database = false) {
   Rng rng(seed);
-  const std::size_t n_db = 2 + rng.index(2);
+  const std::size_t drawn_db = 2 + rng.index(2);
+  const std::size_t n_db = one_database ? 1 : drawn_db;
   const std::vector<std::string> attrs = {"v", "w", "ref", "refs"};
   // defines[db][k][a]
   std::vector<std::vector<std::vector<bool>>> defines(
@@ -385,6 +387,48 @@ TEST_P(BoundParity, MaterializedSideMatchesTheWalk) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, BoundParity,
+                         ::testing::Range<std::uint64_t>(900, 940));
+
+// ---- The two storage policies against each other -------------------------
+
+class CrossStorage : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(CrossStorage, LocalRowsMatchTheViewOnOneDatabase) {
+  // On one database the view holds the component objects themselves, so
+  // the navigator must read them alike through either storage: the same
+  // surviving roots and, per predicate, the same truth, holder (through the
+  // GOid table) and step, and the same target values — empty and dangling
+  // reference sets included.
+  const ParityFederation pf = make_parity_federation(GetParam(), true);
+  const Federation& fed = *pf.federation;
+  const GlobalQuery& query = pf.query;
+  const LocalExecution exec = run_local_query(fed, query, fed.db_ids().front());
+  const QueryResult global =
+      evaluate_global(materialize(fed, classes_involved(fed.schema(), query)),
+                      fed.schema(), query);
+
+  EXPECT_EQ(exec.rows.size(), global.rows.size());
+  for (const LocalRow& local : exec.rows) {
+    const ResultRow* row = global.find(local.entity);
+    ASSERT_NE(row, nullptr) << "entity g" << local.entity.value();
+    EXPECT_EQ(row->status == ResultStatus::Certain, local.locally_certain());
+    EXPECT_EQ(row->targets, local.targets);
+    const std::vector<CondAtom> atoms = row->condition.atoms();
+    for (std::size_t p = 0; p < query.predicates.size(); ++p) {
+      const PredStatus& status = local.preds[p];
+      const auto atom =
+          std::find_if(atoms.begin(), atoms.end(),
+                       [&](const CondAtom& a) { return a.predicate == p; });
+      ASSERT_EQ(atom != atoms.end(), is_unknown(status.truth)) << "p" << p;
+      if (atom == atoms.end()) continue;
+      EXPECT_EQ(atom->item, status.item);
+      EXPECT_EQ(atom->step, status.step);
+      EXPECT_EQ(atom->root_level, status.root_level);
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, CrossStorage,
                          ::testing::Range<std::uint64_t>(900, 940));
 
 // ---- Table-2 synthetic federations --------------------------------------

@@ -3,6 +3,7 @@
 
 #include "isomer/common/error.hpp"
 #include "isomer/federation/materializer.hpp"
+#include "isomer/schema/integrator.hpp"
 #include "isomer/workload/paper_example.hpp"
 
 namespace isomer {
@@ -110,6 +111,41 @@ TEST_F(MaterializerFixture, EvaluateGlobalRejectsMalformedQuery) {
   bad.where("nope", CompOp::Eq, 1);
   const MaterializedView view = materialize(fed(), {"Student"});
   EXPECT_THROW((void)evaluate_global(view, fed().schema(), bad), QueryError);
+}
+
+TEST(Materializer, EvaluateGlobalChecksDomainExtentsAtBinding) {
+  // Every advisor is null, so no object would ever navigate into Teacher;
+  // a view without the Teacher extent is still rejected, before any row.
+  ComponentSchema s1(DbId{1}, "DB1");
+  s1.add_class("Teacher").add_attribute("name", PrimType::String);
+  s1.add_class("Student")
+      .add_attribute("name", PrimType::String)
+      .add_attribute("advisor", ComplexType{"Teacher"});
+  auto db1 = std::make_unique<ComponentDatabase>(std::move(s1));
+  const LOid teacher = db1->insert("Teacher", {{"name", "Kim"}});
+  const LOid student = db1->insert("Student", {{"name", "Lee"}});
+  IntegrationSpec spec;
+  spec.add_class("Teacher").constituents = {{DbId{1}, "Teacher"}};
+  spec.add_class("Student").constituents = {{DbId{1}, "Student"}};
+  GlobalSchema schema = integrate({&db1->schema()}, spec);
+  GoidTable goids;
+  (void)goids.register_entity("Teacher", {teacher});
+  (void)goids.register_entity("Student", {student});
+  std::vector<std::unique_ptr<ComponentDatabase>> dbs;
+  dbs.push_back(std::move(db1));
+  const Federation fed(std::move(schema), std::move(dbs), std::move(goids));
+
+  GlobalQuery q;
+  q.range_class = "Student";
+  q.where("advisor.name", CompOp::Eq, "Kim");
+  const MaterializedView view = materialize(fed, {"Student"});
+  EXPECT_THROW((void)evaluate_global(view, fed.schema(), q), FederationError);
+  // A target path is bound the same way.
+  GlobalQuery target;
+  target.range_class = "Student";
+  target.select("advisor.name");
+  EXPECT_THROW((void)evaluate_global(view, fed.schema(), target),
+               FederationError);
 }
 
 TEST_F(MaterializerFixture, QueryWithoutPredicatesReturnsAllCertain) {

@@ -3,6 +3,7 @@
 // databases, merged by union in the centralized materializer.
 #include <gtest/gtest.h>
 
+#include "isomer/core/strategy.hpp"
 #include "isomer/federation/materializer.hpp"
 #include "isomer/schema/integrator.hpp"
 
@@ -123,6 +124,79 @@ TEST(MultiValued, ConsistencyCheckerComparesSetsByEntity) {
   // documents that union-merged federations are intentionally outside the
   // strict-consistency regime the strategy-equivalence guarantee needs.
   EXPECT_FALSE(fix.federation->check_consistency().empty());
+}
+
+/// One database whose professors' project sets are empty, hold a dangling
+/// member, or name the project the query asks for.
+struct OneDatabaseSets {
+  std::unique_ptr<Federation> federation;
+  GOid empty, dangling, zeta;
+
+  OneDatabaseSets() {
+    ComponentSchema s1(DbId{1}, "DB1");
+    s1.add_class("Project").add_attribute("title", PrimType::String);
+    s1.add_class("Prof")
+        .add_attribute("name", PrimType::String)
+        .add_attribute("projects", ComplexType{"Project", true});
+    auto db1 = std::make_unique<ComponentDatabase>(std::move(s1));
+    const LOid alpha = db1->insert("Project", {{"title", "alpha"}});
+    const LOid zeta_project = db1->insert("Project", {{"title", "zeta"}});
+    const LOid gone{DbId{1}, 1000};  // no object has this LOid
+    const LOid ann =
+        db1->insert("Prof", {{"name", "Ann"}, {"projects", LocalRefSet{}}});
+    const LOid bob = db1->insert(
+        "Prof", {{"name", "Bob"}, {"projects", LocalRefSet{{gone, alpha}}}});
+    const LOid cy = db1->insert(
+        "Prof", {{"name", "Cy"}, {"projects", LocalRefSet{{zeta_project}}}});
+
+    IntegrationSpec spec;
+    spec.add_class("Prof").constituents = {{DbId{1}, "Prof"}};
+    spec.add_class("Project").constituents = {{DbId{1}, "Project"}};
+    GlobalSchema schema = integrate({&db1->schema()}, spec);
+
+    GoidTable goids;
+    empty = goids.register_entity("Prof", {ann});
+    dangling = goids.register_entity("Prof", {bob});
+    zeta = goids.register_entity("Prof", {cy});
+    (void)goids.register_entity("Project", {alpha});
+    (void)goids.register_entity("Project", {zeta_project});
+
+    std::vector<std::unique_ptr<ComponentDatabase>> dbs;
+    dbs.push_back(std::move(db1));
+    federation = std::make_unique<Federation>(
+        std::move(schema), std::move(dbs), std::move(goids));
+  }
+};
+
+TEST(MultiValued, EmptyAndDanglingSetsReadAlikeInEveryStrategy) {
+  // An empty set is a known value: the OR over no members is False. A
+  // dangling member is an unknown value, Unknown at the referrer. The view
+  // the centralized approach evaluates must read both as the component
+  // database does.
+  const OneDatabaseSets fix;
+  GlobalQuery q;
+  q.range_class = "Prof";
+  q.select("name");
+  q.select("projects");
+  q.where("projects.title", CompOp::Eq, "zeta");
+
+  const QueryResult reference = reference_answer(*fix.federation, q);
+  EXPECT_EQ(reference.find(fix.empty), nullptr);
+  const ResultRow* bob = reference.find(fix.dangling);
+  ASSERT_NE(bob, nullptr);
+  EXPECT_EQ(bob->status, ResultStatus::Maybe);
+  EXPECT_EQ(bob->condition.atoms(),
+            (std::vector<CondAtom>{{fix.dangling, 0, 0, true}}));
+  const ResultRow* cy = reference.find(fix.zeta);
+  ASSERT_NE(cy, nullptr);
+  EXPECT_EQ(cy->status, ResultStatus::Certain);
+  // The dangling member is no part of the target value.
+  ASSERT_EQ(bob->targets.size(), 2u);
+  EXPECT_EQ(bob->targets[1].as_global_ref_set().size(), 1u);
+
+  for (const StrategyKind kind : kPaperStrategies)
+    EXPECT_EQ(execute_strategy(kind, *fix.federation, q).result, reference)
+        << to_string(kind);
 }
 
 }  // namespace
