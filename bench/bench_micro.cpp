@@ -78,6 +78,25 @@ BENCHMARK(BM_BoundNavigation)
     ->Args({2, 5000})
     ->Args({3, 5000});
 
+// The centralized approach's phase P: every predicate of the synthetic
+// query evaluated over a view materialized once, arg 0 objects per class
+// and database. The view-side counterpart of BM_BoundNavigation: the same
+// navigator under the view's storage policy.
+void BM_EvaluateGlobal(benchmark::State& state) {
+  const SynthFederation synth = make_synth(static_cast<int>(state.range(0)));
+  const GlobalSchema& schema = synth.federation->schema();
+  const MaterializedView view =
+      materialize(*synth.federation, classes_involved(schema, synth.query));
+  for (auto _ : state) {
+    QueryResult result = evaluate_global(view, schema, synth.query);
+    benchmark::DoNotOptimize(result.rows.size());
+  }
+  state.SetItemsProcessed(
+      state.iterations() *
+      static_cast<std::int64_t>(view.extent(synth.query.range_class).size()));
+}
+BENCHMARK(BM_EvaluateGlobal)->Arg(1000)->Arg(5000);
+
 void BM_GoidProbe(benchmark::State& state) {
   const SynthFederation synth = make_synth(2000);
   const GoidTable& goids = synth.federation->goids();

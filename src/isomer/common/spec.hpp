@@ -130,12 +130,11 @@ class Reader {
   [[nodiscard]] E choice(std::string_view key, std::string_view text,
                          const Named<E> (&names)[N]) const {
     if (const std::optional<E> value = lookup(names, text)) return *value;
-    std::string alternatives;
-    for (const Named<E>& entry : names)
-      alternatives +=
-          (alternatives.empty() ? "" : "|") + std::string(entry.name);
-    fail(std::string(key) + " wants " + alternatives + ", got '" +
-         std::string(text) + "'");
+    std::string message(key);
+    message.append(" wants ");
+    for (std::size_t i = 0; i < N; ++i)
+      message.append(i == 0 ? "" : "|").append(names[i].name);
+    fail(message.append(", got '").append(text).append("'"));
   }
 
  private:

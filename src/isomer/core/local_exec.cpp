@@ -212,16 +212,9 @@ LocalExecution run_local_query(const Federation& federation,
     }
   }
 
-  // Per-candidate scratch, reused across iterations. RowEval's unsolved-site
-  // fields are only read when truth is Unknown, and are always freshly
-  // written in that case.
-  struct RowEval {
-    Truth truth = Truth::Unknown;
-    GOid item;
-    std::size_t step = 0;
-    bool root_level = false;
-  };
-  std::vector<RowEval> evals(n_preds);
+  // Per-candidate scratch, reused across iterations: each predicate's
+  // status, rewritten whole for every candidate.
+  std::vector<PredStatus> evals(n_preds);
   std::vector<Truth> truths(n_preds);
 
   for (std::size_t r = 0; r < candidates.size(); ++r) {
@@ -231,7 +224,7 @@ LocalExecution run_local_query(const Federation& federation,
     // stay deterministic, and under disjunctive queries a False conjunct
     // does not decide the object's fate by itself.
     for (std::size_t p = 0; p < n_preds; ++p) {
-      RowEval& e = evals[p];
+      PredStatus& e = evals[p] = PredStatus{};
       if (modes[p] == PredMode::Row) {
         const LocalPredOutcome outcome =
             bound.eval_predicate(site, p, obj, 0, &exec.meter, &cache);
@@ -246,14 +239,12 @@ LocalExecution run_local_query(const Federation& federation,
           e.root_level = (outcome.holder == obj.id() && outcome.step == 0);
         }
       } else {
+        // An Unknown is held by the root itself at step 0 (its probe was
+        // bulk-charged above); its entity is the row's, filled in below
+        // only if the candidate survives.
         e.truth = modes[p] == PredMode::Kernel ? kernel_truths[p][r]
                                                : Truth::Unknown;
-        if (is_unknown(e.truth)) {
-          // The holder is the root itself at step 0 (bulk-charged above);
-          // its entity equals the row's, resolved below only if it survives.
-          e.step = 0;
-          e.root_level = true;
-        }
+        e.root_level = is_unknown(e.truth);
       }
       truths[p] = e.truth;
     }
@@ -267,18 +258,10 @@ LocalExecution run_local_query(const Federation& federation,
     LocalRow row;
     row.root = obj.id();
     row.entity = *entity;
-    row.preds.reserve(n_preds);
-    for (std::size_t p = 0; p < n_preds; ++p) {
-      const RowEval& e = evals[p];
-      PredStatus status;
-      status.truth = e.truth;
-      if (is_unknown(e.truth)) {
-        status.item = modes[p] == PredMode::Row ? e.item : *entity;
-        status.step = e.step;
-        status.root_level = e.root_level;
-      }
-      row.preds.push_back(status);
-    }
+    row.preds = evals;
+    for (std::size_t p = 0; p < n_preds; ++p)
+      if (modes[p] != PredMode::Row && is_unknown(row.preds[p].truth))
+        row.preds[p].item = *entity;
 
     row.targets.reserve(query.targets.size());
     for (std::size_t t = 0; t < query.targets.size(); ++t)

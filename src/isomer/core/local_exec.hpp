@@ -15,8 +15,11 @@
 // per-object walk only indexes. This is equivalent to evaluating the derived
 // LocalQuery's local predicates plus marking its schema-unsolved predicates
 // per object (the LocalQuery form exists for the protocol and the cost
-// model, this evaluator for the logic); the parity suite checks the bound
-// evaluator against a by-name reference walker.
+// model, this evaluator for the logic). The walk is query/navigate.hpp's,
+// the one the global site runs over the integrated view; BoundQuery only
+// supplies the component-side storage policy (local indexes, LOid fetches
+// through the FetchCache, globalized targets). The parity suite checks it
+// against a by-name reference walker.
 #pragma once
 
 #include <cstdint>

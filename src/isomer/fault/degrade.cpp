@@ -54,10 +54,8 @@ bool path_hits_unavailable(const Federation& federation,
       if (v.kind() == ValueKind::GlobalRef) {
         next.insert(v.as_global_ref());
       } else if (v.kind() == ValueKind::GlobalRefSet) {
-        // A dangling member (GOid 0 in the view) names no entity a dead
-        // site could describe.
         for (const GOid target : v.as_global_ref_set())
-          if (target != GOid{}) next.insert(target);
+          if (target != GOid{}) next.insert(target);  // 0: dangling member
       }
     }
     frontier = std::move(next);

@@ -24,10 +24,6 @@ void MaterializedExtent::insert(MaterializedObject obj) {
   objects_.push_back(std::move(obj));
 }
 
-bool MaterializedView::has_extent(std::string_view global_class) const noexcept {
-  return extents_.find(global_class) != extents_.end();
-}
-
 const MaterializedExtent& MaterializedView::extent(
     std::string_view global_class) const {
   const auto it = extents_.find(global_class);  // heterogeneous: no alloc
@@ -188,52 +184,27 @@ MaterializedView materialize(const Federation& federation,
 
 namespace {
 
-/// A global path bound to a materialized view once per evaluate_global
-/// call: per step, the attribute index in the step's class and, for a
-/// navigating step, the extent of its domain class.
-struct MatPath {
+/// A global path bound to a materialized view for one evaluate_global call,
+/// and the navigator's storage policy over the view: every attribute is
+/// present (the outerjoin holds a missing one as null), references are
+/// GOids looked up in the step's domain extent, and every successful
+/// descent charges one fetched object.
+struct ViewPath {
+  using Object = MaterializedObject;
+  using Id = GOid;
+  static GOid id_of(const Object& obj) noexcept { return obj.id; }
+
   struct Step {
     std::size_t attr = 0;
     const MaterializedExtent* extent = nullptr;  ///< navigating steps only
   };
   const PathExpr* expr = nullptr;
   std::vector<Step> steps;
-};
+  AccessMeter* meter = nullptr;
 
-/// Throws FederationError (from MaterializedView::extent) when the view
-/// lacks the domain extent of a navigating step — at binding, before any
-/// object is read, whether or not an object would navigate there.
-MatPath bind_path(const MaterializedView& view, const GlobalSchema& schema,
-                  const GlobalQuery& query, const PathExpr& expr) {
-  const std::vector<GlobalStep> steps =
-      schema.resolve_steps(query.range_class, expr);
-  MatPath path{&expr, {}};
-  path.steps.reserve(steps.size());
-  for (std::size_t step = 0; step < steps.size(); ++step) {
-    MatPath::Step bound{steps[step].attr};
-    if (step + 1 < steps.size())
-      bound.extent = &view.extent(steps[step + 1].cls->name());
-    path.steps.push_back(bound);
-  }
-  return path;
-}
-
-/// Materialized objects: every attribute is present (the outerjoin holds a
-/// missing one as null), references are GOids looked up in the step's
-/// domain extent, and every successful descent charges one fetched object.
-struct ViewStorage {
-  using Object = MaterializedObject;
-  using Id = GOid;
-  static GOid id_of(const Object& obj) noexcept { return obj.id; }
-
-  const MatPath& path;
-  AccessMeter* meter;
-
-  [[nodiscard]] std::size_t length() const noexcept {
-    return path.steps.size();
-  }
+  [[nodiscard]] std::size_t length() const noexcept { return steps.size(); }
   [[nodiscard]] const Value* read(const Object& obj, std::size_t step) const {
-    return &obj.values[path.steps[step].attr];
+    return &obj.values[steps[step].attr];
   }
   [[nodiscard]] std::span<const GOid> members(const Value& ref,
                                               std::size_t step) const {
@@ -241,11 +212,11 @@ struct ViewStorage {
       return {&one->target, 1};
     if (const auto* set = std::get_if<GlobalRefSet>(&ref.storage()))
       return set->targets;
-    throw QueryError("materialized path step " + path.expr->step(step) +
+    throw QueryError("materialized path step " + expr->step(step) +
                      " is not a reference");
   }
   [[nodiscard]] const Object* follow(GOid target, std::size_t step) const {
-    const MaterializedObject* next = path.steps[step].extent->find(target);
+    const MaterializedObject* next = steps[step].extent->find(target);
     if (next != nullptr && meter != nullptr) ++meter->objects_fetched;
     return next;
   }
@@ -261,19 +232,38 @@ struct ViewStorage {
   }
 };
 
+/// Throws FederationError (from MaterializedView::extent) when the view
+/// lacks the domain extent of a navigating step — at binding, before any
+/// object is read, whether or not an object would navigate there.
+ViewPath bind_path(const MaterializedView& view, const GlobalSchema& schema,
+                   const GlobalQuery& query, const PathExpr& expr,
+                   AccessMeter* meter) {
+  const std::vector<GlobalStep> steps =
+      schema.resolve_steps(query.range_class, expr);
+  ViewPath path{&expr, {}, meter};
+  path.steps.reserve(steps.size());
+  for (std::size_t step = 0; step < steps.size(); ++step) {
+    ViewPath::Step bound{steps[step].attr};
+    if (step + 1 < steps.size())
+      bound.extent = &view.extent(steps[step + 1].cls->name());
+    path.steps.push_back(bound);
+  }
+  return path;
+}
+
 }  // namespace
 
 QueryResult evaluate_global(const MaterializedView& view,
                             const GlobalSchema& schema,
                             const GlobalQuery& query, AccessMeter* meter) {
   // Binding resolves every path up front, so malformed queries fail loudly.
-  std::vector<MatPath> predicates, targets;
+  std::vector<ViewPath> predicates, targets;
   predicates.reserve(query.predicates.size());
   for (const Predicate& pred : query.predicates)
-    predicates.push_back(bind_path(view, schema, query, pred.path));
+    predicates.push_back(bind_path(view, schema, query, pred.path, meter));
   targets.reserve(query.targets.size());
   for (const PathExpr& target : query.targets)
-    targets.push_back(bind_path(view, schema, query, target));
+    targets.push_back(bind_path(view, schema, query, target, meter));
 
   const MaterializedExtent& extent =
       view.extent(schema.cls(query.range_class).name());
@@ -288,8 +278,8 @@ QueryResult evaluate_global(const MaterializedView& view,
   QueryResult result;
   for (const MaterializedObject& obj : extent.objects()) {
     for (std::size_t p = 0; p < query.predicates.size(); ++p) {
-      outcomes[p] = navigate_predicate(ViewStorage{predicates[p], meter},
-                                       query.predicates[p], obj, 0);
+      outcomes[p] =
+          navigate_predicate(predicates[p], query.predicates[p], obj, 0);
       truths[p] = outcomes[p].truth;
     }
     const Truth truth = query.combine(truths);
@@ -319,8 +309,8 @@ QueryResult evaluate_global(const MaterializedView& view,
       row.condition = builder.take(builder.combine(query, per_pred));
     }
     row.targets.reserve(query.targets.size());
-    for (const MatPath& target : targets)
-      row.targets.push_back(navigate_target(ViewStorage{target, meter}, obj));
+    for (const ViewPath& target : targets)
+      row.targets.push_back(navigate_target(target, obj));
     result.rows.push_back(std::move(row));
   }
   result.normalize();

@@ -10,6 +10,9 @@
 // Value combination policy: attributes are filled from constituents in
 // ascending DbId order, first non-null value wins. On consistent federations
 // (see Federation::check_consistency) the order cannot change the outcome.
+// A reference set is read as the component database reads it: an empty set
+// is a value (not null), and a dangling member stays in the set as GOid 0,
+// which no extent finds (docs/CONDITIONS.md, "Reference sets").
 #pragma once
 
 #include <set>
@@ -65,7 +68,6 @@ class MaterializedExtent {
 /// A set of materialized global extents — the global site's integrated view.
 class MaterializedView {
  public:
-  [[nodiscard]] bool has_extent(std::string_view global_class) const noexcept;
   [[nodiscard]] const MaterializedExtent& extent(
       std::string_view global_class) const;
   MaterializedExtent& add_extent(const GlobalClass& cls,

@@ -25,7 +25,6 @@
 #pragma once
 
 #include <cstddef>
-#include <span>
 
 #include "isomer/common/truth.hpp"
 #include "isomer/common/value.hpp"

@@ -1,11 +1,14 @@
 // A by-name reference evaluator, for parity tests only.
 //
 // These are the walkers (and the outerjoin) the library used before queries
-// were bound once per call (core/local_exec.hpp BoundQuery, the
-// materializer's bound paths and constituent tables): they resolve every
-// path step and attribute by name, for every object and step they touch. They are kept verbatim as the oracle the bound evaluators must match
-// exactly — truth, unsolved holder and step, target values, and every
-// AccessMeter counter.
+// were bound once per call and before the two bound walks became one
+// navigator (query/navigate.hpp) under two storage policies: they resolve
+// every path step and attribute by name, for every object and step they
+// touch, with a separate walker per storage. They are kept as the oracle the
+// navigator must match exactly under either policy — truth, unsolved holder
+// and step, target values, and every AccessMeter counter. The only edit
+// since is the view's reference-set rule (empty sets kept, dangling members
+// stored as GOid 0, dropped again from target values).
 #pragma once
 
 #include <algorithm>

@@ -1,16 +1,19 @@
-// The bound evaluator (core/local_exec.hpp BoundQuery, the materializer's
-// bound paths and constituent tables) resolves every path step once per
-// call instead of by name per object — a per-call cache of name
-// resolution. It must be observationally invisible: for every object it
-// returns the by-name reference walker's outcome (truth, unsolved holder and
-// step), the same target values, and the same AccessMeter counts; only
-// wall-clock time may change. Checked against tests/eval_oracle.hpp over
-// randomized federations:
+// The navigator (query/navigate.hpp) runs under two storage policies —
+// BoundQuery's component objects and the materializer's view — each over
+// paths bound once per call instead of resolved by name per object. It
+// must be observationally invisible: for every object it returns the
+// by-name reference walker's outcome (truth, unsolved holder and step), the
+// same target values, and the same AccessMeter counts; only wall-clock time
+// may change. Checked against tests/eval_oracle.hpp over randomized
+// federations:
 //   * BoundParity draws hand-built four-class chains with 2- to 4-step
 //     predicates, reference sets (some led by an Unknown branch), dangling
 //     references, nulls at every step and attributes schema-missing at any
 //     step, and covers phase P, PL discovery, assistant checks from steps
 //     1-3 (run_checks) and the centralized outerjoin + evaluation;
+//   * CrossStorage checks the two policies against each other: on
+//     one-database parity federations, run_local_query rows and
+//     evaluate_global rows agree on truth, holder, step and targets;
 //   * CachedEvalAgrees / CachedEval keep the Table-2 synthetic federations'
 //     agreement and the per-call binding's edge cases.
 #include <gtest/gtest.h>

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "isomer/core/strategy.hpp"
+#include "isomer/fault/degrade.hpp"
 #include "isomer/federation/materializer.hpp"
 #include "isomer/schema/integrator.hpp"
 
@@ -197,6 +198,51 @@ TEST(MultiValued, EmptyAndDanglingSetsReadAlikeInEveryStrategy) {
   for (const StrategyKind kind : kPaperStrategies)
     EXPECT_EQ(execute_strategy(kind, *fix.federation, q).result, reference)
         << to_string(kind);
+}
+
+TEST(MultiValued, DegradedTaggingWalksPastDanglingMembers) {
+  // Rule (b) of unavailability tagging walks the live view. A dangling
+  // member (GOid 0 there) names no entity a dead site could describe, so
+  // the walk skips it rather than asking the GOid table about it.
+  ComponentSchema s1(DbId{1}, "DB1");
+  s1.add_class("Project").add_attribute("title", PrimType::String);
+  s1.add_class("Prof")
+      .add_attribute("name", PrimType::String)
+      .add_attribute("projects", ComplexType{"Project", true});
+  ComponentSchema s2(DbId{2}, "DB2");
+  s2.add_class("Project").add_attribute("title", PrimType::String);
+  auto db1 = std::make_unique<ComponentDatabase>(std::move(s1));
+  auto db2 = std::make_unique<ComponentDatabase>(std::move(s2));
+  const LOid alpha = db1->insert("Project", {{"title", "alpha"}});
+  const LOid alpha2 = db2->insert("Project", {{"title", "alpha"}});
+  const LOid ann = db1->insert(
+      "Prof", {{"name", "Ann"},
+               {"projects", LocalRefSet{{LOid{DbId{1}, 1000}, alpha}}}});
+
+  IntegrationSpec spec;
+  spec.add_class("Prof").constituents = {{DbId{1}, "Prof"}};
+  ClassSpec& project = spec.add_class("Project");
+  project.constituents = {{DbId{1}, "Project"}, {DbId{2}, "Project"}};
+  project.identity_attribute = "title";
+  GlobalSchema schema = integrate({&db1->schema(), &db2->schema()}, spec);
+  GoidTable goids;
+  const GOid gann = goids.register_entity("Prof", {ann});
+  (void)goids.register_entity("Project", {alpha, alpha2});
+  std::vector<std::unique_ptr<ComponentDatabase>> dbs;
+  dbs.push_back(std::move(db1));
+  dbs.push_back(std::move(db2));
+  const Federation fed(std::move(schema), std::move(dbs), std::move(goids));
+
+  GlobalQuery q;
+  q.range_class = "Prof";
+  q.where("projects.title", CompOp::Eq, "zeta");
+  const QueryResult result = fault::degraded_reference(fed, q, {DbId{2}});
+  const ResultRow* row = result.find(gann);
+  ASSERT_NE(row, nullptr);
+  EXPECT_EQ(row->status, ResultStatus::Maybe);
+  // DB2 holds nothing the walk stalls on: Ann's root is in DB1, and alpha's
+  // title is known there.
+  EXPECT_FALSE(row->unavailable);
 }
 
 }  // namespace
