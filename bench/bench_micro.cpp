@@ -5,6 +5,8 @@
 // time — useful when sizing full-scale (--paper) harness runs.
 #include <benchmark/benchmark.h>
 
+#include <chrono>
+
 #include "isomer/analytic/impute.hpp"
 #include "isomer/core/cert_cache.hpp"
 #include "isomer/core/certify.hpp"
@@ -175,17 +177,28 @@ ComponentDatabase make_scan_db(std::int64_t n) {
   return db;
 }
 
+/// The row-at-a-time pass: `v < 500` applied object by object.
+std::size_t row_pass(const std::vector<Object>& objects) {
+  const Value literal{500.0};
+  std::size_t trues = 0;
+  for (const Object& obj : objects)
+    trues += is_true(apply(CompOp::Lt, obj.value(0), literal)) ? 1u : 0u;
+  return trues;
+}
+
+/// The same predicate through the vectorized kernel over the column.
+std::size_t columnar_pass(const ColumnarExtent& columnar,
+                          std::vector<Truth>& truths) {
+  eval_predicate_column(columnar.column(0), columnar.rows(), CompOp::Lt,
+                        Value{500.0}, truths.data());
+  return count_truth(truths, Truth::True);
+}
+
 void BM_PredicateEvalRow(benchmark::State& state) {
   const std::int64_t n = state.range(0);
   const ComponentDatabase db = make_scan_db(n);
   const auto& objects = db.extent("Scan").objects();
-  const Value literal{500.0};
-  for (auto _ : state) {
-    std::size_t trues = 0;
-    for (const Object& obj : objects)
-      trues += is_true(apply(CompOp::Lt, obj.value(0), literal)) ? 1u : 0u;
-    benchmark::DoNotOptimize(trues);
-  }
+  for (auto _ : state) benchmark::DoNotOptimize(row_pass(objects));
   state.SetItemsProcessed(state.iterations() * n);
   state.counters["objects_per_s"] =
       benchmark::Counter(static_cast<double>(state.iterations() * n),
@@ -197,20 +210,53 @@ void BM_PredicateEvalColumnar(benchmark::State& state) {
   const std::int64_t n = state.range(0);
   const ComponentDatabase db = make_scan_db(n);
   const ColumnarExtent& columnar = db.extent("Scan").columnar();
-  const ColumnarExtent::Column& col = columnar.column(0);
-  const Value literal{500.0};
   std::vector<Truth> truths(columnar.rows());
-  for (auto _ : state) {
-    eval_predicate_column(col, columnar.rows(), CompOp::Lt, literal,
-                          truths.data());
-    benchmark::DoNotOptimize(count_truth(truths, Truth::True));
-  }
+  for (auto _ : state)
+    benchmark::DoNotOptimize(columnar_pass(columnar, truths));
   state.SetItemsProcessed(state.iterations() * n);
   state.counters["objects_per_s"] =
       benchmark::Counter(static_cast<double>(state.iterations() * n),
                          benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_PredicateEvalColumnar)->Arg(100'000)->Arg(1'000'000);
+
+/// The two passes above, timed alternately in one process: each iteration
+/// runs the row pass and the columnar pass over the same extent (the order
+/// flips every iteration), so a load spike from a neighbour lands on both
+/// sides of the ratio. `columnar_speedup` is the row time over the columnar
+/// time summed across the repetition's iterations;
+/// tools/check_bench_micro.py gates its median over repetitions.
+void BM_PredicateEvalPaired(benchmark::State& state) {
+  using Clock = std::chrono::steady_clock;
+  const ComponentDatabase db = make_scan_db(state.range(0));
+  const auto& objects = db.extent("Scan").objects();
+  const ColumnarExtent& columnar = db.extent("Scan").columnar();
+  std::vector<Truth> truths(columnar.rows());
+  double row_s = 0, columnar_s = 0;
+  const auto time_row = [&] {
+    const Clock::time_point start = Clock::now();
+    benchmark::DoNotOptimize(row_pass(objects));
+    row_s += std::chrono::duration<double>(Clock::now() - start).count();
+  };
+  const auto time_columnar = [&] {
+    const Clock::time_point start = Clock::now();
+    benchmark::DoNotOptimize(columnar_pass(columnar, truths));
+    columnar_s += std::chrono::duration<double>(Clock::now() - start).count();
+  };
+  bool row_first = true;
+  for (auto _ : state) {
+    if (row_first) {
+      time_row();
+      time_columnar();
+    } else {
+      time_columnar();
+      time_row();
+    }
+    row_first = !row_first;
+  }
+  state.counters["columnar_speedup"] = row_s / columnar_s;
+}
+BENCHMARK(BM_PredicateEvalPaired)->Arg(1'000'000);
 
 /// n singleton entities with dense LOids 1..n plus a deterministically
 /// shuffled probe order, so the probe loops below index the table's array

@@ -23,7 +23,6 @@ struct DbProfile {
   AdvisorStats::PerDb stats;
   double stored_root_bytes = 0;     ///< one root object on disk
   double avg_branch_bytes = 0;      ///< one navigated branch object on disk
-  double row_bytes = 0;             ///< one shipped result row on the wire
 };
 
 DbProfile profile_database(const Federation& federation,
@@ -130,7 +129,7 @@ DbProfile profile_database(const Federation& federation,
       static_cast<double>(nav_meter.objects_fetched) / dk;
 
   const CostParams& c = options.costs;
-  profile.row_bytes =
+  profile.stats.row_bytes =
       static_cast<double>(c.loid_bytes + c.goid_bytes) +
       static_cast<double>(query.targets.size()) *
           static_cast<double>(c.attr_bytes) +
@@ -206,6 +205,12 @@ Advice advise_strategy(const Federation& federation, const GlobalQuery& query,
                     });
   for (const DbProfile& profile : profiles)
     advice.stats.dbs.push_back(profile.stats);
+  // Batched executors ship only the GOid semijoin per task; unbatched ones
+  // ship the full check task record.
+  advice.stats.task_bytes =
+      options.batch.enabled
+          ? static_cast<double>(c.semijoin_task_bytes(false))
+          : static_cast<double>(c.check_task_bytes());
 
   const auto localized = [&](bool eager) {
     double disk = 0, net = 0, cmp = 0, max_local = 0, check_disk = 0;
@@ -228,17 +233,12 @@ Advice advise_strategy(const Federation& federation, const GlobalQuery& query,
       check_disk += tasks * profile.avg_branch_bytes;
       disk += disk_i;
       cmp += cmp_i + item_insts * 2.0 + tasks;
-      net += rows * profile.row_bytes;
+      net += rows * profile.stats.row_bytes;
       max_local = std::max(max_local, disk_i * disk_s + cmp_i * cmp_s);
     }
-    // Batched executors ship only the GOid semijoin per task; unbatched
-    // ones ship the full check task record.
-    const double task_bytes =
-        options.batch.enabled
-            ? static_cast<double>(c.semijoin_task_bytes(false))
-            : static_cast<double>(c.check_task_bytes());
     const double check_net =
-        tasks_total * (task_bytes + static_cast<double>(c.verdict_bytes()));
+        tasks_total *
+        (advice.stats.task_bytes + static_cast<double>(c.verdict_bytes()));
     const double certify_cmp =
         rows_total * (static_cast<double>(query.predicates.size()) + 1.0) +
         tasks_total;

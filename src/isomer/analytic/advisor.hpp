@@ -56,8 +56,13 @@ struct AdvisorStats {
     double nested_items_per_row = 0;     ///< lazy (BL) item rate
     double assistants_per_item = 0;      ///< capable isomers per item
     double fetches_per_object = 0;       ///< distinct navigations, sampled
+    /// One shipped result row on the wire: ids, target values and the
+    /// sampled unsolved markers.
+    double row_bytes = 0;
   };
   std::vector<PerDb> dbs;
+  /// One check task on the wire under the advised batching.
+  double task_bytes = 0;
 };
 
 struct Advice {

@@ -22,9 +22,6 @@ PlanChoice plan_adaptive(const Federation& federation,
   const CostParams& c = knobs.costs;
   const auto involved =
       detail::involved_attributes(federation.schema(), query);
-  const double task_bytes =
-      knobs.batch.enabled ? static_cast<double>(c.semijoin_task_bytes(false))
-                          : static_cast<double>(c.check_task_bytes());
 
   PlanChoice choice;
   choice.ca_bytes = advice.estimates[0].bytes;  // exact catalog arithmetic
@@ -40,13 +37,7 @@ PlanChoice plan_adaptive(const Federation& federation,
     site.db = db.db;
     const double n = static_cast<double>(db.root_objects);
     const double rows = n * db.survive_rate;
-    // The advisor's shipped-row width: ids, target values, unsolved markers.
-    const double row_bytes =
-        static_cast<double>(c.loid_bytes + c.goid_bytes) +
-        static_cast<double>(query.targets.size()) *
-            static_cast<double>(c.attr_bytes) +
-        db.unknowns_per_row * static_cast<double>(c.goid_bytes + 8);
-    site.sampled_rows_bytes = rows * row_bytes;
+    site.sampled_rows_bytes = rows * db.row_bytes;
     site.est_rows_bytes = site.sampled_rows_bytes;
     if (book != nullptr) {
       if (const auto observed = book->rows_bytes(db.db)) {
@@ -63,7 +54,8 @@ PlanChoice plan_adaptive(const Federation& federation,
     const double tasks =
         rows * db.nested_items_per_row * db.assistants_per_item;
     choice.check_bytes +=
-        tasks * (task_bytes + static_cast<double>(c.verdict_bytes()));
+        tasks * (advice.stats.task_bytes +
+                 static_cast<double>(c.verdict_bytes()));
     choice.localized_bytes += site.est_rows_bytes;
     choice.hybrid_bytes += std::min(site.est_rows_bytes, site.extent_bytes);
     choice.sites.push_back(site);

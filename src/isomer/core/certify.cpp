@@ -128,12 +128,12 @@ QueryResult certify(
     // tables, query/condition.hpp): per predicate, a Pool over the same
     // evidence — decided row statuses as constants, Unknown statuses as
     // leaves — combined in the query's AND/OR shape. A consulted verdict
-    // is substituted as its leaf is made, and every node is built through
-    // the builder's fold, so the condition arrives simplified and its truth
-    // is, by construction, the flat pool's answer; the condition
-    // additionally *names* the atoms that kept a maybe row maybe. Building
-    // it charges nothing: the meter sees exactly the comparisons the flat
-    // loop makes.
+    // enters the pool as a constant in place of its leaf, and every node is
+    // built through the builder's fold, so the condition arrives simplified
+    // and its truth is, by construction, the flat pool's answer; the
+    // condition additionally *names* the atoms that kept a maybe row maybe.
+    // Building it charges nothing: the meter sees exactly the comparisons
+    // the flat loop makes.
     Truth overall = Truth::True;
     Condition::Builder::Id condition =
         Condition::Builder::constant(Truth::True);
@@ -156,8 +156,8 @@ QueryResult certify(
           }
           // Step-0 sites are decided by the other rows in this very pool,
           // never by assistant verdicts — the root_level flag records that.
-          // A step > 0 leaf with a pooled verdict is that verdict: the
-          // leaf is not negated, so substitution would give this constant.
+          // A step > 0 site with a pooled verdict enters the pool as that
+          // verdict, never as a leaf.
           const Truth* verdict =
               status.step > 0 ? find_verdict(status.item, p) : nullptr;
           if (verdict == nullptr) {

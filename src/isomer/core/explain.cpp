@@ -67,20 +67,24 @@ Explanation explain(const Federation& federation, const GlobalQuery& query,
   }
 
   // --- Per-database evaluation of the entity's isomeric root objects,
-  // exactly as the localized strategies' phase P sees them. Alongside the
-  // human-readable evidence, build the same per-predicate condition pools
-  // certify() builds, so the explanation can report the residual.
+  // exactly as the localized strategies' phase P sees them: one local
+  // execution per isomer database, whose row is left out when that
+  // database's local formula is False (row-absence elimination).
   std::vector<UnsolvedItem> items;
-  std::vector<std::pair<DbId, std::vector<Truth>>> per_db_truths;
-  std::vector<std::vector<Condition>> pooled(query.predicates.size());
+  std::vector<LocalExecution> locals;
   for (const LOid& isomer : goids.isomers_of(entity)) {
     const BoundQuery::Site site = bound.site(isomer.db);
     const Object* root = site.database->fetch(isomer);
     ensures(root != nullptr, "GOid table validated at construction");
+    LocalRow row{isomer, entity,
+                 std::vector<Value>(query.targets.size(), Value::null()),
+                 {}};
     std::vector<Truth> truths;
     for (std::size_t p = 0; p < query.predicates.size(); ++p) {
       const LocalPredOutcome outcome = bound.eval_predicate(site, p, *root);
       truths.push_back(outcome.truth);
+      PredStatus& status = row.preds.emplace_back();
+      status.truth = outcome.truth;
       Evidence evidence;
       evidence.db = isomer.db;
       evidence.truth = outcome.truth;
@@ -89,22 +93,24 @@ Explanation explain(const Federation& federation, const GlobalQuery& query,
             describe_site(bound, site, p, outcome, query.predicates[p]);
         const auto item = goids.goid_of(outcome.holder);
         ensures(item.has_value(), "every constituent object is GOid-mapped");
-        pooled[p].push_back(Condition::leaf(
-            CondAtom{*item, p, outcome.step, outcome.step == 0}));
+        status.item = *item;
+        status.step = outcome.step;
+        status.root_level = outcome.step == 0;
         if (outcome.step > 0)
           items.push_back(UnsolvedItem{*item, p, outcome.step, *item});
       } else {
-        pooled[p].push_back(Condition::constant(outcome.truth));
         evidence.note = std::string("evaluates ") +
                         std::string(to_string(outcome.truth)) + " at DB" +
                         std::to_string(isomer.db.value());
       }
       out.predicates[p].evidence.push_back(std::move(evidence));
     }
-    // Row-absence elimination: a database whose local formula is False
-    // rejects the whole entity.
-    if (is_false(query.combine(truths))) out.eliminated_at = isomer.db;
-    per_db_truths.emplace_back(isomer.db, std::move(truths));
+    LocalExecution& local = locals.emplace_back();
+    local.db = isomer.db;
+    if (is_false(query.combine(truths)))
+      out.eliminated_at = isomer.db;
+    else
+      local.rows.push_back(std::move(row));
   }
 
   // --- Assistant checking for the nested unsolved items (with cascades).
@@ -149,7 +155,17 @@ Explanation explain(const Federation& federation, const GlobalQuery& query,
         std::move(evidence));
   }
 
-  // --- Pool the evidence per predicate (same rule as certify()).
+  // --- The outcome and residual are certify()'s, over the same rows and
+  // verdicts; a certain row carries the constant True.
+  const QueryResult certified = certify(federation, query, locals, verdicts);
+  const ResultRow* row = certified.find(entity);
+  out.outcome = row == nullptr                           ? Outcome::Eliminated
+                : row->status == ResultStatus::Certain ? Outcome::Certain
+                                                       : Outcome::Maybe;
+  if (row != nullptr) out.residual = row->condition;
+
+  // --- Pool the evidence per predicate for the account: any False
+  // refutes, else any True solves — the certification rule, flat.
   std::vector<Truth> merged(query.predicates.size(), Truth::Unknown);
   for (std::size_t p = 0; p < query.predicates.size(); ++p) {
     bool any_true = false, any_false = false;
@@ -162,47 +178,12 @@ Explanation explain(const Federation& federation, const GlobalQuery& query,
                            : Truth::Unknown;
     out.predicates[p].merged = merged[p];
   }
-
-  if (out.eliminated_at) {
-    out.outcome = Outcome::Eliminated;
-    return out;
-  }
-  const Truth overall = query.combine(merged);
-  out.outcome = is_false(overall)  ? Outcome::Eliminated
-                : is_true(overall) ? Outcome::Certain
-                                   : Outcome::Maybe;
-
-  // --- The residual condition of a maybe outcome: every checked atom's
-  // pooled verdict substituted into its non-root-level leaves, then the
-  // per-predicate pools folded and combined in the query's shape —
-  // certify()'s condition path for one entity.
-  if (out.outcome == Outcome::Maybe) {
-    Condition::Assignment verdict_index;
-    for (const CheckVerdict& verdict : verdicts) {
-      auto [it, inserted] = verdict_index.try_emplace(
-          std::pair{verdict.item, verdict.predicate}, verdict.truth);
-      if (!inserted) {
-        if (is_false(verdict.truth) || is_false(it->second))
-          it->second = Truth::False;
-        else
-          it->second = it->second || verdict.truth;
-      }
-    }
-    std::vector<Condition> per_pred;
-    per_pred.reserve(query.predicates.size());
-    for (std::size_t p = 0; p < query.predicates.size(); ++p) {
-      for (Condition& child : pooled[p]) {
-        if (child.kind() != Condition::Kind::Leaf || child.atom().root_level)
-          continue;
-        const auto it = verdict_index.find(std::pair{child.atom().item, p});
-        if (it != verdict_index.end()) child = Condition::constant(it->second);
-      }
-      per_pred.push_back(Condition::fold(Condition::Kind::Pool, pooled[p]));
-    }
-    out.residual = combine_conditions(query, per_pred);
-    ensures(out.residual.truth() == overall,
-            "explanation residual must agree with the pooled evidence");
-  }
+  const Truth overall =
+      out.eliminated_at ? Truth::False : query.combine(merged);
+  ensures(out.outcome == (is_false(overall)  ? Outcome::Eliminated
+                          : is_true(overall) ? Outcome::Certain
+                                             : Outcome::Maybe),
+          "certify must agree with the pooled evidence");
   return out;
 }
 

@@ -48,10 +48,10 @@ struct Explanation {
   /// Set when the entity was eliminated by row absence: the database whose
   /// local evaluation rejected its isomeric object outright.
   std::optional<DbId> eliminated_at;
-  /// A Maybe outcome's residual condition (query/condition.hpp): the
-  /// simplified expression over (GOid, predicate) atoms that is still
-  /// undecided after every check verdict was substituted. Constant True for
-  /// every other outcome.
+  /// A Maybe outcome's residual condition (query/condition.hpp), as
+  /// certify() builds it: the simplified expression over (GOid, predicate)
+  /// atoms still undecided once every check verdict is pooled. Constant
+  /// True for every other outcome.
   Condition residual;
 
   /// Residual-atom histogram: predicate index -> how many atoms of

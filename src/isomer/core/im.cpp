@@ -25,9 +25,9 @@
 // builds the rows, discharge() consults the model for the atoms the filter
 // could not reach — root-level sites (decided by the row pool, which
 // decides nothing when every copy is a gap) and atoms whose assistants
-// never answered — and substitutes confident estimates straight into the
-// residual conditions, upgrading or eliminating the rows that thereby
-// decide.
+// never answered — and evaluates each maybe row's residual condition with
+// the confident estimates as its leaves' values, upgrading or eliminating
+// the rows that thereby decide.
 //
 // The launch path, the operators and the certification are bl.cpp's; this
 // file owns only the filter and the discharge. At threshold 1.0 no smoothed
@@ -184,29 +184,32 @@ void ImputeState::discharge(ExecEnv& env,
   std::uint64_t impute_count = 0, upgraded = 0, eliminated = 0;
   std::set<std::tuple<GOid, std::size_t, std::size_t>> used;
   std::vector<char> kill(result.rows.size(), 0);
+  const auto confident = [this](const ImputeOracle::Decision& decision) {
+    return decision.upgradable && !is_unknown(decision.verdict) &&
+           decision.confidence >= threshold;
+  };
+  // Each leaf takes its atom's confident estimate; the rest stay Unknown.
+  const Condition::LeafValue estimate = [&](const CondAtom& atom) {
+    const ImputeOracle::Decision& decision = decide(atom);
+    return confident(decision) ? decision.verdict : Truth::Unknown;
+  };
   for (std::size_t i = 0; i < result.rows.size(); ++i) {
     ResultRow& row = result.rows[i];
     if (row.status != ResultStatus::Maybe) continue;
-    Condition cond = row.condition;
     double confidence = row.confidence;
     // Each distinct atom discounts the row's confidence once, however many
-    // leaves it discharges — certify()'s per-atom fold.
+    // leaves it decides — certify()'s per-atom fold.
     std::set<std::tuple<GOid, std::size_t, std::size_t>> row_used;
     for (const CondAtom& atom : row.condition.atoms()) {
       const ImputeOracle::Decision& decision = decide(atom);
-      if (!decision.upgradable || is_unknown(decision.verdict) ||
-          decision.confidence < threshold)
-        continue;
-      cond = cond.substitute_atom(atom, decision.verdict);
+      if (!confident(decision)) continue;
       if (row_used
               .insert(std::tuple{atom.item, atom.predicate, atom.step})
               .second)
         confidence *= decision.confidence;
     }
     if (row_used.empty()) continue;
-    // simplify() never changes truth(), so the substituted condition is
-    // evaluated as it stands.
-    const Truth truth = cond.truth();
+    const Truth truth = row.condition.truth(estimate);
     // Undecided: the estimates were not enough — leave the row exactly as
     // certified rather than leaking partial guesses into its residual.
     if (is_unknown(truth)) continue;
@@ -215,7 +218,7 @@ void ImputeState::discharge(ExecEnv& env,
     if (is_true(truth)) {
       row.status = ResultStatus::Certain;
       row.confidence = confidence;
-      row.condition = Condition::constant(Truth::True);
+      row.condition = Condition{};
       ++upgraded;
     } else {
       kill[i] = 1;

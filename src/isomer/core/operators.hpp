@@ -136,9 +136,9 @@ struct ImputeState {
   /// assistants never answered (dead sites, declined estimates). After
   /// certify() builds the rows, this pass consults the model for each
   /// distinct residual atom — the gap-kind evidence comes from the lowest
-  /// home database whose local row left it Unknown — and substitutes every
-  /// confident True/False estimate into the row's condition
-  /// (substitute_atom: exact leaves, root-level included). A row whose
+  /// home database whose local row left it Unknown — and evaluates the
+  /// row's condition once with every confident True/False estimate as its
+  /// leaf's value (exact atoms, root-level included). A row whose
   /// condition thereby decides commits: True upgrades it to certain at the
   /// product of the consumed estimates' confidences, False eliminates it.
   /// Undecided rows are left exactly as certified — no partial estimates

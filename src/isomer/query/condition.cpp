@@ -20,8 +20,8 @@ namespace {
 using Node = Condition::Node;
 using Kind = Condition::Kind;
 
-/// A connective's value before negation, given which truth values its
-/// children took (`seen` is indexed by Truth). And is min and Or is max.
+/// A connective's value, given which truth values its children took (`seen`
+/// is indexed by Truth). And is min and Or is max.
 /// Pool is the certification rule's evidence pool: any False refutes, else
 /// any True solves, else Unknown — not min, not max (see the header).
 Truth connective_value(Kind kind, const std::array<bool, 3>& seen) {
@@ -44,36 +44,29 @@ Truth connective_value(Kind kind, const std::array<bool, 3>& seen) {
   }
 }
 
+/// Evaluates the subtree at `at`; a leaf reads `leaf_value`, or is Unknown
+/// when there is none.
 Truth evaluate(std::span<const Node> nodes, std::size_t at,
-               const Condition::Assignment& assignment) {
+               const Condition::LeafValue* leaf_value) {
   const Node& node = nodes[at];
-  Truth base = Truth::Unknown;
   switch (node.kind) {
     case Kind::Constant:
-      base = node.value;
-      break;
-    case Kind::Leaf: {
-      const auto it =
-          assignment.find(std::pair{node.atom.item, node.atom.predicate});
-      base = it == assignment.end() ? Truth::Unknown : it->second;
-      break;
-    }
+      return node.value;
+    case Kind::Leaf:
+      return leaf_value == nullptr ? Truth::Unknown : (*leaf_value)(node.atom);
     case Kind::And:
     case Kind::Or:
-    case Kind::Pool: {
-      std::array<bool, 3> seen{};
-      for (std::size_t c = at + 1; c < at + node.size; c += nodes[c].size)
-        seen[static_cast<std::size_t>(evaluate(nodes, c, assignment))] = true;
-      base = connective_value(node.kind, seen);
+    case Kind::Pool:
       break;
-    }
   }
-  return node.negated ? !base : base;
+  std::array<bool, 3> seen{};
+  for (std::size_t c = at + 1; c < at + node.size; c += nodes[c].size)
+    seen[static_cast<std::size_t>(evaluate(nodes, c, leaf_value))] = true;
+  return connective_value(node.kind, seen);
 }
 
 void print(std::ostream& os, std::span<const Node> nodes, std::size_t at) {
   const Node& node = nodes[at];
-  if (node.negated) os << "not ";
   switch (node.kind) {
     case Kind::Constant:
       os << to_string(node.value);
@@ -96,122 +89,20 @@ void print(std::ostream& os, std::span<const Node> nodes, std::size_t at) {
   os << ")";
 }
 
-bool is_true_constant(const Node& node) {
-  return node.kind == Kind::Constant && !node.negated && is_true(node.value);
-}
-
 }  // namespace
 
-Condition::Condition(std::vector<Node> nodes) {
-  if (nodes.size() != 1 || !is_true_constant(nodes.front()))
-    nodes_ = std::move(nodes);
+Truth Condition::truth(const LeafValue& leaf_value) const {
+  return nodes_.empty() ? Truth::True : evaluate(nodes_, 0, &leaf_value);
 }
 
-const Condition::Node& Condition::root() const noexcept {
-  static const Node kTrue{};
-  return nodes_.empty() ? kTrue : nodes_.front();
-}
-
-Condition Condition::constant(Truth value) {
-  return Condition({Node{Kind::Constant, false, value, 1, {}}});
-}
-
-Condition Condition::leaf(CondAtom atom) {
-  return Condition({Node{Kind::Leaf, false, Truth::True, 1, atom}});
-}
-
-Condition Condition::connective(Kind kind,
-                                std::span<const Condition> children) {
-  std::vector<Node> nodes(1, Node{kind, false, Truth::True, 1, {}});
-  for (const Condition& child : children) {
-    if (child.nodes_.empty())
-      nodes.push_back(Node{});  // the constant True
-    else
-      nodes.insert(nodes.end(), child.nodes_.begin(), child.nodes_.end());
-  }
-  nodes.front().size = static_cast<std::uint32_t>(nodes.size());
-  return Condition(std::move(nodes));
-}
-
-Condition Condition::make_and(std::vector<Condition> children) {
-  return connective(Kind::And, children);
-}
-
-Condition Condition::make_or(std::vector<Condition> children) {
-  return connective(Kind::Or, children);
-}
-
-Condition Condition::pool(std::vector<Condition> children) {
-  return connective(Kind::Pool, children);
-}
-
-std::vector<Condition> Condition::children() const {
-  std::vector<Condition> out;
-  if (nodes_.empty()) return out;
-  for (std::size_t c = 1; c < nodes_.front().size; c += nodes_[c].size)
-    out.push_back(Condition(std::vector<Node>(
-        nodes_.begin() + static_cast<std::ptrdiff_t>(c),
-        nodes_.begin() + static_cast<std::ptrdiff_t>(c + nodes_[c].size))));
-  return out;
-}
-
-Condition Condition::negate() const {
-  std::vector<Node> nodes = nodes_.empty() ? std::vector<Node>(1) : nodes_;
-  nodes.front().negated = !nodes.front().negated;
-  return Condition(std::move(nodes));
-}
-
-Truth Condition::truth(const Assignment& assignment) const {
-  return nodes_.empty() ? Truth::True : evaluate(nodes_, 0, assignment);
-}
-
-template <typename Match>
-Condition Condition::replace_leaves(const Match& match, Truth value) const {
-  std::vector<Node> nodes = nodes_;
-  for (Node& node : nodes)
-    // The negation flag folds into the constant right away — a negated
-    // leaf decided True is the constant False.
-    if (node.kind == Kind::Leaf && match(node.atom))
-      node = Node{Kind::Constant, false, node.negated ? !value : value, 1, {}};
-  return Condition(std::move(nodes));
-}
-
-Condition Condition::substitute(GOid item, std::size_t predicate,
-                                Truth value) const {
-  return replace_leaves(
-      [&](const CondAtom& a) {
-        return !a.root_level && a.item == item && a.predicate == predicate;
-      },
-      value);
-}
-
-Condition Condition::substitute_atom(const CondAtom& atom,
-                                     Truth value) const {
-  return replace_leaves([&](const CondAtom& a) { return a == atom; }, value);
-}
-
-Condition Condition::simplify() const {
-  Builder builder;
-  return builder.take(builder.copy(*this));
-}
-
-Condition Condition::fold(Kind kind, std::span<const Condition> children,
-                          bool negated) {
-  Builder builder;
-  std::vector<Builder::Id> ids;
-  ids.reserve(children.size());
-  for (const Condition& child : children) ids.push_back(builder.copy(child));
-  return builder.take(builder.fold(kind, ids, negated));
-}
-
-void Condition::collect_atoms(std::vector<CondAtom>& out) const {
-  for (const Node& node : nodes_)
-    if (node.kind == Kind::Leaf) out.push_back(node.atom);
+Truth Condition::truth() const {
+  return nodes_.empty() ? Truth::True : evaluate(nodes_, 0, nullptr);
 }
 
 std::vector<CondAtom> Condition::atoms() const {
   std::vector<CondAtom> out;
-  collect_atoms(out);
+  for (const Node& node : nodes_)
+    if (node.kind == Kind::Leaf) out.push_back(node.atom);
   return out;
 }
 
@@ -237,7 +128,7 @@ void Condition::Builder::clear() {
   pending_.clear();
   // Ids 0, 1 and 2 are the constants False, Unknown and True.
   for (const Truth value : {Truth::False, Truth::Unknown, Truth::True})
-    entries_.push_back(Entry{Node{Kind::Constant, false, value, 1, {}}});
+    entries_.push_back(Entry{Node{Kind::Constant, value, 1, {}}});
 }
 
 Condition::Builder::Id Condition::Builder::push(const Entry& entry) {
@@ -246,35 +137,23 @@ Condition::Builder::Id Condition::Builder::push(const Entry& entry) {
 }
 
 Condition::Builder::Id Condition::Builder::leaf(const CondAtom& atom) {
-  return push(Entry{Node{Kind::Leaf, false, Truth::True, 1, atom}});
+  return push(Entry{Node{Kind::Leaf, Truth::True, 1, atom}});
 }
 
-Condition::Builder::Id Condition::Builder::fold(Kind kind,
-                                                std::span<const Id> children,
-                                                bool negated) {
+Condition::Builder::Id Condition::Builder::fold(
+    Kind kind, std::span<const Id> children) {
   expects(kind == Kind::And || kind == Kind::Or || kind == Kind::Pool,
           "fold builds connectives only");
-  // Folds the node's negation into `base` and returns it.
-  const auto finish = [&](Id base) -> Id {
-    if (!negated) return base;
-    Entry entry = entries_[base];
-    if (entry.node.kind == Kind::Constant && !entry.node.negated)
-      return constant(!entry.node.value);
-    entry.node.negated = !entry.node.negated;
-    return push(entry);
-  };
-  // A decided child is an un-negated constant.
   const auto decided = [this](Id id) -> const Truth* {
     const Node& node = entries_[id].node;
-    return node.kind == Kind::Constant && !node.negated ? &node.value
-                                                        : nullptr;
+    return node.kind == Kind::Constant ? &node.value : nullptr;
   };
 
   // Kept children are appended to edges_, where the node will read them.
   const std::size_t first = edges_.size();
   const auto give_up = [&](Truth value) {
     edges_.resize(first);
-    return finish(constant(value));
+    return constant(value);
   };
   if (kind == Kind::Pool) {
     bool only_true = true;  // every kept child a True constant
@@ -306,12 +185,12 @@ Condition::Builder::Id Condition::Builder::fold(Kind kind,
   if (kept == 1) {
     const Id only = edges_.back();
     edges_.resize(first);
-    return finish(only);
+    return only;
   }
   std::uint32_t size = 1;
   for (std::size_t k = first; k < edges_.size(); ++k)
     size += entries_[edges_[k]].node.size;
-  return push(Entry{Node{kind, negated, Truth::True, size, {}},
+  return push(Entry{Node{kind, Truth::True, size, {}},
                     static_cast<std::uint32_t>(first),
                     static_cast<std::uint32_t>(kept)});
 }
@@ -319,7 +198,7 @@ Condition::Builder::Id Condition::Builder::fold(Kind kind,
 Condition::Builder::Id Condition::Builder::combine(
     const GlobalQuery& query, std::span<const Id> per_pred) {
   expects(per_pred.size() == query.predicates.size(),
-          "combine_conditions needs one condition per predicate");
+          "combine needs one condition per predicate");
   // fold_formula's algebra over node ids: the operands of the nodes still
   // open are stacked in pending_, each node's from its `start` on.
   struct Algebra {
@@ -343,50 +222,14 @@ Condition::Builder::Id Condition::Builder::combine(
                             [per_pred](std::size_t p) { return per_pred[p]; });
 }
 
-Condition::Builder::Id Condition::Builder::copy_nodes(
-    std::span<const Node> nodes, std::size_t& at) {
-  const Node& node = nodes[at++];
-  switch (node.kind) {
-    case Kind::Constant:
-      // A negated constant folds into its complement.
-      return constant(node.negated ? !node.value : node.value);
-    case Kind::Leaf:
-      return push(Entry{node});
-    case Kind::And:
-    case Kind::Or:
-    case Kind::Pool:
-      break;
-  }
-  const std::size_t start = pending_.size();
-  const std::size_t end = at - 1 + node.size;
-  while (at < end) {
-    const Id child = copy_nodes(nodes, at);
-    pending_.push_back(child);
-  }
-  const Id id = fold(node.kind, std::span<const Id>(pending_).subspan(start),
-                     node.negated);
-  pending_.resize(start);
-  return id;
-}
-
-Condition::Builder::Id Condition::Builder::copy(const Condition& condition) {
-  std::size_t at = 0;
-  return condition.nodes_.empty() ? constant(Truth::True)
-                                  : copy_nodes(condition.nodes_, at);
-}
-
 Truth Condition::Builder::truth(Id id) const {
   const Entry& entry = entries_[id];
-  Truth base = Truth::Unknown;  // a leaf, with no evidence
-  if (entry.node.kind == Kind::Constant) {
-    base = entry.node.value;
-  } else if (entry.node.kind != Kind::Leaf) {
-    std::array<bool, 3> seen{};
-    for (std::uint32_t k = entry.first; k < entry.first + entry.count; ++k)
-      seen[static_cast<std::size_t>(truth(edges_[k]))] = true;
-    base = connective_value(entry.node.kind, seen);
-  }
-  return entry.node.negated ? !base : base;
+  if (entry.node.kind == Kind::Constant) return entry.node.value;
+  if (entry.node.kind == Kind::Leaf) return Truth::Unknown;  // no evidence
+  std::array<bool, 3> seen{};
+  for (std::uint32_t k = entry.first; k < entry.first + entry.count; ++k)
+    seen[static_cast<std::size_t>(truth(edges_[k]))] = true;
+  return connective_value(entry.node.kind, seen);
 }
 
 void Condition::Builder::emit(Id id, std::vector<Node>& out) const {
@@ -397,21 +240,11 @@ void Condition::Builder::emit(Id id, std::vector<Node>& out) const {
 }
 
 Condition Condition::Builder::take(Id id) const {
-  if (is_true_constant(entries_[id].node)) return {};
+  if (id == constant(Truth::True)) return {};
   std::vector<Node> nodes;
   nodes.reserve(entries_[id].node.size);
   emit(id, nodes);
   return Condition(std::move(nodes));
-}
-
-Condition combine_conditions(const GlobalQuery& query,
-                             std::span<const Condition> per_pred) {
-  Condition::Builder builder;
-  std::vector<Condition::Builder::Id> ids;
-  ids.reserve(per_pred.size());
-  for (const Condition& condition : per_pred)
-    ids.push_back(builder.copy(condition));
-  return builder.take(builder.combine(query, ids));
 }
 
 std::uint64_t predicate_signature(const Predicate& predicate) {

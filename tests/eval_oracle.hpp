@@ -397,19 +397,20 @@ inline QueryResult evaluate_global(const MaterializedView& view,
     // the localized approaches build from per-database rows — conditions
     // are deliberately outside ResultRow equality for this reason.)
     if (row.status == ResultStatus::Maybe) {
-      std::vector<Condition> per_pred;
+      Condition::Builder builder;
+      std::vector<Condition::Builder::Id> per_pred;
       per_pred.reserve(query.predicates.size());
       for (std::size_t p = 0; p < query.predicates.size(); ++p) {
         if (is_unknown(truths[p])) {
           const MatStall& s = stalls[p];
           ensures(s.set, "Unknown evaluation must report its stall site");
-          per_pred.push_back(Condition::leaf(CondAtom{
+          per_pred.push_back(builder.leaf(CondAtom{
               s.holder, p, s.step, s.step == 0 && s.holder == obj.id}));
         } else {
-          per_pred.push_back(Condition::constant(truths[p]));
+          per_pred.push_back(Condition::Builder::constant(truths[p]));
         }
       }
-      row.condition = combine_conditions(query, per_pred);
+      row.condition = builder.take(builder.combine(query, per_pred));
     }
     row.targets.reserve(query.targets.size());
     for (const PathExpr& target : query.targets)

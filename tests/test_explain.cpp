@@ -1,6 +1,8 @@
 // explain(): narrated accounts of why an entity is certain/maybe/eliminated.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "isomer/core/explain.hpp"
 #include "isomer/workload/paper_example.hpp"
 #include "isomer/workload/synth.hpp"
@@ -150,6 +152,35 @@ TEST_P(ExplainMatchesStrategies, OnRandomWorkloads) {
           << "g" << entity.value() << " seed " << GetParam();
     } else {
       EXPECT_EQ(e.outcome, Outcome::Maybe)
+          << "g" << entity.value() << " seed " << GetParam();
+      // A maybe entity's residual is still undecided, and its atoms name
+      // local gaps of predicates the pooled evidence did not refute. A
+      // True-merged predicate can keep a leaf (pool(true, x) turns False
+      // with x), so the atoms are not all on Unknown predicates. The
+      // histogram counts exactly the residual's atoms; it is empty when
+      // the residual folded to Unknown constants (an assistant answered
+      // Unknown), so it is not asserted non-empty.
+      EXPECT_TRUE(is_unknown(e.residual.truth()))
+          << "g" << entity.value() << " seed " << GetParam();
+      const std::vector<CondAtom> atoms = e.residual.atoms();
+      for (const CondAtom& atom : atoms) {
+        const PredicateAccount& account = e.predicates[atom.predicate];
+        EXPECT_NE(account.merged, Truth::False)
+            << "g" << entity.value() << " seed " << GetParam() << " "
+            << e.residual.to_string();
+        EXPECT_TRUE(std::any_of(account.evidence.begin(),
+                                account.evidence.end(),
+                                [](const Evidence& evidence) {
+                                  return !evidence.from_assistant &&
+                                         is_unknown(evidence.truth);
+                                }))
+            << "g" << entity.value() << " seed " << GetParam()
+            << ": a residual atom names no local gap";
+      }
+      std::uint64_t counted = 0;
+      for (const auto& [predicate, count] : e.residual_histogram())
+        counted += count;
+      EXPECT_EQ(counted, atoms.size())
           << "g" << entity.value() << " seed " << GetParam();
     }
   }

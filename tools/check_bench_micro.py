@@ -3,19 +3,24 @@
 
 Usage:
     build/bench/bench_micro \
-        --benchmark_filter='PredicateEval(Row|Columnar)|GoidProbe' \
+        --benchmark_filter='PredicateEval|GoidProbe' \
         --benchmark_repetitions=5 \
         --benchmark_format=json --benchmark_out=now.json
     python3 tools/check_bench_micro.py now.json
 
-Each check reads a benchmark's median rate over its repetitions.
+Each check reads a benchmark's median over its repetitions.
 
-Two kinds of checks, from tools/bench_micro_baseline.json:
+Three kinds of checks, from tools/bench_micro_baseline.json:
 
-  * ratios — machine-relative invariants (columnar vs row predicate
-    evaluation, batched vs unordered_map GOid probes). These are the
-    load-bearing performance contracts of docs/PERFORMANCE.md and always
-    FAIL the run when violated, on any machine.
+  * ratios — machine-relative invariants between two benchmarks' rates
+    (batched vs unordered_map GOid probes, columnar vs row predicate
+    evaluation at 100K rows). These are the load-bearing performance
+    contracts of docs/PERFORMANCE.md and always FAIL the run when violated,
+    on any machine.
+  * paired — the same kind of contract, read from a ratio counter that one
+    benchmark measures by timing both sides alternately in one process
+    (columnar vs row predicate evaluation at 1M rows), so the load of
+    other tenants falls on both sides alike. Always enforced.
   * absolutes — items_per_second floors recorded on the baseline machine.
     Other machines differ, so by default a miss only WARNs; pass --strict
     to make absolute misses fail too (e.g. on the machine that recorded
@@ -31,22 +36,21 @@ import statistics
 import sys
 
 
-def load_rates(path):
-    """Median items_per_second per benchmark name over its iteration rows.
+def load_medians(data, field):
+    """Median of `field` per benchmark name over its iteration rows.
 
     Under --benchmark_repetitions=N every repetition is a row with the same
     name; the median keeps one noisy repetition from deciding a check.
     """
-    with open(path) as f:
-        data = json.load(f)
     samples = {}
     for bench in data.get("benchmarks", []):
         if bench.get("run_type") == "aggregate":
             continue
-        rate = bench.get("items_per_second")
-        if rate:
-            samples.setdefault(bench["name"], []).append(float(rate))
-    return {name: statistics.median(rates) for name, rates in samples.items()}
+        value = bench.get(field)
+        if value:
+            samples.setdefault(bench["name"], []).append(float(value))
+    return {name: statistics.median(values)
+            for name, values in samples.items()}
 
 
 def main():
@@ -71,7 +75,9 @@ def main():
     )
     args = parser.parse_args()
 
-    rates = load_rates(args.results)
+    with open(args.results) as f:
+        results = json.load(f)
+    rates = load_medians(results, "items_per_second")
     if not rates:
         print(f"error: no rate-carrying benchmarks in {args.results}",
               file=sys.stderr)
@@ -101,6 +107,19 @@ def main():
         ok = ratio >= check["min"]
         print(f"{'PASS' if ok else 'FAIL'}  {num} / {den} = {ratio:.2f}x "
               f"(need >= {check['min']}x) — {check['why']}")
+        failed = failed or not ok
+
+    for check in baseline.get("paired", []):
+        name, counter = check["benchmark"], check["counter"]
+        ratio = load_medians(results, counter).get(name)
+        if ratio is None:
+            print(f"SKIP  paired {name} {counter}: benchmark missing from "
+                  f"run (filter too narrow?)")
+            continue
+        ok = ratio >= check["min"]
+        print(f"{'PASS' if ok else 'FAIL'}  {name} {counter} = {ratio:.2f}x "
+              f"(median of repetitions, need >= {check['min']}x) — "
+              f"{check['why']}")
         failed = failed or not ok
 
     for name, expected in baseline.get("absolutes", {}).items():
