@@ -58,16 +58,24 @@ void BM_LocalQueryEvaluation(benchmark::State& state) {
 }
 BENCHMARK(BM_LocalQueryEvaluation)->Arg(1000)->Arg(5000);
 
-// A local query whose predicates all navigate: arg 0 selects the path
-// length (2 or 3 steps through the synthetic class chain), arg 1 the
-// extent size. Every predicate takes the bound row walk, so this times the
-// per-object navigation run_local_query does after binding the query once.
-void BM_BoundNavigation(benchmark::State& state) {
-  const SynthFederation synth = make_synth(static_cast<int>(state.range(1)));
+/// The synthetic query keeping only its predicates of `length` steps.
+GlobalQuery navigating_query(const SynthFederation& synth,
+                             std::int64_t length) {
   GlobalQuery query = synth.query;
   std::erase_if(query.predicates, [&](const Predicate& pred) {
-    return pred.path.length() != static_cast<std::size_t>(state.range(0));
+    return pred.path.length() != static_cast<std::size_t>(length);
   });
+  return query;
+}
+
+// A local query whose predicates all navigate: arg 0 selects the path
+// length (2 or 3 steps through the synthetic class chain), arg 1 the
+// extent size. A full scan evaluates them through the reference columns
+// (one reach per path prefix, then a kernel pass at the terminal), so this
+// times run_local_query's navigation after binding the query once.
+void BM_BoundNavigation(benchmark::State& state) {
+  const SynthFederation synth = make_synth(static_cast<int>(state.range(1)));
+  const GlobalQuery query = navigating_query(synth, state.range(0));
   for (auto _ : state) {
     LocalExecution exec = run_local_query(*synth.federation, query, DbId{1});
     benchmark::DoNotOptimize(exec.rows.size());
@@ -79,6 +87,35 @@ BENCHMARK(BM_BoundNavigation)
     ->Args({3, 1000})
     ->Args({2, 5000})
     ->Args({3, 5000});
+
+/// The 2-step local query of BM_BoundNavigation, arg 0 objects per class
+/// and database, evaluated by the row walk (`use_columnar = false`) and by
+/// the column path alternately in one process (the order flips every
+/// iteration), as BM_PredicateEvalPaired does. `nav_speedup` is the row
+/// time over the column time summed across the repetition's iterations;
+/// tools/check_bench_micro.py gates its median over repetitions. Both
+/// sides pay the same root scan, survivor probes and target walks.
+void BM_NavigationPaired(benchmark::State& state) {
+  using Clock = std::chrono::steady_clock;
+  const SynthFederation synth = make_synth(static_cast<int>(state.range(0)));
+  const GlobalQuery query = navigating_query(synth, 2);
+  double row_s = 0, column_s = 0;
+  const auto time = [&](bool use_columnar, double& total) {
+    const Clock::time_point start = Clock::now();
+    LocalExecution exec = run_local_query(*synth.federation, query, DbId{1},
+                                          nullptr, use_columnar);
+    benchmark::DoNotOptimize(exec.rows.size());
+    total += std::chrono::duration<double>(Clock::now() - start).count();
+  };
+  bool row_first = true;
+  for (auto _ : state) {
+    time(!row_first, row_first ? row_s : column_s);
+    time(row_first, row_first ? column_s : row_s);
+    row_first = !row_first;
+  }
+  state.counters["nav_speedup"] = row_s / column_s;
+}
+BENCHMARK(BM_NavigationPaired)->Arg(5000);
 
 // The centralized approach's phase P: every predicate of the synthetic
 // query evaluated over a view materialized once, arg 0 objects per class

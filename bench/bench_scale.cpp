@@ -2,9 +2,10 @@
 //
 // Sweeps the per-constituent object count across decades (default
 // 10K -> 1M; pass --sizes=...,10000000 for the full 10M sweep) and, at each
-// size, builds one deterministic two-database federation whose root class
-// misses one predicate attribute at DB2 — so the sweep exercises both the
-// vectorized kernel path (DB1) and the schema-missing bulk path (DB2).
+// size, builds one deterministic two-database federation of a two-class
+// reference chain whose classes each miss one predicate attribute at DB2 —
+// so the sweep exercises the vectorized kernels, the schema-missing bulk
+// path and navigation through reference columns (with null references).
 //
 // At every size the bench is its own at-scale parity check:
 //   * the local query runs row-at-a-time and columnar at every home and the
@@ -20,6 +21,7 @@
 // Extra flags on top of the common harness set (see --help):
 //   --sizes=N[,N...]    per-constituent object counts to sweep
 //   --strategy-cap=N    largest size that also runs full CA/BL/PL parity
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <string>
@@ -39,24 +41,31 @@ double wall_ms(std::chrono::steady_clock::time_point from,
   return std::chrono::duration<double, std::milli>(to - from).count();
 }
 
-/// One root class, two databases, both predicates defined at DB1 (with some
-/// value-level nulls), p1 schema-missing at DB2. Deterministic in `seed`.
+/// Two databases and a two-class chain: the root class C1 (both predicates
+/// defined at DB1 with some value-level nulls, p1 schema-missing at DB2)
+/// references the branch class C2 (half as many objects) through `ref`,
+/// null for a fifth of the roots. C2's two predicates navigate one hop, and
+/// its p1 is schema-missing at DB2, so both homes run navigation through
+/// the reference column as well as the root kernels. Deterministic in
+/// `seed`.
 SampleParams make_sample(int n_objects, std::uint64_t seed) {
   SampleParams sample;
   sample.n_db = 2;
   sample.n_targets = 1;
   sample.iso_ratio = 0.3;
-  SampleParams::PerClass cls;
-  cls.n_preds = 2;
-  cls.pred_selectivity = 0.45;
-  cls.ref_ratio = 1.0;
-  cls.dbs.resize(2);
-  cls.dbs[0].n_objects = n_objects;
-  cls.dbs[0].present_preds = {0, 1};
-  cls.dbs[0].extra_missing = 0.1;
-  cls.dbs[1].n_objects = n_objects;
-  cls.dbs[1].present_preds = {0};
-  sample.classes.push_back(std::move(cls));
+  for (const int objects : {n_objects, std::max(1, n_objects / 2)}) {
+    SampleParams::PerClass cls;
+    cls.n_preds = 2;
+    cls.pred_selectivity = 0.45;
+    cls.ref_ratio = 0.8;
+    cls.dbs.resize(2);
+    cls.dbs[0].n_objects = objects;
+    cls.dbs[0].present_preds = {0, 1};
+    cls.dbs[0].extra_missing = 0.1;
+    cls.dbs[1].n_objects = objects;
+    cls.dbs[1].present_preds = {0};
+    sample.classes.push_back(std::move(cls));
+  }
   sample.materialize_seed = seed;
   return sample;
 }

@@ -1,6 +1,7 @@
 #include "isomer/core/local_exec.hpp"
 
 #include <span>
+#include <string_view>
 #include <variant>
 
 #include "isomer/common/error.hpp"
@@ -117,6 +118,127 @@ Value BoundQuery::eval_target(Site site, std::size_t t, const Object& root,
       Storage{targets_[t], site, federation_->goids(), meter, cache}, root);
 }
 
+namespace {
+
+/// The row walk's state after one bound path prefix, held for every
+/// candidate of a full scan at once. A live candidate has reached an object
+/// of the prefix's last step class, at `rows[i]` of `extent`; a stopped one
+/// halted at step `stop` on a schema-missing attribute, a null or a
+/// dangling reference. Either way `holder` is the LOid::local of the last
+/// object reached — the gap's holder when the walk stopped.
+struct Reach {
+  static constexpr std::uint32_t kLive = UINT32_MAX;
+  std::size_t parent = 0;   ///< the prefix one step shorter
+  std::string_view attr;    ///< global attribute followed from `parent`
+  bool mirrored = true;     ///< false: only the row walk reproduces it
+  bool admitted = false;    ///< live objects charged through the FetchCache
+  const Extent* extent = nullptr;
+  std::vector<std::uint32_t> live, rows;  ///< live candidates, their rows
+  std::vector<std::uint32_t> holder, stop;  ///< per candidate
+};
+
+/// One execution's reaches: index 0 is the empty prefix (every candidate
+/// live at its root row), and each longer prefix extends its parent by one
+/// reference column, so predicates sharing a prefix share its walk.
+class Reaches {
+ public:
+  Reaches(const ComponentDatabase& database, const Extent& root)
+      : database_(database) {
+    Reach& all = reaches_.emplace_back();
+    all.extent = &root;
+    const std::size_t n = root.size();
+    all.stop.assign(n, Reach::kLive);
+    for (std::uint32_t r = 0; r < n; ++r) {
+      all.live.push_back(r);
+      all.holder.push_back(root.objects()[r].id().local);
+    }
+    all.rows = all.live;
+  }
+
+  const Reach& operator[](std::size_t i) const { return reaches_[i]; }
+
+  /// The reach of predicate `p`'s first `depth` steps, built on first use;
+  /// nullopt when a step needs the row walk: a reference-set or non-reference
+  /// column, or a reference into an extent other than the step class's.
+  std::optional<std::size_t> prefix(const BoundQuery& bound,
+                                    BoundQuery::Site site, std::size_t p,
+                                    const PathExpr& path, std::size_t depth) {
+    std::size_t at = 0;
+    for (std::size_t step = 0; step < depth; ++step) {
+      std::size_t next = at + 1;
+      while (next < reaches_.size() && (reaches_[next].parent != at ||
+                                        reaches_[next].attr != path.step(step)))
+        ++next;
+      if (next == reaches_.size()) extend(bound, site, p, path, at, step);
+      if (!reaches_[next].mirrored) return std::nullopt;
+      at = next;
+    }
+    return at;
+  }
+
+  /// Admits the live objects of reach `i` and of its ancestors through
+  /// `cache`, charging each first touch as the row walk's fetch does.
+  void admit(std::size_t i, AccessMeter& meter, FetchCache& cache) {
+    for (; i != 0 && !reaches_[i].admitted; i = reaches_[i].parent) {
+      Reach& reach = reaches_[i];
+      reach.admitted = true;
+      std::uint64_t fresh = 0;
+      for (const std::uint32_t r : reach.live)
+        fresh += cache.admit(LOid{database_.db(), reach.holder[r]}) ? 1u : 0u;
+      if (fresh == 0) continue;  // no live objects: maybe no extent either
+      meter.objects_fetched += fresh;
+      meter.prim_slots += fresh * reach.extent->prim_slots();
+      meter.ref_slots += fresh * reach.extent->ref_slots();
+    }
+  }
+
+ private:
+  /// Appends reach `from` followed one step through `step`'s attribute.
+  void extend(const BoundQuery& bound, BoundQuery::Site site, std::size_t p,
+              const PathExpr& path, std::size_t from, std::size_t step) {
+    Reach next;
+    next.parent = from;
+    next.attr = path.step(step);
+    const GlobalClass& cls = bound.step_class(p, step + 1);
+    if (const auto constituent = cls.constituent_in(database_.db()))
+      next.extent =
+          &database_.extent(cls.constituents()[*constituent].local_class);
+    const Reach& base = reaches_[from];
+    next.holder = base.holder;
+    next.stop = base.stop;
+    const auto attr = bound.local_attr(site, p, step);
+    const ColumnarExtent::Column* col =
+        attr && !base.live.empty() ? &base.extent->columnar().column(*attr)
+                                   : nullptr;
+    if (col != nullptr && col->kind != ColumnarExtent::ColKind::AllNull &&
+        col->kind != ColumnarExtent::ColKind::Ref)
+      next.mirrored = false;  // reference sets, or the row walk's throw
+    for (std::size_t i = 0; i < base.live.size() && next.mirrored; ++i) {
+      const std::uint32_t r = base.live[i], row = base.rows[i];
+      const ComponentDatabase::Location to =
+          col != nullptr && col->is_valid(row)
+              ? database_.locate(LOid{database_.db(), col->refs[row]})
+              : ComponentDatabase::Location{};
+      if (to.extent == nullptr) {
+        // Schema-missing, null or dangling: the referrer holds the gap.
+        next.stop[r] = static_cast<std::uint32_t>(step);
+      } else if (to.extent != next.extent) {
+        next.mirrored = false;
+      } else {
+        next.holder[r] = col->refs[row];
+        next.live.push_back(r);
+        next.rows.push_back(static_cast<std::uint32_t>(to.row));
+      }
+    }
+    reaches_.push_back(std::move(next));
+  }
+
+  const ComponentDatabase& database_;
+  std::vector<Reach> reaches_;
+};
+
+}  // namespace
+
 LocalExecution run_local_query(const Federation& federation,
                                const GlobalQuery& query, DbId db,
                                const ExtentIndexes* indexes,
@@ -171,44 +293,64 @@ LocalExecution run_local_query(const Federation& federation,
   exec.considered = candidates.size();
 
   // How each predicate is evaluated over this candidate set:
-  //   Row         row-at-a-time walk per candidate (the reference path);
-  //   Kernel      one vectorized pass over the root extent's columnar
-  //               mirror, truths precomputed for all candidates;
-  //   MissingRoot the step-0 attribute is schema-missing here, so every
-  //               candidate is Unknown at the root — no walk at all.
-  // Kernel/MissingRoot apply only to full scans (candidates == extent rows
-  // in order); index executions keep the row walk.
-  enum class PredMode : unsigned char { Row, Kernel, MissingRoot };
+  //   Row     row-at-a-time walk per candidate (the reference path);
+  //   Column  bottom-up over the columnar mirrors: the path's prefix is one
+  //           Reach for all candidates, then one kernel pass compares the
+  //           terminal attribute of the candidates live there. A one-step
+  //           path is the zero-hop case: its prefix is the root extent.
+  // Column applies only to full scans (candidates == extent rows in order);
+  // index executions keep the row walk. Every fallback is decided before
+  // any charge, and the charges are the row walk's totals in bulk.
+  enum class PredMode : unsigned char { Row, Column };
   const std::size_t n_preds = query.predicates.size();
   std::vector<PredMode> modes(n_preds, PredMode::Row);
-  std::vector<std::vector<Truth>> kernel_truths(n_preds);
-  if (use_columnar && !via_index && !candidates.empty()) {
-    const Extent& root_extent = database.extent(root_class_name);
+  std::vector<std::size_t> reach_of(n_preds);
+  std::vector<std::vector<Truth>> column_truths(n_preds);
+  std::optional<Reaches> reaches;
+  if (use_columnar && !via_index && !candidates.empty() && n_preds != 0) {
+    reaches.emplace(database, database.extent(root_class_name));
     for (std::size_t p = 0; p < n_preds; ++p) {
       const Predicate& pred = query.predicates[p];
-      const auto attr = bound.local_attr(site, p, 0);
-      if (!attr) {
-        // The row path returns Unknown(root, step 0) per candidate with no
-        // comparison, then charges one goid probe for the unknown holder —
-        // surviving or not. Same totals, charged in bulk.
-        modes[p] = PredMode::MissingRoot;
-        exec.meter.table_probes += candidates.size();
+      const std::size_t last = pred.path.length() - 1;
+      const auto at = reaches->prefix(bound, site, p, pred.path, last);
+      if (!at) continue;
+      const Reach& reach = (*reaches)[*at];
+      const auto attr = bound.local_attr(site, p, last);
+      if (attr && !reach.live.empty() &&
+          !kernel_applicable(reach.extent->columnar().column(*attr).kind,
+                             pred.op, pred.literal))
         continue;
+      modes[p] = PredMode::Column;
+      reach_of[p] = *at;
+    }
+    for (std::size_t p = 0; p < n_preds; ++p) {
+      if (modes[p] != PredMode::Column) continue;
+      const Predicate& pred = query.predicates[p];
+      const std::size_t last = pred.path.length() - 1;
+      reaches->admit(reach_of[p], exec.meter, cache);
+      const Reach& reach = (*reaches)[reach_of[p]];
+      std::vector<Truth>& truths = column_truths[p];
+      truths.assign(candidates.size(), Truth::Unknown);
+      const auto attr = bound.local_attr(site, p, last);
+      if (attr && !reach.live.empty()) {
+        // One comparison per arrival at a present terminal attribute, nulls
+        // included (apply() still runs).
+        const ColumnarExtent::Column& col =
+            reach.extent->columnar().column(*attr);
+        exec.meter.comparisons += reach.live.size();
+        if (reach_of[p] == 0) {
+          eval_predicate_column(col, candidates.size(), pred.op, pred.literal,
+                                truths.data());
+        } else {
+          std::vector<Truth> live(reach.live.size());
+          eval_predicate_column(col, reach.rows, pred.op, pred.literal,
+                                live.data());
+          for (std::size_t i = 0; i < live.size(); ++i)
+            truths[reach.live[i]] = live[i];
+        }
       }
-      if (pred.path.length() != 1) continue;  // navigation: row walk
-      const ColumnarExtent::Column& col =
-          root_extent.columnar().column(*attr);
-      if (!kernel_applicable(col.kind, pred.op, pred.literal)) continue;
-      modes[p] = PredMode::Kernel;
-      kernel_truths[p].resize(candidates.size());
-      eval_predicate_column(col, candidates.size(), pred.op, pred.literal,
-                            kernel_truths[p].data());
-      // Row-path charges for a present last-step attribute: one comparison
-      // per candidate (nulls included — apply() still runs), one goid probe
-      // per Unknown outcome whether or not the candidate survives.
-      exec.meter.comparisons += candidates.size();
-      exec.meter.table_probes +=
-          count_truth(kernel_truths[p], Truth::Unknown);
+      // One goid probe per Unknown outcome, surviving or not.
+      exec.meter.table_probes += count_truth(truths, Truth::Unknown);
     }
   }
 
@@ -239,12 +381,15 @@ LocalExecution run_local_query(const Federation& federation,
           e.root_level = (outcome.holder == obj.id() && outcome.step == 0);
         }
       } else {
-        // An Unknown is held by the root itself at step 0 (its probe was
-        // bulk-charged above); its entity is the row's, filled in below
-        // only if the candidate survives.
-        e.truth = modes[p] == PredMode::Kernel ? kernel_truths[p][r]
-                                               : Truth::Unknown;
-        e.root_level = is_unknown(e.truth);
+        // An Unknown's probe was bulk-charged above; its holder's entity is
+        // filled in below only if the candidate survives.
+        e.truth = column_truths[p][r];
+        if (is_unknown(e.truth)) {
+          const std::uint32_t stop = (*reaches)[reach_of[p]].stop[r];
+          e.step = stop == Reach::kLive ? query.predicates[p].path.length() - 1
+                                        : stop;
+          e.root_level = e.step == 0;
+        }
       }
       truths[p] = e.truth;
     }
@@ -259,9 +404,15 @@ LocalExecution run_local_query(const Federation& federation,
     row.root = obj.id();
     row.entity = *entity;
     row.preds = evals;
-    for (std::size_t p = 0; p < n_preds; ++p)
-      if (modes[p] != PredMode::Row && is_unknown(row.preds[p].truth))
-        row.preds[p].item = *entity;
+    for (std::size_t p = 0; p < n_preds; ++p) {
+      if (modes[p] == PredMode::Row || !is_unknown(row.preds[p].truth))
+        continue;
+      const auto item_entity = federation.goids().goid_of(
+          LOid{db, (*reaches)[reach_of[p]].holder[r]});
+      ensures(item_entity.has_value(),
+              "every constituent object is GOid-mapped");
+      row.preds[p].item = *item_entity;
+    }
 
     row.targets.reserve(query.targets.size());
     for (std::size_t t = 0; t < query.targets.size(); ++t)

@@ -163,13 +163,17 @@ struct LocalExecution {
 /// matching + null-bucket candidates are fetched (identical rows, less
 /// disk; see federation/indexes.hpp for why the null bucket is required).
 ///
-/// With `use_columnar` (the default), full-scan executions evaluate simple
-/// single-step predicates through the extent's columnar mirror and the
-/// vectorized kernels (query/kernels.hpp); predicates the kernels cannot
-/// mirror exactly — navigation paths, mixed-kind columns — take the
-/// row-at-a-time walk per object. Rows, meter counts and cache evolution
-/// are bitwise identical either way; `use_columnar = false` forces the row
-/// walk everywhere and exists as the parity suite's reference.
+/// With `use_columnar` (the default), full-scan executions evaluate
+/// predicates bottom-up through the extents' columnar mirrors: each distinct
+/// path prefix is followed once for all candidates through reference
+/// columns, and the vectorized kernels (query/kernels.hpp) compare the
+/// terminal attribute of the candidates that reach it. Predicates the
+/// mirrors cannot reproduce exactly — reference-set steps, references into
+/// another class's extent, terminal columns no kernel takes — and index
+/// executions take the row-at-a-time walk per object. Rows, meter totals
+/// and the buffer pool's contents are bitwise identical either way;
+/// `use_columnar = false` forces the row walk everywhere and exists as the
+/// parity suite's reference.
 [[nodiscard]] LocalExecution run_local_query(const Federation& federation,
                                              const GlobalQuery& query,
                                              DbId db,

@@ -202,6 +202,7 @@ void eval_impl(const ColumnarExtent::Column& col, std::size_t rows,
       return;
     }
     case ColKind::AllNull:
+    case ColKind::Ref:
     case ColKind::Other:
       break;  // unreachable: guarded by kernel_applicable above
   }
@@ -224,6 +225,7 @@ bool kernel_applicable(ColKind col_kind, CompOp op, const Value& literal) {
              (op == CompOp::Eq || op == CompOp::Ne);
     case ColKind::String:
       return literal.kind() == ValueKind::String;
+    case ColKind::Ref:
     case ColKind::Other:
       return false;
   }

@@ -1,5 +1,6 @@
 #include "isomer/store/columnar.hpp"
 
+#include <algorithm>
 #include <limits>
 
 #include "isomer/common/error.hpp"
@@ -33,6 +34,9 @@ void classify(ColPlan& plan, const Value& v) {
       vk = ColKind::String;
       bytes = v.as_string().size();
       break;
+    case ValueKind::LocalRef:
+      vk = ColKind::Ref;
+      break;
     default:
       vk = ColKind::Other;
       break;
@@ -46,127 +50,101 @@ void classify(ColPlan& plan, const Value& v) {
 
 }  // namespace
 
-ColumnarExtent::ColumnarExtent(const Extent& extent) {
-  const std::vector<Object>& objects = extent.objects();
-  rows_ = objects.size();
-  const std::size_t attrs = extent.cls().attribute_count();
-  cols_.resize(attrs);
-  if (attrs == 0) return;
-
-  // ---- Pass 1: classify every column and size the arenas.
-  std::vector<ColPlan> plans(attrs);
-  for (const Object& obj : objects)
-    for (std::size_t a = 0; a < attrs; ++a) classify(plans[a], obj.value(a));
-
-  const std::size_t bitmap_words = (rows_ + 63) / 64;
-  const std::size_t bool_words = (rows_ + 7) / 8;
-  std::size_t words = 0;
-  std::size_t str_total = 0;
-  std::size_t offset_total = 0;
-  for (const ColPlan& plan : plans) {
-    words += bitmap_words;  // every column gets a validity bitmap
-    switch (plan.kind) {
-      case ColKind::Num:
-        words += rows_;  // one 64-bit word per double
-        break;
-      case ColKind::Bool:
-        words += bool_words;
-        break;
-      case ColKind::String:
-        expects(plan.str_bytes <
-                    std::numeric_limits<std::uint32_t>::max(),
-                "string column exceeds 4 GiB arena");
-        str_total += plan.str_bytes;
-        offset_total += rows_ + 1;
-        break;
-      case ColKind::AllNull:
-      case ColKind::Other:
-        break;
-    }
-  }
-  arena_.assign(words, 0);
-  str_arena_.resize(str_total);
-  offset_arena_.assign(offset_total, 0);
-
-  // ---- Carve per-column views out of the arenas.
-  std::size_t word_at = 0;
-  std::size_t str_at = 0;
-  std::size_t offset_at = 0;
-  for (std::size_t a = 0; a < attrs; ++a) {
-    Column& col = cols_[a];
-    col.kind = plans[a].kind;
-    col.valid = arena_.data() + word_at;
-    word_at += bitmap_words;
-    switch (col.kind) {
-      case ColKind::Num:
-        col.nums = reinterpret_cast<const double*>(arena_.data() + word_at);
-        word_at += rows_;
-        break;
-      case ColKind::Bool:
-        col.bools =
-            reinterpret_cast<const std::uint8_t*>(arena_.data() + word_at);
-        word_at += bool_words;
-        break;
-      case ColKind::String:
-        col.str_offsets = offset_arena_.data() + offset_at;
-        offset_at += rows_ + 1;
-        col.str_bytes = str_arena_.data() + str_at;
-        str_at += plans[a].str_bytes;
-        break;
-      case ColKind::AllNull:
-      case ColKind::Other:
-        break;
-    }
-  }
-
-  // ---- Pass 2: fill values and validity bits.
-  for (std::size_t r = 0; r < rows_; ++r) {
-    const Object& obj = objects[r];
-    for (std::size_t a = 0; a < attrs; ++a) {
-      Column& col = cols_[a];
-      const Value& v = obj.value(a);
-      // String offsets advance for every row (null rows get length 0).
-      if (col.kind == ColKind::String) {
-        auto* offsets = const_cast<std::uint32_t*>(col.str_offsets);
-        offsets[r + 1] = offsets[r];
-      }
-      if (v.is_null()) continue;
-      const_cast<std::uint64_t*>(col.valid)[r >> 6] |= std::uint64_t{1}
-                                                       << (r & 63);
-      switch (col.kind) {
-        case ColKind::Num:
-          const_cast<double*>(col.nums)[r] = v.as_number();
-          break;
-        case ColKind::Bool:
-          const_cast<std::uint8_t*>(col.bools)[r] =
-              static_cast<std::uint8_t>(v.as_bool());
-          break;
-        case ColKind::String: {
-          const std::string& s = v.as_string();
-          auto* offsets = const_cast<std::uint32_t*>(col.str_offsets);
-          char* base = const_cast<char*>(col.str_bytes);
-          std::copy(s.begin(), s.end(), base + offsets[r]);
-          offsets[r + 1] =
-              offsets[r] + static_cast<std::uint32_t>(s.size());
-          break;
-        }
-        case ColKind::AllNull:
-        case ColKind::Other:
-          break;
-      }
-    }
-  }
-}
+ColumnarExtent::ColumnarExtent(const Extent& extent)
+    : objects_(extent.objects()),
+      column_count_(extent.cls().attribute_count()),
+      cols_(std::make_unique<Built[]>(column_count_)) {}
 
 const ColumnarExtent::Column& ColumnarExtent::column(
     std::size_t attr_index) const {
-  expects(attr_index < cols_.size(), "columnar attribute index out of range");
-  return cols_[attr_index];
+  expects(attr_index < column_count_,
+          "columnar attribute index out of range");
+  Built& built = cols_[attr_index];
+  const std::lock_guard<std::mutex> lock(m_);
+  if (!built.done) {
+    build(attr_index, built);
+    built.done = true;
+  }
+  return built.col;
 }
 
-std::size_t ColumnarExtent::arena_bytes() const noexcept {
-  return arena_.size() * sizeof(std::uint64_t) + str_arena_.size() +
-         offset_arena_.size() * sizeof(std::uint32_t);
+void ColumnarExtent::build(std::size_t a, Built& out) const {
+  const std::size_t rows = objects_.size();
+  ColPlan plan;
+  for (const Object& obj : objects_) classify(plan, obj.value(a));
+  expects(plan.str_bytes < std::numeric_limits<std::uint32_t>::max(),
+          "string column exceeds 4 GiB arena");
+
+  out.valid.assign((rows + 63) / 64, 0);
+  switch (plan.kind) {
+    case ColKind::Num:
+      out.nums.assign(rows, 0.0);
+      break;
+    case ColKind::Bool:
+      out.bools.assign(rows, 0);
+      break;
+    case ColKind::Ref:
+      out.refs.assign(rows, 0);
+      break;
+    case ColKind::String:
+      out.str_bytes.resize(plan.str_bytes);
+      out.str_offsets.assign(rows + 1, 0);
+      break;
+    case ColKind::AllNull:
+    case ColKind::Other:
+      break;
+  }
+  for (std::size_t r = 0; r < rows; ++r) {
+    const Value& v = objects_[r].value(a);
+    // String offsets advance for every row (null rows get length 0).
+    if (plan.kind == ColKind::String)
+      out.str_offsets[r + 1] = out.str_offsets[r];
+    if (v.is_null()) continue;
+    out.valid[r >> 6] |= std::uint64_t{1} << (r & 63);
+    switch (plan.kind) {
+      case ColKind::Num:
+        out.nums[r] = v.as_number();
+        break;
+      case ColKind::Bool:
+        out.bools[r] = static_cast<std::uint8_t>(v.as_bool());
+        break;
+      case ColKind::Ref: {
+        const LOid target = v.as_local_ref();
+        out.refs[r] = target.db == objects_[r].id().db ? target.local : 0;
+        break;
+      }
+      case ColKind::String: {
+        const std::string& s = v.as_string();
+        std::copy(s.begin(), s.end(),
+                  out.str_bytes.data() + out.str_offsets[r]);
+        out.str_offsets[r + 1] += static_cast<std::uint32_t>(s.size());
+        break;
+      }
+      case ColKind::AllNull:
+      case ColKind::Other:
+        break;
+    }
+  }
+  out.col = Column{.kind = plan.kind,
+                   .valid = out.valid.data(),
+                   .nums = out.nums.data(),
+                   .bools = out.bools.data(),
+                   .str_offsets = out.str_offsets.data(),
+                   .str_bytes = out.str_bytes.data(),
+                   .refs = out.refs.data()};
+}
+
+std::size_t ColumnarExtent::arena_bytes() const {
+  const std::lock_guard<std::mutex> lock(m_);
+  std::size_t bytes = 0;
+  for (std::size_t a = 0; a < column_count_; ++a) {
+    const Built& b = cols_[a];
+    bytes += b.valid.size() * sizeof(std::uint64_t) +
+             b.nums.size() * sizeof(double) + b.bools.size() +
+             b.refs.size() * sizeof(std::uint32_t) + b.str_bytes.size() +
+             b.str_offsets.size() * sizeof(std::uint32_t);
+  }
+  return bytes;
 }
 
 }  // namespace isomer

@@ -1,7 +1,7 @@
 // Columnar extent mirror.
 //
 // A ColumnarExtent re-lays one class extent per attribute: each attribute's
-// values sit in one contiguous arena-backed array with a validity bitmap
+// values sit in one contiguous array with a validity bitmap
 // marking where the value is non-null — the paper's missing data, preserved
 // exactly. The mirror is a read-only *projection* of the row extent (the
 // Extent stays the system of record, so point lookups, mutation and the
@@ -14,20 +14,28 @@
 // Int/Real type: three-valued comparison (common/value.cpp) converts *both*
 // operands through Value::as_number() before comparing, so a double array
 // reproduces the row path's results bit for bit — including the places where
-// an int64 beyond 2^53 would round. Columns whose values the kernels cannot
-// mirror exactly (references, ref sets, non-numeric kind mixes) are tagged
-// Other and predicate evaluation falls back to the row walk.
+// an int64 beyond 2^53 would round. Single-reference columns store each
+// target's LOid::local, so a navigation predicate follows a whole extent's
+// references through the database's LOid directory (core/local_exec.cpp).
+// Columns the mirror cannot hold exactly (reference sets, kind mixes) are
+// tagged Other, and predicates reading them take the row walk.
 #pragma once
 
 #include <cstdint>
+#include <memory>
+#include <mutex>
+#include <span>
 #include <vector>
 
 namespace isomer {
 
 class Extent;
+class Object;
 
-/// Per-attribute columnar projection of one Extent. Immutable once built;
-/// Extent::columnar() caches one per extent and rebuilds it after mutation.
+/// Per-attribute columnar projection of one Extent. Each column is built on
+/// its first request and immutable afterwards, so only the attributes some
+/// predicate reads take memory; Extent::columnar() caches one projection
+/// per extent and drops it after mutation.
 class ColumnarExtent {
  public:
   /// Storage class of a column, chosen from the values actually present.
@@ -36,11 +44,13 @@ class ColumnarExtent {
     Num,      ///< every non-null value is Int or Real -> double array
     Bool,     ///< every non-null value is Bool -> byte array
     String,   ///< every non-null value is String -> offset + byte arena
-    Other,    ///< references / ref sets / mixed kinds: row-path only
+    Ref,      ///< every non-null value is a LocalRef -> target LOid::local
+    Other,    ///< reference sets / mixed kinds: row-path only
   };
 
-  /// One attribute laid out contiguously. Pointers alias the extent-owned
-  /// arenas and stay valid as long as the ColumnarExtent lives.
+  /// One attribute laid out contiguously. Pointers alias the column's own
+  /// arrays and stay valid as long as the ColumnarExtent lives; the arrays
+  /// of other kinds are null (or empty).
   struct Column {
     ColKind kind = ColKind::AllNull;
     /// Validity bitmap, bit r set = row r non-null; never null for a built
@@ -51,33 +61,50 @@ class ColumnarExtent {
     /// String: rows+1 offsets into `str_bytes`.
     const std::uint32_t* str_offsets = nullptr;
     const char* str_bytes = nullptr;
+    /// Ref: one target LOid::local per row; 0 (never allocated, so it
+    /// dangles as the row walk's fetch does) for a target in another
+    /// database.
+    const std::uint32_t* refs = nullptr;
 
     [[nodiscard]] bool is_valid(std::size_t row) const noexcept {
       return ((valid[row >> 6] >> (row & 63)) & 1) != 0;
     }
   };
 
-  /// Builds the projection of `extent` (two passes: classify + fill).
+  /// A projection of `extent` with no column built yet.
   explicit ColumnarExtent(const Extent& extent);
 
-  [[nodiscard]] std::size_t rows() const noexcept { return rows_; }
+  [[nodiscard]] std::size_t rows() const noexcept { return objects_.size(); }
   [[nodiscard]] std::size_t column_count() const noexcept {
-    return cols_.size();
+    return column_count_;
   }
+  /// The column of attribute `attr_index`, built on its first request (two
+  /// passes over the rows: classify, then fill). Thread-safe.
   [[nodiscard]] const Column& column(std::size_t attr_index) const;
 
-  /// Bytes held by the arenas (diagnostics / bench reporting).
-  [[nodiscard]] std::size_t arena_bytes() const noexcept;
+  /// Bytes held by the columns built so far (diagnostics / bench reporting).
+  [[nodiscard]] std::size_t arena_bytes() const;
 
  private:
-  std::size_t rows_ = 0;
-  std::vector<Column> cols_;
-  /// One arena for all fixed-width data: per column, bitmap words followed
-  /// by the value array (doubles stored as bit patterns, bools packed one
-  /// byte each). Single allocation, 8-byte aligned.
-  std::vector<std::uint64_t> arena_;
-  std::vector<char> str_arena_;             ///< all string bytes
-  std::vector<std::uint32_t> offset_arena_;  ///< rows+1 offsets per string col
+  /// One attribute's column and the storage its pointers alias; only the
+  /// column kind's own array is filled.
+  struct Built {
+    bool done = false;
+    Column col;
+    std::vector<std::uint64_t> valid;
+    std::vector<double> nums;
+    std::vector<std::uint8_t> bools;
+    std::vector<std::uint32_t> refs;
+    std::vector<char> str_bytes;
+    std::vector<std::uint32_t> str_offsets;  ///< rows+1 (String)
+  };
+
+  void build(std::size_t attr_index, Built& out) const;
+
+  std::span<const Object> objects_;
+  std::size_t column_count_ = 0;
+  mutable std::mutex m_;  ///< guards first builds, never a scan
+  std::unique_ptr<Built[]> cols_;
 };
 
 }  // namespace isomer

@@ -100,6 +100,19 @@ class ComponentDatabase {
     return directory_.size();
   }
 
+  /// Where an allocated object lives: its extent and its row there.
+  struct Location {
+    const Extent* extent = nullptr;  ///< null: not an object of this database
+    std::size_t row = 0;
+  };
+
+  /// The LOid directory's entry for `id`, with no fetch charged; a null
+  /// extent for an LOid this database never allocated (a dangling one).
+  [[nodiscard]] Location locate(LOid id) const noexcept {
+    const Slot* slot = slot_of(id);
+    return slot == nullptr ? Location{} : Location{slot->extent, slot->row};
+  }
+
   /// Monotone mutation counter: the sum of every extent's version (see
   /// Extent::version()), so any insert or attribute write anywhere in the
   /// database changes the value. Epoch-tagged caches compare this to decide

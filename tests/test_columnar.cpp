@@ -8,6 +8,7 @@
 
 #include <cmath>
 #include <limits>
+#include <thread>
 
 #include "isomer/common/rng.hpp"
 #include "isomer/query/kernels.hpp"
@@ -47,9 +48,58 @@ TEST(Columnar, KindClassification) {
   EXPECT_EQ(col.column(1).kind, ColKind::Num);
   EXPECT_EQ(col.column(2).kind, ColKind::Bool);
   EXPECT_EQ(col.column(3).kind, ColKind::String);
-  EXPECT_EQ(col.column(4).kind, ColKind::Other);
+  // A single-reference column stores target LOid::locals.
+  EXPECT_EQ(col.column(4).kind, ColKind::Ref);
+  EXPECT_FALSE(col.column(4).is_valid(0));
+  ASSERT_TRUE(col.column(4).is_valid(1));
+  EXPECT_EQ(col.column(4).refs[1], a.local);
   EXPECT_EQ(col.column(5).kind, ColKind::AllNull);
   EXPECT_GT(col.arena_bytes(), 0u);
+  EXPECT_FALSE(kernel_applicable(ColKind::Ref, CompOp::Eq, Value(1)));
+  EXPECT_TRUE(kernel_applicable(ColKind::Ref, CompOp::Eq, Value::null()));
+}
+
+TEST(Columnar, ColumnsAreBuiltOnFirstRequestOnce) {
+  ComponentDatabase db = make_db();
+  for (int i = 0; i < 500; ++i) db.insert("T", {{"n", i}, {"s", "ab"}});
+  const ColumnarExtent& col = db.extent("T").columnar();
+  EXPECT_EQ(col.arena_bytes(), 0u) << "no column is built before a request";
+  // Four threads race for two columns' first requests; each column is
+  // built once (TSan builds check the handshake) and read alike.
+  const ColumnarExtent::Column* seen[4] = {};
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < 4; ++t)
+    threads.emplace_back([&, t] { seen[t] = &col.column(t % 2 == 0 ? 0 : 3); });
+  for (std::thread& thread : threads) thread.join();
+  EXPECT_EQ(seen[0], seen[2]);
+  EXPECT_EQ(seen[1], seen[3]);
+  EXPECT_EQ(seen[0]->kind, ColKind::Num);
+  EXPECT_EQ(seen[1]->kind, ColKind::String);
+  const std::size_t built = col.arena_bytes();
+  EXPECT_GT(built, 0u);
+  (void)col.column(0);
+  EXPECT_EQ(col.arena_bytes(), built) << "a second request builds nothing";
+}
+
+TEST(Columnar, ReferenceSetsStayOtherAndForeignTargetsDangle) {
+  ComponentSchema schema(DbId{1}, "DB1");
+  schema.add_class("T")
+      .add_attribute("r", ComplexType{"T"})
+      .add_attribute("rs", ComplexType{"T", true});
+  ComponentDatabase db(std::move(schema));
+  const LOid a = db.insert("T");
+  db.insert("T", {{"r", LocalRef{LOid{DbId{2}, 1}}},
+                  {"rs", LocalRefSet{{a}}}});
+  const ColumnarExtent& col = db.extent("T").columnar();
+  EXPECT_EQ(col.column(0).kind, ColKind::Ref);
+  // A target in another database is stored as local 0, which no database
+  // allocates: the directory lookup dangles as the row walk's fetch does.
+  ASSERT_TRUE(col.column(0).is_valid(1));
+  EXPECT_EQ(col.column(0).refs[1], 0u);
+  EXPECT_EQ(db.locate(LOid{DbId{1}, col.column(0).refs[1]}).extent, nullptr);
+  EXPECT_EQ(db.locate(a).extent, &db.extent("T"));
+  EXPECT_EQ(db.locate(a).row, 0u);
+  EXPECT_EQ(col.column(1).kind, ColKind::Other);
 }
 
 TEST(Columnar, EmptyExtent) {

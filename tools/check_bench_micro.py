@@ -71,7 +71,8 @@ def main():
     parser.add_argument(
         "--update",
         action="store_true",
-        help="rewrite the baseline's absolute rates from this run",
+        help="rewrite the baseline's absolute rates of the benchmarks in "
+        "this run (the others keep their recorded rates)",
     )
     args = parser.parse_args()
 
@@ -86,13 +87,14 @@ def main():
         baseline = json.load(f)
 
     if args.update:
-        baseline["absolutes"] = {
-            name: rate for name, rate in sorted(rates.items())
-        }
+        absolutes = dict(baseline.get("absolutes", {}))
+        absolutes.update(rates)
+        baseline["absolutes"] = dict(sorted(absolutes.items()))
         with open(args.baseline, "w") as f:
             json.dump(baseline, f, indent=2)
             f.write("\n")
-        print(f"baseline absolutes rewritten from {args.results}")
+        print(f"baseline absolutes of {len(rates)} benchmarks rewritten "
+              f"from {args.results}")
         return 0
 
     failed = False
