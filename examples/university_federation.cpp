@@ -43,11 +43,12 @@ int main() {
   for (const char* class_name : {"Student", "Teacher"}) {
     const MaterializedExtent& extent = view.extent(class_name);
     std::cout << class_name << ":\n";
-    for (const MaterializedObject& obj : extent.objects()) {
-      std::cout << "  g" << obj.id.value() << " {";
+    for (std::size_t pos = 0; pos < extent.size(); ++pos) {
+      std::cout << "  g" << extent.entities()[pos].value() << " {";
       const ClassDef& def = extent.cls().def();
       for (std::size_t a = 0; a < def.attribute_count(); ++a)
-        std::cout << " " << def.attribute(a).name << "=" << obj.values[a];
+        std::cout << " " << def.attribute(a).name << "="
+                  << extent.cell(pos, a);
       std::cout << " }\n";
     }
   }

@@ -157,7 +157,7 @@ Advice advise_strategy(const Federation& federation, const GlobalQuery& query,
   Advice advice;
 
   // ---------------- CA: exact catalog arithmetic, no sampling needed.
-  const auto involved = detail::involved_attributes(schema, query);
+  const auto involved = involved_attributes(schema, query);
   double ca_disk = 0, ca_net = 0, ca_cmp = 0, ca_max_local = 0;
   double total_objects = 0;
   for (const DbId db : federation.db_ids()) {

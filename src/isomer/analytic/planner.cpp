@@ -21,7 +21,7 @@ PlanChoice plan_adaptive(const Federation& federation,
 
   const CostParams& c = knobs.costs;
   const auto involved =
-      detail::involved_attributes(federation.schema(), query);
+      involved_attributes(federation.schema(), query);
 
   PlanChoice choice;
   choice.ca_bytes = advice.estimates[0].bytes;  // exact catalog arithmetic

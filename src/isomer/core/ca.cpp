@@ -90,15 +90,16 @@ void launch_ca(ExecEnv& env,
     // probes are phase O work, the value merging is phase I; charge them as
     // two consecutive CPU bursts so the trace shows O before I.
     auto meter = std::make_shared<AccessMeter>();
-    const std::vector<std::string> involved_classes =
-        classes_involved(env.fed().schema(), env.query());
     // Under graceful degradation, the dead sites' extents never arrived:
-    // integrate only what the live federation shipped.
+    // integrate only what the live federation shipped. The view holds the
+    // attributes CA_C1 shipped; the rewrite probes are charged for every
+    // reference attribute, shipped or not (docs/PERFORMANCE.md,
+    // "Centralized view on columns").
     const std::set<DbId>& dead = env.unavailable();
     auto view = std::make_shared<MaterializedView>(
-        materialize(env.fed(), involved_classes, meter.get(),
+        materialize(env.fed(), shared->classes, meter.get(),
                     MergePolicy::FirstNonNull,
-                    dead.empty() ? nullptr : &dead));
+                    dead.empty() ? nullptr : &dead, &shared->involved));
 
     // The objects were shipped to the global site and integrated from
     // memory: the mapping probes and merge comparisons cost CPU, but no

@@ -393,24 +393,9 @@ Bytes semijoin_check_request_bytes(const CostParams& costs,
   return total;
 }
 
-std::map<std::string, std::set<std::size_t>> involved_attributes(
-    const GlobalSchema& schema, const GlobalQuery& query) {
-  std::map<std::string, std::set<std::size_t>> involved;
-  const auto add_path = [&](const PathExpr& path) {
-    const ResolvedPath resolved =
-        resolve_path(schema.lookup(), query.range_class, path);
-    for (const ResolvedStep& step : resolved.steps)
-      involved[step.class_name].insert(step.attr_index);
-  };
-  for (const PathExpr& target : query.targets) add_path(target);
-  for (const Predicate& pred : query.predicates) add_path(pred.path);
-  return involved;
-}
-
-Bytes ca_projected_bytes(
-    const Federation& federation, DbId db,
-    const std::map<std::string, std::set<std::size_t>>& involved,
-    const CostParams& costs) {
+Bytes ca_projected_bytes(const Federation& federation, DbId db,
+                         const AttributeProjection& involved,
+                         const CostParams& costs) {
   const ComponentDatabase& database = federation.db(db);
   Bytes total = 0;
   for (const auto& [class_name, attrs] : involved) {

@@ -16,6 +16,7 @@
 #include "isomer/common/rng.hpp"
 #include "isomer/core/checks.hpp"
 #include "isomer/core/strategy.hpp"
+#include "isomer/federation/materializer.hpp"
 #include "isomer/obs/trace_session.hpp"
 #include "isomer/sim/barrier.hpp"
 
@@ -329,18 +330,11 @@ void launch_strategy(ExecEnv& env, StrategyKind kind,
 [[nodiscard]] Bytes semijoin_check_request_bytes(
     const CostParams& costs, const std::vector<CheckTask>& tasks);
 
-/// Global attributes each global class contributes to the query (targets,
-/// predicates, and the references navigated on the way) — what the
-/// centralized approach projects before shipping (paper §3.1).
-[[nodiscard]] std::map<std::string, std::set<std::size_t>>
-involved_attributes(const GlobalSchema& schema, const GlobalQuery& query);
-
 /// Wire size of one database's projected extents for the centralized
 /// approach: per object of each involved constituent class, the LOid plus
-/// the locally present involved attributes.
-[[nodiscard]] Bytes ca_projected_bytes(
-    const Federation& federation, DbId db,
-    const std::map<std::string, std::set<std::size_t>>& involved,
-    const CostParams& costs);
+/// the locally present involved attributes (involved_attributes).
+[[nodiscard]] Bytes ca_projected_bytes(const Federation& federation, DbId db,
+                                       const AttributeProjection& involved,
+                                       const CostParams& costs);
 
 }  // namespace isomer::detail

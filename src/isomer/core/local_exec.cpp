@@ -5,7 +5,7 @@
 #include <variant>
 
 #include "isomer/common/error.hpp"
-#include "isomer/query/kernels.hpp"
+#include "isomer/query/reach.hpp"
 
 namespace isomer {
 
@@ -120,122 +120,64 @@ Value BoundQuery::eval_target(Site site, std::size_t t, const Object& root,
 
 namespace {
 
-/// The row walk's state after one bound path prefix, held for every
-/// candidate of a full scan at once. A live candidate has reached an object
-/// of the prefix's last step class, at `rows[i]` of `extent`; a stopped one
-/// halted at step `stop` on a schema-missing attribute, a null or a
-/// dangling reference. Either way `holder` is the LOid::local of the last
-/// object reached — the gap's holder when the walk stopped.
-struct Reach {
-  static constexpr std::uint32_t kLive = UINT32_MAX;
-  std::size_t parent = 0;   ///< the prefix one step shorter
-  std::string_view attr;    ///< global attribute followed from `parent`
-  bool mirrored = true;     ///< false: only the row walk reproduces it
-  bool admitted = false;    ///< live objects charged through the FetchCache
-  const Extent* extent = nullptr;
-  std::vector<std::uint32_t> live, rows;  ///< live candidates, their rows
-  std::vector<std::uint32_t> holder, stop;  ///< per candidate
+/// The reaches' storage policy at one component database: single-reference
+/// columns of the extents' mirrors, followed through the LOid directory;
+/// holders are LOid::local.
+struct LocalReach {
+  using Extent = isomer::Extent;
+  using Holder = std::uint32_t;
+  using Hop = PathHop<Extent, Holder>;
+
+  const BoundQuery* bound;
+  BoundQuery::Site site;
+
+  [[nodiscard]] const Extent* extent(std::size_t p, std::size_t step) const {
+    const GlobalClass& cls = bound->step_class(p, step);
+    const auto constituent = cls.constituent_in(site.database->db());
+    if (!constituent) return nullptr;
+    return &site.database->extent(
+        cls.constituents()[*constituent].local_class);
+  }
+  /// The reference column, or null when the attribute is schema-missing
+  /// (or nothing is live, so `base` may have no extent): every walk stops.
+  [[nodiscard]] std::optional<const ColumnarExtent::Column*> link(
+      const PathReach<Extent, Holder>& base, std::size_t p,
+      std::size_t step) const {
+    const auto attr = bound->local_attr(site, p, step);
+    if (!attr || base.live.empty()) return nullptr;
+    const ColumnarExtent::Column& col = base.extent->columnar().column(*attr);
+    if (col.kind != ColumnarExtent::ColKind::AllNull &&
+        col.kind != ColumnarExtent::ColKind::Ref)
+      return std::nullopt;  // reference sets, or the row walk's throw
+    return &col;
+  }
+  [[nodiscard]] Hop hop(const ColumnarExtent::Column* col,
+                        std::uint32_t row) const {
+    if (col == nullptr || !col->is_valid(row)) return {};
+    const ComponentDatabase::Location to =
+        site.database->locate(LOid{site.database->db(), col->refs[row]});
+    return {to.extent, static_cast<std::uint32_t>(to.row), col->refs[row]};
+  }
 };
 
-/// One execution's reaches: index 0 is the empty prefix (every candidate
-/// live at its root row), and each longer prefix extends its parent by one
-/// reference column, so predicates sharing a prefix share its walk.
-class Reaches {
- public:
-  Reaches(const ComponentDatabase& database, const Extent& root)
-      : database_(database) {
-    Reach& all = reaches_.emplace_back();
-    all.extent = &root;
-    const std::size_t n = root.size();
-    all.stop.assign(n, Reach::kLive);
-    for (std::uint32_t r = 0; r < n; ++r) {
-      all.live.push_back(r);
-      all.holder.push_back(root.objects()[r].id().local);
-    }
-    all.rows = all.live;
+using LocalReaches = Reaches<LocalReach>;
+
+/// Admits the live objects of reach `i` and of its ancestors through
+/// `cache`, charging each first touch as the row walk's fetch does.
+void admit(LocalReaches& reaches, std::size_t i, DbId db, AccessMeter& meter,
+           FetchCache& cache) {
+  for (; i != 0 && !reaches[i].admitted; i = reaches[i].parent) {
+    LocalReaches::Reach& reach = reaches[i];
+    reach.admitted = true;
+    std::uint64_t fresh = 0;
+    for (const std::uint32_t r : reach.live)
+      fresh += cache.admit(LOid{db, reach.holder[r]}) ? 1u : 0u;
+    if (fresh == 0) continue;  // no live objects: maybe no extent either
+    meter.objects_fetched += fresh;
+    meter.prim_slots += fresh * reach.extent->prim_slots();
+    meter.ref_slots += fresh * reach.extent->ref_slots();
   }
-
-  const Reach& operator[](std::size_t i) const { return reaches_[i]; }
-
-  /// The reach of predicate `p`'s first `depth` steps, built on first use;
-  /// nullopt when a step needs the row walk: a reference-set or non-reference
-  /// column, or a reference into an extent other than the step class's.
-  std::optional<std::size_t> prefix(const BoundQuery& bound,
-                                    BoundQuery::Site site, std::size_t p,
-                                    const PathExpr& path, std::size_t depth) {
-    std::size_t at = 0;
-    for (std::size_t step = 0; step < depth; ++step) {
-      std::size_t next = at + 1;
-      while (next < reaches_.size() && (reaches_[next].parent != at ||
-                                        reaches_[next].attr != path.step(step)))
-        ++next;
-      if (next == reaches_.size()) extend(bound, site, p, path, at, step);
-      if (!reaches_[next].mirrored) return std::nullopt;
-      at = next;
-    }
-    return at;
-  }
-
-  /// Admits the live objects of reach `i` and of its ancestors through
-  /// `cache`, charging each first touch as the row walk's fetch does.
-  void admit(std::size_t i, AccessMeter& meter, FetchCache& cache) {
-    for (; i != 0 && !reaches_[i].admitted; i = reaches_[i].parent) {
-      Reach& reach = reaches_[i];
-      reach.admitted = true;
-      std::uint64_t fresh = 0;
-      for (const std::uint32_t r : reach.live)
-        fresh += cache.admit(LOid{database_.db(), reach.holder[r]}) ? 1u : 0u;
-      if (fresh == 0) continue;  // no live objects: maybe no extent either
-      meter.objects_fetched += fresh;
-      meter.prim_slots += fresh * reach.extent->prim_slots();
-      meter.ref_slots += fresh * reach.extent->ref_slots();
-    }
-  }
-
- private:
-  /// Appends reach `from` followed one step through `step`'s attribute.
-  void extend(const BoundQuery& bound, BoundQuery::Site site, std::size_t p,
-              const PathExpr& path, std::size_t from, std::size_t step) {
-    Reach next;
-    next.parent = from;
-    next.attr = path.step(step);
-    const GlobalClass& cls = bound.step_class(p, step + 1);
-    if (const auto constituent = cls.constituent_in(database_.db()))
-      next.extent =
-          &database_.extent(cls.constituents()[*constituent].local_class);
-    const Reach& base = reaches_[from];
-    next.holder = base.holder;
-    next.stop = base.stop;
-    const auto attr = bound.local_attr(site, p, step);
-    const ColumnarExtent::Column* col =
-        attr && !base.live.empty() ? &base.extent->columnar().column(*attr)
-                                   : nullptr;
-    if (col != nullptr && col->kind != ColumnarExtent::ColKind::AllNull &&
-        col->kind != ColumnarExtent::ColKind::Ref)
-      next.mirrored = false;  // reference sets, or the row walk's throw
-    for (std::size_t i = 0; i < base.live.size() && next.mirrored; ++i) {
-      const std::uint32_t r = base.live[i], row = base.rows[i];
-      const ComponentDatabase::Location to =
-          col != nullptr && col->is_valid(row)
-              ? database_.locate(LOid{database_.db(), col->refs[row]})
-              : ComponentDatabase::Location{};
-      if (to.extent == nullptr) {
-        // Schema-missing, null or dangling: the referrer holds the gap.
-        next.stop[r] = static_cast<std::uint32_t>(step);
-      } else if (to.extent != next.extent) {
-        next.mirrored = false;
-      } else {
-        next.holder[r] = col->refs[row];
-        next.live.push_back(r);
-        next.rows.push_back(static_cast<std::uint32_t>(to.row));
-      }
-    }
-    reaches_.push_back(std::move(next));
-  }
-
-  const ComponentDatabase& database_;
-  std::vector<Reach> reaches_;
-};
+}
 
 }  // namespace
 
@@ -306,15 +248,19 @@ LocalExecution run_local_query(const Federation& federation,
   std::vector<PredMode> modes(n_preds, PredMode::Row);
   std::vector<std::size_t> reach_of(n_preds);
   std::vector<std::vector<Truth>> column_truths(n_preds);
-  std::optional<Reaches> reaches;
+  std::optional<LocalReaches> reaches;
   if (use_columnar && !via_index && !candidates.empty() && n_preds != 0) {
-    reaches.emplace(database, database.extent(root_class_name));
+    const Extent& root = database.extent(root_class_name);
+    std::vector<std::uint32_t> holders;
+    holders.reserve(root.size());
+    for (const Object& obj : root.objects()) holders.push_back(obj.id().local);
+    reaches.emplace(LocalReach{&bound, site}, root, std::move(holders));
     for (std::size_t p = 0; p < n_preds; ++p) {
       const Predicate& pred = query.predicates[p];
       const std::size_t last = pred.path.length() - 1;
-      const auto at = reaches->prefix(bound, site, p, pred.path, last);
+      const auto at = reaches->prefix(p, pred.path, last);
       if (!at) continue;
-      const Reach& reach = (*reaches)[*at];
+      const LocalReaches::Reach& reach = (*reaches)[*at];
       const auto attr = bound.local_attr(site, p, last);
       if (attr && !reach.live.empty() &&
           !kernel_applicable(reach.extent->columnar().column(*attr).kind,
@@ -327,27 +273,17 @@ LocalExecution run_local_query(const Federation& federation,
       if (modes[p] != PredMode::Column) continue;
       const Predicate& pred = query.predicates[p];
       const std::size_t last = pred.path.length() - 1;
-      reaches->admit(reach_of[p], exec.meter, cache);
-      const Reach& reach = (*reaches)[reach_of[p]];
+      admit(*reaches, reach_of[p], db, exec.meter, cache);
+      const LocalReaches::Reach& reach = (*reaches)[reach_of[p]];
       std::vector<Truth>& truths = column_truths[p];
       truths.assign(candidates.size(), Truth::Unknown);
       const auto attr = bound.local_attr(site, p, last);
       if (attr && !reach.live.empty()) {
         // One comparison per arrival at a present terminal attribute, nulls
         // included (apply() still runs).
-        const ColumnarExtent::Column& col =
-            reach.extent->columnar().column(*attr);
         exec.meter.comparisons += reach.live.size();
-        if (reach_of[p] == 0) {
-          eval_predicate_column(col, candidates.size(), pred.op, pred.literal,
-                                truths.data());
-        } else {
-          std::vector<Truth> live(reach.live.size());
-          eval_predicate_column(col, reach.rows, pred.op, pred.literal,
-                                live.data());
-          for (std::size_t i = 0; i < live.size(); ++i)
-            truths[reach.live[i]] = live[i];
-        }
+        reaches->compare(reach_of[p], reach.extent->columnar().column(*attr),
+                         pred, truths);
       }
       // One goid probe per Unknown outcome, surviving or not.
       exec.meter.table_probes += count_truth(truths, Truth::Unknown);
@@ -386,7 +322,8 @@ LocalExecution run_local_query(const Federation& federation,
         e.truth = column_truths[p][r];
         if (is_unknown(e.truth)) {
           const std::uint32_t stop = (*reaches)[reach_of[p]].stop[r];
-          e.step = stop == Reach::kLive ? query.predicates[p].path.length() - 1
+          e.step = stop == LocalReaches::Reach::kLive
+                       ? query.predicates[p].path.length() - 1
                                         : stop;
           e.root_level = e.step == 0;
         }

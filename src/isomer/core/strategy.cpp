@@ -34,8 +34,11 @@ StrategyReport execute_strategy(StrategyKind kind,
 
 QueryResult reference_answer(const Federation& federation,
                              const GlobalQuery& query) {
+  const AttributeProjection involved =
+      involved_attributes(federation.schema(), query);
   const MaterializedView view =
-      materialize(federation, classes_involved(federation.schema(), query));
+      materialize(federation, classes_involved(federation.schema(), query),
+                  nullptr, MergePolicy::FirstNonNull, nullptr, &involved);
   return evaluate_global(view, federation.schema(), query);
 }
 

@@ -42,9 +42,9 @@ bool path_hits_unavailable(const Federation& federation,
     const MaterializedExtent& extent = view.extent(step.class_name);
     std::set<GOid> next;
     for (const GOid item : frontier) {
-      const MaterializedObject* obj = extent.find(item);
-      const Value& v = obj != nullptr ? obj->values[step.attr_index]
-                                      : Value::null();
+      const std::optional<std::size_t> pos = extent.position(item);
+      const Value v =
+          pos ? extent.cell(*pos, step.attr_index) : Value::null();
       if (v.is_null()) {
         if (dead_site_could_assist(federation, item, cls, step.attr_index,
                                    unavailable))
@@ -74,8 +74,11 @@ std::size_t tag_unavailable(QueryResult& result, const Federation& federation,
 
   MaterializedView built;
   if (live_view == nullptr) {
+    const AttributeProjection involved =
+        involved_attributes(federation.schema(), query);
     built = materialize(federation, classes_involved(federation.schema(), query),
-                        nullptr, MergePolicy::FirstNonNull, &unavailable);
+                        nullptr, MergePolicy::FirstNonNull, &unavailable,
+                        &involved);
     live_view = &built;
   }
 
@@ -111,11 +114,12 @@ std::size_t tag_unavailable(QueryResult& result, const Federation& federation,
 QueryResult degraded_reference(const Federation& federation,
                                const GlobalQuery& query,
                                const std::set<DbId>& unavailable) {
-  const std::vector<std::string> classes =
-      classes_involved(federation.schema(), query);
-  const MaterializedView view =
-      materialize(federation, classes, nullptr, MergePolicy::FirstNonNull,
-                  unavailable.empty() ? nullptr : &unavailable);
+  const AttributeProjection involved =
+      involved_attributes(federation.schema(), query);
+  const MaterializedView view = materialize(
+      federation, classes_involved(federation.schema(), query), nullptr,
+      MergePolicy::FirstNonNull, unavailable.empty() ? nullptr : &unavailable,
+      &involved);
   QueryResult result =
       evaluate_global(view, federation.schema(), query, nullptr);
   tag_unavailable(result, federation, query, unavailable, &view);

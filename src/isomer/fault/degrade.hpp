@@ -33,8 +33,10 @@ namespace isomer::fault {
 
 /// Tags the result rows whose certainty was affected by the unreachable
 /// databases (rules (a) and (b) above). `live_view` is the federation
-/// materialized *excluding* `unavailable`; pass null to have one built
-/// internally (the centralized executor reuses the view it already has).
+/// materialized *excluding* `unavailable`, holding at least the query's
+/// involved attributes (the rule reads its predicate paths); pass null to
+/// have one built internally (the centralized executor reuses the view it
+/// already has).
 /// No-op when `unavailable` is empty. Returns the number of rows tagged.
 std::size_t tag_unavailable(QueryResult& result, const Federation& federation,
                             const GlobalQuery& query,

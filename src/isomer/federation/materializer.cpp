@@ -1,27 +1,72 @@
 #include "isomer/federation/materializer.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <span>
 #include <variant>
 
 #include "isomer/common/error.hpp"
 #include "isomer/query/navigate.hpp"
+#include "isomer/query/reach.hpp"
 
 namespace isomer {
 
-const MaterializedObject* MaterializedExtent::find(GOid id) const noexcept {
-  const std::optional<std::size_t> pos = goids_->class_position(id);
-  if (!pos.has_value() || *pos >= objects_.size() || objects_[*pos].id != id)
-    return nullptr;
-  return &objects_[*pos];
+namespace {
+
+bool test_bit(const std::vector<std::uint64_t>& bits, std::size_t i) noexcept {
+  return ((bits[i >> 6] >> (i & 63)) & 1) != 0;
 }
 
-void MaterializedExtent::reserve(std::size_t n) { objects_.reserve(n); }
+void set_bit(std::vector<std::uint64_t>& bits, std::size_t i) noexcept {
+  bits[i >> 6] |= std::uint64_t{1} << (i & 63);
+}
 
-void MaterializedExtent::insert(MaterializedObject obj) {
-  expects(goids_->class_position(obj.id) == objects_.size(),
-          "materialized objects follow entities_of order");
-  objects_.push_back(std::move(obj));
+}  // namespace
+
+ColumnarExtent::Column MaterializedExtent::Column::kernel() const noexcept {
+  return ColumnarExtent::Column{.kind = kind,
+                                .valid = valid.data(),
+                                .nums = nums.data(),
+                                .bools = bools.data()};
+}
+
+MaterializedExtent::MaterializedExtent(const GlobalClass& cls,
+                                       const GoidTable& goids)
+    : cls_(&cls),
+      goids_(&goids),
+      entities_(goids.entities_of(cls.name())),
+      columns_(cls.def().attribute_count()) {}
+
+std::optional<std::size_t> MaterializedExtent::position(
+    GOid id) const noexcept {
+  const std::optional<std::size_t> pos = goids_->class_position(id);
+  if (!pos.has_value() || *pos >= entities_.size() || entities_[*pos] != id)
+    return std::nullopt;
+  return pos;
+}
+
+const MaterializedExtent::Column& MaterializedExtent::column(
+    std::size_t attr) const {
+  expects(columns_[attr].projected,
+          "materialized attribute was projected away");
+  return columns_[attr];
+}
+
+const Value& MaterializedExtent::read(std::size_t pos, std::size_t attr,
+                                      Value& scratch) const {
+  const Column& col = column(attr);
+  using ColKind = ColumnarExtent::ColKind;
+  if (col.kind == ColKind::Other) return col.values[pos];
+  if (!col.is_valid(pos))  // AllNull columns have no valid bit
+    scratch = Value::null();
+  else if (col.kind == ColKind::Num)
+    scratch = test_bit(col.is_int, pos) ? Value(col.ints[pos])
+                                        : Value(col.nums[pos]);
+  else if (col.kind == ColKind::Bool)
+    scratch = Value(col.bools[pos] != 0);
+  else
+    scratch = Value(GlobalRef{col.refs[pos]});
+  return scratch;
 }
 
 const MaterializedExtent& MaterializedView::extent(
@@ -55,6 +100,20 @@ std::vector<std::string> classes_involved(const GlobalSchema& schema,
   return classes;
 }
 
+AttributeProjection involved_attributes(const GlobalSchema& schema,
+                                        const GlobalQuery& query) {
+  AttributeProjection involved;
+  const auto add_path = [&](const PathExpr& path) {
+    const ResolvedPath resolved =
+        resolve_path(schema.lookup(), query.range_class, path);
+    for (const ResolvedStep& step : resolved.steps)
+      involved[step.class_name].insert(step.attr_index);
+  };
+  for (const PathExpr& target : query.targets) add_path(target);
+  for (const Predicate& pred : query.predicates) add_path(pred.path);
+  return involved;
+}
+
 namespace {
 
 /// The view's form of a non-null local value: globalized, except that a
@@ -70,141 +129,281 @@ Value view_value(const GoidTable& goids, const Value& raw, AccessMeter* meter) {
   return Value(std::move(set));
 }
 
-/// One constituent of a global class, bound once per materialization: its
-/// database, its local class and, per global attribute, the local
-/// attribute index (nullopt where the constituent holds it as missing).
-struct ConstituentTable {
-  const ComponentDatabase* database = nullptr;
-  const ClassDef* local_class = nullptr;
-  std::vector<std::optional<std::size_t>> local_index;
-};
-
-std::vector<ConstituentTable> bind_constituents(const Federation& federation,
-                                                const GlobalClass& cls) {
-  std::vector<ConstituentTable> tables;
-  tables.reserve(cls.constituents().size());
-  for (std::size_t c = 0; c < cls.constituents().size(); ++c) {
-    const ComponentDatabase& database = federation.db(cls.constituents()[c].db);
-    ConstituentTable table{
-        &database, &database.schema().cls(cls.constituents()[c].local_class),
-        {}};
-    table.local_index.reserve(cls.def().attribute_count());
-    for (std::size_t a = 0; a < cls.def().attribute_count(); ++a) {
-      const auto& local_name = cls.local_attr(c, a);
-      std::optional<std::size_t> index;
-      if (local_name) {
-        index = table.local_class->find_attribute(*local_name);
-        ensures(index.has_value(), "bound local attribute must exist");
-      }
-      table.local_index.push_back(index);
-    }
-    tables.push_back(std::move(table));
-  }
-  return tables;
+/// A column kind that holds both `a` and `b` exactly.
+ColumnarExtent::ColKind join(ColumnarExtent::ColKind a,
+                             ColumnarExtent::ColKind b) noexcept {
+  using ColKind = ColumnarExtent::ColKind;
+  if (a == ColKind::AllNull) return b;
+  if (b == ColKind::AllNull || a == b) return a;
+  return ColKind::Other;
 }
 
 }  // namespace
 
+/// The outerjoin of one global class into its extent's columns.
+class Outerjoin {
+ public:
+  Outerjoin(MaterializedExtent& extent, const Federation& federation,
+            AccessMeter* meter, MergePolicy policy,
+            const std::set<DbId>* exclude, const std::set<std::size_t>* only)
+      : extent_(extent),
+        goids_(federation.goids()),
+        meter_(meter) {
+    const GlobalClass& cls = extent.cls();
+    for (std::size_t c = 0; c < cls.constituents().size(); ++c) {
+      const DbId db = cls.constituents()[c].db;
+      if (exclude != nullptr && exclude->count(db) != 0) continue;
+      const ComponentDatabase& database = federation.db(db);
+      sources_.push_back(
+          {&database, c,
+           &database.extent(cls.constituents()[c].local_class)});
+    }
+    // The fill order: ascending DbId, so the first non-null value wins.
+    std::sort(sources_.begin(), sources_.end(),
+              [](const Source& a, const Source& b) {
+                return a.database->db() < b.database->db();
+              });
+    for (std::size_t a = 0; a < extent.columns_.size(); ++a) {
+      const AttrType& type = cls.def().attribute(a).type;
+      const auto* cplx = std::get_if<ComplexType>(&type);
+      if (only != nullptr && cplx == nullptr && only->count(a) == 0) continue;
+      const bool union_merge = policy == MergePolicy::UnionSets &&
+                               cplx != nullptr && cplx->multi_valued;
+      open(a, union_merge);
+    }
+  }
+
+  void run() {
+    for (const Source& source : sources_) fill(source);
+  }
+
+ private:
+  static constexpr std::uint32_t kUnplaced = UINT32_MAX;
+  using Column = MaterializedExtent::Column;
+  using ColKind = ColumnarExtent::ColKind;
+
+  /// One constituent feeding the class: its database, its index among the
+  /// class's constituents, and its local extent.
+  struct Source {
+    const ComponentDatabase* database;
+    std::size_t constituent;
+    const Extent* extent;
+  };
+
+  /// The local attribute implementing global attribute `a` at `source`.
+  std::optional<std::size_t> local_index(const Source& source,
+                                         std::size_t a) const {
+    const auto& name = extent_.cls().local_attr(source.constituent, a);
+    if (!name) return std::nullopt;
+    const auto index = source.extent->cls().find_attribute(*name);
+    ensures(index.has_value(), "bound local attribute must exist");
+    return index;
+  }
+
+  /// Projects attribute `a`: its kind is what every source's mirror holds,
+  /// strings and union-merged sets cell by cell.
+  void open(std::size_t a, bool union_merge) {
+    Column& col = extent_.columns_[a];
+    col.projected = true;
+    if (union_merge) col.kind = ColKind::Other;
+    for (const Source& source : sources_)
+      if (const auto index = local_index(source, a))
+        col.kind =
+            join(col.kind, source.extent->columnar().column(*index).kind);
+    if (col.kind == ColKind::String) col.kind = ColKind::Other;
+    union_merge_.push_back(union_merge);
+    const std::size_t n = extent_.size();
+    col.valid.assign((n + 63) / 64, 0);
+    switch (col.kind) {
+      case ColKind::Num:
+        col.nums.assign(n, 0.0);
+        col.is_int.assign((n + 63) / 64, 0);
+        col.ints.assign(n, 0);
+        break;
+      case ColKind::Bool:
+        col.bools.assign(n, 0);
+        break;
+      case ColKind::Ref:
+        col.refs.assign(n, GOid{});
+        break;
+      case ColKind::Other:
+        col.values.assign(n, Value::null());
+        break;
+      case ColKind::String:
+      case ColKind::AllNull:
+        break;
+    }
+  }
+
+  /// Places every object of `source` at its entity's position, charges it
+  /// as the outerjoin's fetch and GOid probe, and fills the empty cells.
+  void fill(const Source& source) {
+    const std::vector<Object>& objects = source.extent->objects();
+    std::vector<std::uint32_t> positions(objects.size(), kUnplaced);
+    std::uint64_t placed = 0;
+    for (std::size_t r = 0; r < objects.size(); ++r) {
+      const std::optional<GOid> entity = goids_.goid_of(objects[r].id());
+      if (!entity) continue;  // unmapped: no entity to describe
+      const std::optional<std::size_t> pos = extent_.position(*entity);
+      if (!pos) continue;  // an entity of another class
+      positions[r] = static_cast<std::uint32_t>(*pos);
+      ++placed;
+    }
+    if (meter_ != nullptr) {
+      meter_->objects_fetched += placed;
+      meter_->prim_slots += placed * source.extent->prim_slots();
+      meter_->ref_slots += placed * source.extent->ref_slots();
+      meter_->comparisons += placed;  // outerjoin GOid probe
+    }
+    std::size_t opened = 0;
+    for (std::size_t a = 0; a < extent_.columns_.size(); ++a) {
+      Column& col = extent_.columns_[a];
+      if (!col.projected) continue;
+      const bool union_merge = union_merge_[opened++];
+      const auto index = local_index(source, a);
+      if (!index) continue;
+      const ColumnarExtent::Column& from =
+          source.extent->columnar().column(*index);
+      if (from.kind == ColKind::AllNull) continue;
+      const auto* prim =
+          std::get_if<PrimType>(&source.extent->cls().attribute(*index).type);
+      const bool local_int = prim != nullptr && *prim == PrimType::Int;
+      for (std::size_t r = 0; r < objects.size(); ++r) {
+        const std::uint32_t p = positions[r];
+        if (p == kUnplaced || !from.is_valid(r)) continue;
+        if (col.kind == ColKind::Other) {
+          merge(col.values[p], objects[r].value(*index), union_merge);
+          continue;
+        }
+        if (col.is_valid(p)) continue;  // first non-null wins
+        switch (col.kind) {
+          case ColKind::Num: {
+            // The mirror's double is exact for an Int below 2^53; anything
+            // else is read from the row.
+            const double d = from.nums[r];
+            if (local_int && std::fabs(d) < 0x1p53) {
+              put_int(col, p, static_cast<std::int64_t>(d));
+            } else if (const Value& v = objects[r].value(*index);
+                       v.kind() == ValueKind::Int) {
+              put_int(col, p, v.as_int());
+            } else {
+              col.nums[p] = d;
+            }
+            break;
+          }
+          case ColKind::Bool:
+            col.bools[p] = from.bools[r];
+            break;
+          case ColKind::Ref: {
+            // The mirror holds a target in another database as 0.
+            const LOid target =
+                from.refs[r] != 0
+                    ? LOid{source.database->db(), from.refs[r]}
+                    : objects[r].value(*index).as_local_ref();
+            const std::optional<GOid> to = goids_.goid_of(target, meter_);
+            if (!to) continue;  // unmapped: globalize yields null
+            col.refs[p] = *to;
+            break;
+          }
+          case ColKind::String:
+          case ColKind::AllNull:
+          case ColKind::Other:
+            break;
+        }
+        set_bit(col.valid, p);
+      }
+    }
+  }
+
+  static void put_int(Column& col, std::size_t p, std::int64_t v) {
+    col.ints[p] = v;
+    col.nums[p] = static_cast<double>(v);
+    set_bit(col.is_int, p);
+  }
+
+  /// Merges a non-null local value into an Other cell: first non-null wins,
+  /// or, for union-merged sets, the sorted union of every isomer's set.
+  void merge(Value& cell, const Value& raw, bool union_merge) const {
+    if (!union_merge && !cell.is_null()) return;
+    Value global_value = view_value(goids_, raw, meter_);
+    if (union_merge && !cell.is_null() && !global_value.is_null()) {
+      GlobalRefSet combined{cell.as_global_ref_set()};
+      for (const GOid target : global_value.as_global_ref_set())
+        if (std::find(combined.targets.begin(), combined.targets.end(),
+                      target) == combined.targets.end())
+          combined.targets.push_back(target);
+      std::sort(combined.targets.begin(), combined.targets.end());
+      cell = Value(std::move(combined));
+      return;
+    }
+    if (union_merge && global_value.kind() == ValueKind::GlobalRefSet) {
+      GlobalRefSet sorted{global_value.as_global_ref_set()};
+      std::sort(sorted.targets.begin(), sorted.targets.end());
+      global_value = Value(std::move(sorted));
+    }
+    cell = std::move(global_value);
+  }
+
+  MaterializedExtent& extent_;
+  const GoidTable& goids_;
+  AccessMeter* meter_;
+  std::vector<Source> sources_;
+  std::vector<bool> union_merge_;  ///< per projected attribute
+};
+
 MaterializedView materialize(const Federation& federation,
                              const std::vector<std::string>& classes,
                              AccessMeter* meter, MergePolicy policy,
-                             const std::set<DbId>* exclude) {
-  const GlobalSchema& schema = federation.schema();
-  const GoidTable& goids = federation.goids();
-
+                             const std::set<DbId>* exclude,
+                             const AttributeProjection* project) {
   MaterializedView view;
   for (const std::string& class_name : classes) {
-    const GlobalClass& cls = schema.cls(class_name);
-    MaterializedExtent& extent = view.add_extent(cls, goids);
-    const std::vector<ConstituentTable> tables =
-        bind_constituents(federation, cls);
-    const std::size_t attr_count = cls.def().attribute_count();
-    std::vector<bool> union_merge(attr_count, false);
-    if (policy == MergePolicy::UnionSets)
-      for (std::size_t a = 0; a < attr_count; ++a) {
-        const auto* cplx =
-            std::get_if<ComplexType>(&cls.def().attribute(a).type);
-        union_merge[a] = cplx != nullptr && cplx->multi_valued;
-      }
-
-    // The GOid table knows the class's entity count before the outerjoin
-    // starts: every entity yields exactly one materialized object.
-    const std::vector<GOid>& entities = goids.entities_of(class_name);
-    extent.reserve(entities.size());
-    for (const GOid entity : entities) {
-      MaterializedObject merged{entity, std::vector<Value>(attr_count)};
-      // Isomers are kept in ascending DbId order; first non-null wins.
-      for (const LOid& isomer : goids.isomers_of(entity)) {
-        if (exclude != nullptr && exclude->count(isomer.db) != 0) continue;
-        const auto table = std::find_if(
-            tables.begin(), tables.end(), [&](const ConstituentTable& t) {
-              return t.database->db() == isomer.db;
-            });
-        ensures(table != tables.end(),
-                "isomer's database must hold a constituent");
-        const ResolvedObject resolved = table->database->resolve(isomer, meter);
-        ensures(resolved.obj != nullptr, "GOid table validated at construction");
-        ensures(resolved.cls == table->local_class,
-                "isomer is an object of its constituent class");
-        if (meter != nullptr) ++meter->comparisons;  // outerjoin GOid probe
-
-        for (std::size_t a = 0; a < attr_count; ++a) {
-          if (!union_merge[a] && !merged.values[a].is_null()) continue;
-          const auto& index = table->local_index[a];
-          if (!index) continue;
-          const Value& raw = resolved.obj->value(*index);
-          if (raw.is_null()) continue;
-          Value global_value = view_value(goids, raw, meter);
-          if (union_merge[a] && !merged.values[a].is_null() &&
-              !global_value.is_null()) {
-            // Union this isomer's reference set into the accumulated one.
-            GlobalRefSet combined{merged.values[a].as_global_ref_set()};
-            for (const GOid target : global_value.as_global_ref_set())
-              if (std::find(combined.targets.begin(), combined.targets.end(),
-                            target) == combined.targets.end())
-                combined.targets.push_back(target);
-            std::sort(combined.targets.begin(), combined.targets.end());
-            merged.values[a] = Value(std::move(combined));
-            continue;
-          }
-          if (union_merge[a] &&
-              global_value.kind() == ValueKind::GlobalRefSet) {
-            GlobalRefSet sorted{global_value.as_global_ref_set()};
-            std::sort(sorted.targets.begin(), sorted.targets.end());
-            global_value = Value(std::move(sorted));
-          }
-          merged.values[a] = std::move(global_value);
-        }
-      }
-      extent.insert(std::move(merged));
+    const GlobalClass& cls = federation.schema().cls(class_name);
+    static const std::set<std::size_t> kNone;
+    const std::set<std::size_t>* only = nullptr;
+    if (project != nullptr) {
+      const auto it = project->find(class_name);
+      only = it != project->end() ? &it->second : &kNone;
     }
+    Outerjoin(view.add_extent(cls, federation.goids()), federation, meter,
+              policy, exclude, only)
+        .run();
   }
   return view;
 }
 
 namespace {
 
+/// An entity of a materialized extent: the navigator's object over the view.
+struct ViewRow {
+  GOid id;
+  std::size_t pos = 0;
+};
+
 /// A global path bound to a materialized view for one evaluate_global call,
 /// and the navigator's storage policy over the view: every attribute is
-/// present (the outerjoin holds a missing one as null), references are
-/// GOids looked up in the step's domain extent, and every successful
-/// descent charges one fetched object.
+/// present (the outerjoin holds a missing one as null), a cell is read as
+/// a Value, references are GOids looked up in the step's domain extent, and
+/// every successful descent charges one fetched object.
 struct ViewPath {
-  using Object = MaterializedObject;
+  using Object = ViewRow;
   using Id = GOid;
-  static GOid id_of(const Object& obj) noexcept { return obj.id; }
+  static GOid id_of(const Object& row) noexcept { return row.id; }
 
   struct Step {
     std::size_t attr = 0;
-    const MaterializedExtent* extent = nullptr;  ///< navigating steps only
+    const MaterializedExtent* at = nullptr;    ///< the extent read here
+    const MaterializedExtent* next = nullptr;  ///< navigating steps only
   };
   const PathExpr* expr = nullptr;
   std::vector<Step> steps;
   AccessMeter* meter = nullptr;
+  /// One cell per step: a step's value stays put while the walk descends.
+  mutable std::vector<Value> cells;
 
   [[nodiscard]] std::size_t length() const noexcept { return steps.size(); }
-  [[nodiscard]] const Value* read(const Object& obj, std::size_t step) const {
-    return &obj.values[steps[step].attr];
+  [[nodiscard]] const Value* read(const Object& row, std::size_t step) const {
+    return &steps[step].at->read(row.pos, steps[step].attr, cells[step]);
   }
   [[nodiscard]] std::span<const GOid> members(const Value& ref,
                                               std::size_t step) const {
@@ -215,10 +414,12 @@ struct ViewPath {
     throw QueryError("materialized path step " + expr->step(step) +
                      " is not a reference");
   }
-  [[nodiscard]] const Object* follow(GOid target, std::size_t step) const {
-    const MaterializedObject* next = steps[step].extent->find(target);
-    if (next != nullptr && meter != nullptr) ++meter->objects_fetched;
-    return next;
+  [[nodiscard]] std::optional<ViewRow> follow(GOid target,
+                                              std::size_t step) const {
+    const std::optional<std::size_t> pos = steps[step].next->position(target);
+    if (!pos) return std::nullopt;
+    if (meter != nullptr) ++meter->objects_fetched;
+    return ViewRow{target, *pos};
   }
   /// What globalize yields for the source value: a set without its
   /// dangling members, null when none is left.
@@ -240,16 +441,56 @@ ViewPath bind_path(const MaterializedView& view, const GlobalSchema& schema,
                    AccessMeter* meter) {
   const std::vector<GlobalStep> steps =
       schema.resolve_steps(query.range_class, expr);
-  ViewPath path{&expr, {}, meter};
+  ViewPath path{&expr, {}, meter, std::vector<Value>(steps.size())};
   path.steps.reserve(steps.size());
   for (std::size_t step = 0; step < steps.size(); ++step) {
-    ViewPath::Step bound{steps[step].attr};
+    ViewPath::Step bound{steps[step].attr,
+                         step == 0 ? &view.extent(steps[0].cls->name())
+                                   : path.steps[step - 1].next};
     if (step + 1 < steps.size())
-      bound.extent = &view.extent(steps[step + 1].cls->name());
+      bound.next = &view.extent(steps[step + 1].cls->name());
     path.steps.push_back(bound);
   }
   return path;
 }
+
+/// The reaches' storage policy over the view: single-reference columns hold
+/// target GOids, found at their position in the step's domain extent (a
+/// target of another class dangles); holders are entities.
+struct ViewReach {
+  using Extent = MaterializedExtent;
+  using Holder = GOid;
+  struct Link {
+    const MaterializedExtent::Column* col;
+    const MaterializedExtent* to;
+  };
+
+  const std::vector<ViewPath>* paths;
+
+  [[nodiscard]] const Extent* extent(std::size_t p, std::size_t step) const {
+    return (*paths)[p].steps[step].at;
+  }
+  [[nodiscard]] std::optional<Link> link(const PathReach<Extent, Holder>&,
+                                         std::size_t p,
+                                         std::size_t step) const {
+    const ViewPath::Step& bound = (*paths)[p].steps[step];
+    const MaterializedExtent::Column& col = bound.at->column(bound.attr);
+    if (col.kind != ColumnarExtent::ColKind::AllNull &&
+        col.kind != ColumnarExtent::ColKind::Ref)
+      return std::nullopt;  // reference sets: the row walk's OR
+    return Link{&col, bound.next};
+  }
+  [[nodiscard]] PathHop<Extent, Holder> hop(const Link& link,
+                                            std::uint32_t row) const {
+    if (link.col->kind != ColumnarExtent::ColKind::Ref ||
+        !link.col->is_valid(row))
+      return {};
+    const GOid target = link.col->refs[row];
+    const std::optional<std::size_t> pos = link.to->position(target);
+    if (!pos) return {};
+    return {link.to, static_cast<std::uint32_t>(*pos), target};
+  }
+};
 
 }  // namespace
 
@@ -267,20 +508,66 @@ QueryResult evaluate_global(const MaterializedView& view,
 
   const MaterializedExtent& extent =
       view.extent(schema.cls(query.range_class).name());
+  const std::size_t n = extent.size();
+  const std::size_t n_preds = query.predicates.size();
 
-  // Scratch reused across objects.
-  std::vector<Truth> truths(query.predicates.size());
-  std::vector<NavOutcome<GOid>> outcomes(query.predicates.size());
+  // A predicate whose path runs through single-reference columns to a
+  // column a kernel takes is evaluated for every entity at once, bottom-up
+  // (query/reach.hpp); the others walk each entity. The choice is made
+  // before anything is charged, and the bulk charges are the walk's totals.
+  constexpr std::size_t kWalk = SIZE_MAX;
+  std::vector<std::size_t> reach_of(n_preds, kWalk);
+  std::vector<std::vector<Truth>> column_truths(n_preds);
+  std::optional<Reaches<ViewReach>> reaches;
+  if (n != 0 && n_preds != 0) {
+    reaches.emplace(ViewReach{&predicates}, extent,
+                    std::vector<GOid>(extent.entities().begin(),
+                                      extent.entities().end()));
+    for (std::size_t p = 0; p < n_preds; ++p) {
+      const Predicate& pred = query.predicates[p];
+      const ViewPath::Step& last = predicates[p].steps.back();
+      const auto at = reaches->prefix(p, pred.path, pred.path.length() - 1);
+      if (!at || !kernel_applicable(last.at->column(last.attr).kind, pred.op,
+                                    pred.literal))
+        continue;
+      reach_of[p] = *at;
+      std::vector<Truth>& truths = column_truths[p];
+      truths.assign(n, Truth::Unknown);
+      const auto& reach = (*reaches)[*at];
+      if (meter != nullptr) {
+        for (std::size_t i = *at; i != 0; i = (*reaches)[i].parent)
+          meter->objects_fetched += (*reaches)[i].live.size();
+        meter->comparisons += reach.live.size();
+      }
+      reaches->compare(*at, last.at->column(last.attr).kernel(), pred, truths);
+    }
+  }
+
+  // Scratch reused across entities.
+  std::vector<Truth> truths(n_preds);
+  std::vector<NavOutcome<GOid>> outcomes(n_preds);
   Condition::Builder builder;
   std::vector<Condition::Builder::Id> per_pred;
-  per_pred.reserve(query.predicates.size());
+  per_pred.reserve(n_preds);
 
   QueryResult result;
-  for (const MaterializedObject& obj : extent.objects()) {
-    for (std::size_t p = 0; p < query.predicates.size(); ++p) {
-      outcomes[p] =
-          navigate_predicate(predicates[p], query.predicates[p], obj, 0);
-      truths[p] = outcomes[p].truth;
+  for (std::size_t r = 0; r < n; ++r) {
+    const ViewRow obj{extent.entities()[r], r};
+    for (std::size_t p = 0; p < n_preds; ++p) {
+      if (reach_of[p] == kWalk) {
+        outcomes[p] =
+            navigate_predicate(predicates[p], query.predicates[p], obj, 0);
+        truths[p] = outcomes[p].truth;
+        continue;
+      }
+      truths[p] = column_truths[p][r];
+      if (!is_unknown(truths[p])) continue;
+      const auto& reach = (*reaches)[reach_of[p]];
+      const std::uint32_t stop = reach.stop[r];
+      outcomes[p] = {Truth::Unknown, reach.holder[r],
+                     stop == PathReach<MaterializedExtent, GOid>::kLive
+                         ? query.predicates[p].path.length() - 1
+                         : stop};
     }
     const Truth truth = query.combine(truths);
     if (is_false(truth)) continue;
@@ -297,7 +584,7 @@ QueryResult evaluate_global(const MaterializedView& view,
     if (row.status == ResultStatus::Maybe) {
       builder.clear();
       per_pred.clear();
-      for (std::size_t p = 0; p < query.predicates.size(); ++p) {
+      for (std::size_t p = 0; p < n_preds; ++p) {
         if (is_unknown(truths[p])) {
           const NavOutcome<GOid>& s = outcomes[p];
           per_pred.push_back(builder.leaf(CondAtom{

@@ -13,9 +13,27 @@
 // A reference set is read as the component database reads it: an empty set
 // is a value (not null), and a dangling member stays in the set as GOid 0,
 // which no extent finds (docs/CONDITIONS.md, "Reference sets").
+//
+// Storage: one column per attribute over the class's entity positions
+// (GoidTable::entities_of order). The outerjoin fills a column one
+// constituent at a time from the component extents' columnar mirrors
+// (store/columnar.hpp), placing each constituent object at its entity's
+// position with one GOid probe; no entity allocates anything. A column
+// takes the kind its constituents' mirrors agree on — numbers, booleans or
+// single references (target GOids) — and holds every other cell (strings,
+// reference sets, kinds that differ, union-merged sets) as a Value.
+// A cell read returns the value the outerjoin merged: an Int stays an Int,
+// however large. Phase P (evaluate_global) follows single-reference columns
+// for every entity at once and runs the predicate kernels on the terminal
+// column (query/reach.hpp); other predicates, and every target, take
+// query/navigate.hpp's walk over cells.
 #pragma once
 
+#include <cstdint>
+#include <map>
+#include <optional>
 #include <set>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -24,45 +42,68 @@
 #include "isomer/federation/federation.hpp"
 #include "isomer/query/query.hpp"
 #include "isomer/query/result.hpp"
+#include "isomer/store/columnar.hpp"
 
 namespace isomer {
 
-/// One integrated object: values aligned with the GlobalClass definition,
-/// references expressed as GlobalRefs.
-struct MaterializedObject {
-  GOid id;
-  std::vector<Value> values;
-};
-
-/// The integrated extent of one global class: one object per entity, in
-/// GoidTable::entities_of order, so an entity's object sits at its class
-/// position in the GOid table.
+/// The integrated extent of one global class: one column per attribute,
+/// indexed by entity position (an entity's class position in the GOid
+/// table).
 class MaterializedExtent {
  public:
-  MaterializedExtent(const GlobalClass& cls, const GoidTable& goids)
-      : cls_(&cls), goids_(&goids) {}
+  /// One attribute's cells. Only the kind's own arrays are filled; reading
+  /// a column the outerjoin did not project violates a contract.
+  struct Column {
+    ColumnarExtent::ColKind kind = ColumnarExtent::ColKind::AllNull;
+    bool projected = false;
+    std::vector<std::uint64_t> valid;    ///< bit p: cell p is non-null
+    std::vector<double> nums;            ///< Num: the cell as_number()
+    std::vector<std::uint64_t> is_int;   ///< Num: bit p: cell p is an Int
+    std::vector<std::int64_t> ints;      ///< Num: the exact Int cells
+    std::vector<std::uint8_t> bools;     ///< Bool
+    std::vector<GOid> refs;              ///< Ref: the target entity
+    std::vector<Value> values;           ///< Other: the cell itself
+
+    [[nodiscard]] bool is_valid(std::size_t pos) const noexcept {
+      return ((valid[pos >> 6] >> (pos & 63)) & 1) != 0;
+    }
+    /// The kernels' view of a Num, Bool or AllNull column.
+    [[nodiscard]] ColumnarExtent::Column kernel() const noexcept;
+  };
+
+  MaterializedExtent(const GlobalClass& cls, const GoidTable& goids);
 
   [[nodiscard]] const GlobalClass& cls() const noexcept { return *cls_; }
-  [[nodiscard]] std::size_t size() const noexcept { return objects_.size(); }
-  [[nodiscard]] const std::vector<MaterializedObject>& objects()
-      const noexcept {
-    return objects_;
+  [[nodiscard]] std::size_t size() const noexcept { return entities_.size(); }
+  /// The entities in position order (GoidTable::entities_of).
+  [[nodiscard]] std::span<const GOid> entities() const noexcept {
+    return entities_;
   }
-  /// The object of entity `id`; nullptr for GOid 0, a GOid past the end, or
-  /// an entity of another class.
-  [[nodiscard]] const MaterializedObject* find(GOid id) const noexcept;
+  /// The position of entity `id`; nullopt for GOid 0, a GOid past the end,
+  /// or an entity of another class.
+  [[nodiscard]] std::optional<std::size_t> position(GOid id) const noexcept;
 
-  /// Appends the object of the class's next entity in entities_of order.
-  void insert(MaterializedObject obj);
-
-  /// Pre-sizes for `n` objects (the outerjoin knows the entity count of the
-  /// class up front — reserve before inserting to avoid realloc churn).
-  void reserve(std::size_t n);
+  /// Whether the outerjoin filled attribute `attr`.
+  [[nodiscard]] bool projected(std::size_t attr) const noexcept {
+    return columns_[attr].projected;
+  }
+  /// The column of attribute `attr`; it must have been projected.
+  [[nodiscard]] const Column& column(std::size_t attr) const;
+  /// The cell of attribute `attr` at position `pos`: a reference into the
+  /// column for Other cells, else `scratch` set to the value.
+  const Value& read(std::size_t pos, std::size_t attr, Value& scratch) const;
+  [[nodiscard]] Value cell(std::size_t pos, std::size_t attr) const {
+    Value scratch;
+    return read(pos, attr, scratch);
+  }
 
  private:
+  friend class Outerjoin;
+
   const GlobalClass* cls_;
   const GoidTable* goids_;
-  std::vector<MaterializedObject> objects_;
+  std::span<const GOid> entities_;
+  std::vector<Column> columns_;
 };
 
 /// A set of materialized global extents — the global site's integrated view.
@@ -79,9 +120,18 @@ class MaterializedView {
       extents_;
 };
 
+/// Global attribute indexes per global class.
+using AttributeProjection = std::map<std::string, std::set<std::size_t>>;
+
 /// The global classes a query touches: its range class plus every branch
 /// class reached by a target or predicate path.
 [[nodiscard]] std::vector<std::string> classes_involved(
+    const GlobalSchema& schema, const GlobalQuery& query);
+
+/// Global attributes each global class contributes to the query (targets,
+/// predicates, and the references navigated on the way) — what the
+/// centralized approach projects before shipping (paper §3.1).
+[[nodiscard]] AttributeProjection involved_attributes(
     const GlobalSchema& schema, const GlobalQuery& query);
 
 /// How the outerjoin combines attribute values of isomeric objects.
@@ -102,7 +152,10 @@ enum class MergePolicy {
 
 /// Integrates the given global classes from all component databases.
 /// Charges one comparison per constituent object (the outerjoin's GOid
-/// probe) and table probes for reference rewriting. When `exclude` is
+/// probe), the object's fetch, and one table probe per reference it
+/// rewrites into a cell. With `project`, a class fills only the attributes
+/// listed for it plus every reference attribute (the rewrite probes are
+/// charged for all of them); without it, every attribute. When `exclude` is
 /// non-null, isomeric objects living in those databases are skipped — the
 /// integrated view a degraded federation can actually build when those
 /// sites are unreachable (fault::DegradeMode::Partial). An entity whose
@@ -114,12 +167,15 @@ enum class MergePolicy {
     const Federation& federation, const std::vector<std::string>& classes,
     AccessMeter* meter = nullptr,
     MergePolicy policy = MergePolicy::FirstNonNull,
-    const std::set<DbId>* exclude = nullptr);
+    const std::set<DbId>* exclude = nullptr,
+    const AttributeProjection* project = nullptr);
 
 /// Evaluates a global query against a materialized view (the centralized
 /// approach's phase P): three-valued predicate evaluation over the
-/// integrated objects; True conjunction => certain row, Unknown => maybe
-/// row, False => eliminated.
+/// integrated entities; True conjunction => certain row, Unknown => maybe
+/// row, False => eliminated. Meters and rows equal the row walk's: one
+/// comparison per arrival at a terminal attribute, one fetch per reference
+/// followed, target paths walked for surviving rows only.
 [[nodiscard]] QueryResult evaluate_global(const MaterializedView& view,
                                           const GlobalSchema& schema,
                                           const GlobalQuery& query,

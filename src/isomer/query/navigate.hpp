@@ -19,7 +19,8 @@
 //   members(ref, step)     a non-null reference's targets in set order,
 //                          throwing QueryError for a non-reference;
 //   follow(id, step)       the referenced object, charging the fetch as the
-//                          storage does; nullptr when the reference dangles;
+//                          storage does: a pointer or an optional, empty
+//                          when the reference dangles;
 //   target(value)          the value a target path yields at its end.
 // The walk never asks which storage it serves; both instantiate inline.
 #pragma once
@@ -65,9 +66,9 @@ template <class S>
 
   NavOutcome<Id> acc{Truth::False, {}, 0};
   for (const Id target : storage.members(*v, step)) {
-    const typename S::Object* next = storage.follow(target, step);
+    const auto next = storage.follow(target, step);
     const NavOutcome<Id> branch =  // dangling: the referrer holds the gap
-        next == nullptr ? gap
+        !next ? gap
                         : navigate_predicate(storage, pred, *next, step + 1);
     if (is_true(branch.truth)) return branch;
     if (is_unknown(branch.truth) && !is_unknown(acc.truth)) acc = branch;
@@ -86,8 +87,8 @@ template <class S>
   if (step + 1 == storage.length()) return storage.target(*v);
   if (v->is_null()) return Value::null();
   for (const typename S::Id target : storage.members(*v, step)) {
-    const typename S::Object* next = storage.follow(target, step);
-    if (next == nullptr) continue;
+    const auto next = storage.follow(target, step);
+    if (!next) continue;
     Value rest = navigate_target(storage, *next, step + 1);
     if (!rest.is_null()) return rest;
   }

@@ -6,12 +6,15 @@
 // every path step and attribute by name, for every object and step they
 // touch, with a separate walker per storage. They are kept as the oracle the
 // navigator must match exactly under either policy — truth, unsolved holder
-// and step, target values, and every AccessMeter counter. The only edit
-// since is the view's reference-set rule (empty sets kept, dangling members
-// stored as GOid 0, dropped again from target values).
+// and step, target values, and every AccessMeter counter. The edits since
+// are the view's reference-set rule (empty sets kept, dangling members
+// stored as GOid 0, dropped again from target values) and the row view's
+// own types (RowObject, RowExtent, RowView), kept here when the library's
+// view became columns.
 #pragma once
 
 #include <algorithm>
+#include <map>
 #include <optional>
 #include <set>
 #include <string>
@@ -170,25 +173,67 @@ inline Value eval_global_path(const Federation& federation, DbId db,
 
 // ---- Materialized side (the centralized approach) ----------------------
 
+/// One integrated object of the oracle's row view: values aligned with the
+/// GlobalClass definition, references expressed as GlobalRefs.
+struct RowObject {
+  GOid id;
+  std::vector<Value> values;
+};
+
+/// One global class of the row view, in GoidTable::entities_of order.
+class RowExtent {
+ public:
+  explicit RowExtent(const GoidTable& goids) : goids_(&goids) {}
+  [[nodiscard]] const std::vector<RowObject>& objects() const noexcept {
+    return objects_;
+  }
+  [[nodiscard]] const RowObject* find(GOid id) const noexcept {
+    const std::optional<std::size_t> pos = goids_->class_position(id);
+    if (!pos || *pos >= objects_.size() || objects_[*pos].id != id)
+      return nullptr;
+    return &objects_[*pos];
+  }
+  void insert(RowObject obj) { objects_.push_back(std::move(obj)); }
+
+ private:
+  const GoidTable* goids_;
+  std::vector<RowObject> objects_;
+};
+
+/// The row-per-entity view the library kept before its view became columns.
+class RowView {
+ public:
+  [[nodiscard]] const RowExtent& extent(std::string_view global_class) const {
+    const auto it = extents_.find(std::string(global_class));
+    if (it == extents_.end())
+      throw FederationError("no materialized extent for global class " +
+                            std::string(global_class));
+    return it->second;
+  }
+  RowExtent& add_extent(const std::string& name, const GoidTable& goids) {
+    return extents_.emplace(name, RowExtent(goids)).first->second;
+  }
+
+ private:
+  std::map<std::string, RowExtent> extents_;
+};
+
 /// The outerjoin with its per-isomer by-name attribute lookups.
-inline MaterializedView materialize(const Federation& federation,
-                             const std::vector<std::string>& classes,
-                             AccessMeter* meter, MergePolicy policy,
-                             const std::set<DbId>* exclude) {
+inline RowView materialize(const Federation& federation,
+                           const std::vector<std::string>& classes,
+                           AccessMeter* meter, MergePolicy policy,
+                           const std::set<DbId>* exclude) {
   const GlobalSchema& schema = federation.schema();
   const GoidTable& goids = federation.goids();
 
-  MaterializedView view;
+  RowView view;
   for (const std::string& class_name : classes) {
     const GlobalClass& cls = schema.cls(class_name);
-    MaterializedExtent& extent = view.add_extent(cls, goids);
+    RowExtent& extent = view.add_extent(class_name, goids);
 
-    // The GOid table knows the class's entity count before the outerjoin
-    // starts: every entity yields exactly one materialized object.
-    const std::vector<GOid>& entities = goids.entities_of(class_name);
-    extent.reserve(entities.size());
-    for (const GOid entity : entities) {
-      MaterializedObject merged{entity,
+    // Every entity yields exactly one materialized object.
+    for (const GOid entity : goids.entities_of(class_name)) {
+      RowObject merged{entity,
                                 std::vector<Value>(cls.def().attribute_count())};
       // Isomers are kept in ascending DbId order; first non-null wins.
       for (const LOid& isomer : goids.isomers_of(entity)) {
@@ -272,8 +317,8 @@ inline void note_stall(MatStall* stall, GOid holder, std::size_t step) noexcept 
 
 /// Predicate evaluation over materialized objects; mirrors eval_pred_from
 /// but navigates GOid references between materialized extents.
-inline Truth eval_materialized(const MaterializedView& view, const GlobalSchema& schema,
-                        const MaterializedObject& obj,
+inline Truth eval_materialized(const RowView& view, const GlobalSchema& schema,
+                        const RowObject& obj,
                         const GlobalClass& cls, const Predicate& pred,
                         std::size_t step, AccessMeter* meter,
                         MatStall* stall = nullptr) {
@@ -294,10 +339,10 @@ inline Truth eval_materialized(const MaterializedView& view, const GlobalSchema&
   const auto& cplx =
       std::get<ComplexType>(cls.def().attribute(*index).type);
   const GlobalClass& domain = schema.cls(cplx.domain_class);
-  const MaterializedExtent& extent = view.extent(domain.name());
+  const RowExtent& extent = view.extent(domain.name());
 
   const auto descend = [&](GOid target) -> Truth {
-    const MaterializedObject* next = extent.find(target);
+    const RowObject* next = extent.find(target);
     if (next == nullptr) {
       note_stall(stall, obj.id, step);  // dangling: the referrer stalls
       return Truth::Unknown;
@@ -321,9 +366,9 @@ inline Truth eval_materialized(const MaterializedView& view, const GlobalSchema&
                    " is not a reference");
 }
 
-inline Value eval_materialized_path(const MaterializedView& view,
+inline Value eval_materialized_path(const RowView& view,
                              const GlobalSchema& schema,
-                             const MaterializedObject& obj,
+                             const RowObject& obj,
                              const GlobalClass& cls, const PathExpr& path,
                              std::size_t step, AccessMeter* meter) {
   const auto index = cls.def().find_attribute(path.step(step));
@@ -341,10 +386,10 @@ inline Value eval_materialized_path(const MaterializedView& view,
   if (v.is_null()) return Value::null();
   const auto& cplx = std::get<ComplexType>(cls.def().attribute(*index).type);
   const GlobalClass& domain = schema.cls(cplx.domain_class);
-  const MaterializedExtent& extent = view.extent(domain.name());
+  const RowExtent& extent = view.extent(domain.name());
 
   const auto descend = [&](GOid target) -> Value {
-    const MaterializedObject* next = extent.find(target);
+    const RowObject* next = extent.find(target);
     if (next == nullptr) return Value::null();
     if (meter != nullptr) ++meter->objects_fetched;
     return eval_materialized_path(view, schema, *next, domain, path, step + 1,
@@ -363,7 +408,7 @@ inline Value eval_materialized_path(const MaterializedView& view,
                    " is not a reference");
 }
 
-inline QueryResult evaluate_global(const MaterializedView& view,
+inline QueryResult evaluate_global(const RowView& view,
                             const GlobalSchema& schema,
                             const GlobalQuery& query, AccessMeter* meter) {
   // Resolve every path once up front so malformed queries fail loudly.
@@ -373,10 +418,10 @@ inline QueryResult evaluate_global(const MaterializedView& view,
     (void)resolve_path(schema.lookup(), query.range_class, target);
 
   const GlobalClass& range = schema.cls(query.range_class);
-  const MaterializedExtent& extent = view.extent(range.name());
+  const RowExtent& extent = view.extent(range.name());
 
   QueryResult result;
-  for (const MaterializedObject& obj : extent.objects()) {
+  for (const RowObject& obj : extent.objects()) {
     std::vector<Truth> truths;
     truths.reserve(query.predicates.size());
     std::vector<MatStall> stalls(query.predicates.size());

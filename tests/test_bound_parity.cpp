@@ -11,6 +11,12 @@
 //     references, nulls at every step and attributes schema-missing at any
 //     step, and covers phase P, PL discovery, assistant checks from steps
 //     1-3 (run_checks) and the centralized outerjoin + evaluation;
+//   * ViewParity checks the column view (cells, outerjoin meters, rows,
+//     conditions and evaluation meters) against the oracle's row view on
+//     federations with every column kind: Int cells past 2^53, a Real
+//     attribute holding Int and Real values, strings and bools, reference
+//     sets, references into another class's extent or database and to
+//     unmapped LOids, an excluded site and CA's projection;
 //   * CrossStorage checks the two policies against each other: on
 //     one-database parity federations, run_local_query rows and
 //     evaluate_global rows agree on truth, holder, step and targets;
@@ -170,6 +176,42 @@ void expect_same(const LocalPredOutcome& bound, const LocalPredOutcome& oracle) 
 /// The local class of global class `cls`'s constituent at `db`.
 const std::string& local_class_at(const GlobalClass& cls, DbId db) {
   return cls.constituents()[*cls.constituent_in(db)].local_class;
+}
+
+/// Every cell the column view holds equals the oracle's row view: entity
+/// order, and each projected attribute (all when `project` is null).
+void expect_same_view(const MaterializedView& view,
+                      const oracle::RowView& reference,
+                      const std::vector<std::string>& classes,
+                      const AttributeProjection* project) {
+  for (const std::string& name : classes) {
+    const MaterializedExtent& got = view.extent(name);
+    const auto& want = reference.extent(name).objects();
+    ASSERT_EQ(got.size(), want.size()) << name;
+    const std::size_t attrs = got.cls().def().attribute_count();
+    for (std::size_t a = 0; a < attrs; ++a) {
+      const bool projected =
+          project == nullptr ||
+          is_complex(got.cls().def().attribute(a).type) ||
+          (project->count(name) != 0 && project->at(name).count(a) != 0);
+      EXPECT_EQ(got.projected(a), projected) << name << " attr " << a;
+      if (!projected) continue;
+      for (std::size_t i = 0; i < got.size(); ++i) {
+        EXPECT_EQ(got.entities()[i], want[i].id);
+        EXPECT_EQ(got.cell(i, a), want[i].values[a])
+            << name << " g" << want[i].id.value() << " attr " << a;
+      }
+    }
+  }
+}
+
+/// Rows equal, and so does every maybe row's condition text.
+void expect_same_result(const QueryResult& got, const QueryResult& want) {
+  EXPECT_EQ(got, want);
+  ASSERT_EQ(got.rows.size(), want.rows.size());
+  for (std::size_t i = 0; i < got.rows.size(); ++i)
+    EXPECT_EQ(got.rows[i].condition.to_string(),
+              want.rows[i].condition.to_string());
 }
 
 class BoundParity : public ::testing::TestWithParam<std::uint64_t> {};
@@ -361,30 +403,32 @@ TEST_P(BoundParity, MaterializedSideMatchesTheWalk) {
       AccessMeter bound_meter, oracle_meter;
       const MaterializedView view =
           materialize(fed, classes, &bound_meter, policy, excluded);
-      const MaterializedView reference = oracle::materialize(
+      const oracle::RowView reference = oracle::materialize(
           fed, classes, &oracle_meter, policy, excluded);
       EXPECT_EQ(bound_meter, oracle_meter);
-      for (const std::string& name : classes) {
-        const auto& got = view.extent(name).objects();
-        const auto& want = reference.extent(name).objects();
-        ASSERT_EQ(got.size(), want.size());
-        for (std::size_t i = 0; i < got.size(); ++i) {
-          EXPECT_EQ(got[i].id, want[i].id);
-          EXPECT_EQ(got[i].values, want[i].values);
-        }
-      }
+      expect_same_view(view, reference, classes, nullptr);
 
       AccessMeter eval_meter, walk_meter;
       const QueryResult result =
           evaluate_global(view, fed.schema(), query, &eval_meter);
       const QueryResult walked =
-          oracle::evaluate_global(view, fed.schema(), query, &walk_meter);
-      EXPECT_EQ(result, walked);
-      ASSERT_EQ(result.rows.size(), walked.rows.size());
-      for (std::size_t i = 0; i < result.rows.size(); ++i)
-        EXPECT_EQ(result.rows[i].condition.to_string(),
-                  walked.rows[i].condition.to_string());
+          oracle::evaluate_global(reference, fed.schema(), query, &walk_meter);
+      expect_same_result(result, walked);
       EXPECT_EQ(eval_meter, walk_meter);
+
+      // The projection CA_C1 ships: the same charges, cells and answer.
+      const AttributeProjection involved =
+          involved_attributes(fed.schema(), query);
+      AccessMeter projected_meter;
+      const MaterializedView projected = materialize(
+          fed, classes, &projected_meter, policy, excluded, &involved);
+      EXPECT_EQ(projected_meter, oracle_meter);
+      expect_same_view(projected, reference, classes, &involved);
+      AccessMeter projected_eval;
+      expect_same_result(
+          evaluate_global(projected, fed.schema(), query, &projected_eval),
+          walked);
+      EXPECT_EQ(projected_eval, walk_meter);
     }
   }
 }
@@ -433,6 +477,241 @@ TEST_P(CrossStorage, LocalRowsMatchTheViewOnOneDatabase) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CrossStorage,
                          ::testing::Range<std::uint64_t>(900, 940));
+
+// ---- The column view against the row view --------------------------------
+
+/// Two or three databases with global classes P and Q. P holds an Int `n`
+/// (some values 2^53+1, which a double rounds), a Real `r` holding both Int
+/// and Real values, a String `s`, a Bool `b`, a reference `q` and a
+/// reference set `qs` to Q; Q holds `n`, `r`, `s` and `b`. Each database
+/// drops some attributes. References are null, real, dangling, into another
+/// database's Q, into P (another class's extent) or to an unmapped LOid (an
+/// object of a local class no global class integrates).
+ParityFederation make_view_federation(std::uint64_t seed) {
+  Rng rng(seed);
+  const std::size_t n_db = 2 + rng.index(2);
+  constexpr std::int64_t kBig = (std::int64_t{1} << 53) + 1;
+  const std::vector<std::string> p_attrs = {"n", "r", "s", "b", "q", "qs"};
+  const std::vector<std::string> q_attrs = {"n", "r", "s", "b"};
+  // defines[db][attr]: whether the database's P (then Q) defines it.
+  const auto draw_defines = [&](std::size_t count) {
+    std::vector<std::vector<bool>> defines(n_db, std::vector<bool>(count));
+    for (std::size_t a = 0; a < count; ++a) {
+      bool any = false;
+      for (std::size_t i = 0; i < n_db; ++i)
+        any |= defines[i][a] = rng.bernoulli(0.7);
+      if (!any) defines[rng.index(n_db)][a] = true;
+    }
+    return defines;
+  };
+  const auto p_defines = draw_defines(p_attrs.size());
+  const auto q_defines = draw_defines(q_attrs.size());
+
+  std::vector<std::unique_ptr<ComponentDatabase>> databases;
+  for (std::size_t i = 0; i < n_db; ++i) {
+    ComponentSchema schema(DbId{static_cast<std::uint16_t>(i + 1)},
+                           "DB" + std::to_string(i + 1));
+    schema.add_class("Junk").add_attribute("n", PrimType::Int);
+    const auto add_primitives = [](ClassDef& def,
+                                   const std::vector<bool>& defines) {
+      if (defines[0]) def.add_attribute("n", PrimType::Int);
+      if (defines[1]) def.add_attribute("r", PrimType::Real);
+      if (defines[2]) def.add_attribute("s", PrimType::String);
+      if (defines[3]) def.add_attribute("b", PrimType::Bool);
+    };
+    add_primitives(schema.add_class("Q"), q_defines[i]);
+    ClassDef& p = schema.add_class("P");
+    add_primitives(p, p_defines[i]);
+    if (p_defines[i][4]) p.add_attribute("q", ComplexType{"Q"});
+    if (p_defines[i][5]) p.add_attribute("qs", ComplexType{"Q", true});
+    schema.validate();
+    databases.push_back(std::make_unique<ComponentDatabase>(std::move(schema)));
+  }
+
+  const auto primitive = [&](std::size_t a) -> Value {
+    switch (a) {
+      case 0:
+        return rng.bernoulli(0.2) ? Value(kBig) : Value(rng.uniform_int(0, 2));
+      case 1:
+        if (rng.bernoulli(0.5)) return Value(rng.uniform_int(0, 2));
+        return Value(0.5 * static_cast<double>(rng.uniform_int(0, 4)));
+      case 2:
+        return Value(std::string(1, static_cast<char>('a' + rng.index(3))));
+      default:
+        return Value(rng.bernoulli(0.5));
+    }
+  };
+  const auto primitives = [&](const std::vector<bool>& defines) {
+    std::vector<NamedValue> values;
+    for (std::size_t a = 0; a < 4; ++a)
+      if (defines[a] && !rng.bernoulli(0.2))
+        values.emplace_back(q_attrs[a], primitive(a));
+    return values;
+  };
+
+  GoidTable goids;
+  std::vector<std::vector<LOid>> junk(n_db), qs(n_db), ps(n_db);
+  for (std::size_t i = 0; i < n_db; ++i)
+    for (int k = 0; k < 2; ++k)
+      junk[i].push_back(databases[i]->insert("Junk", {{"n", Value(k)}}));
+  // Entities sit in random non-empty database subsets.
+  const auto register_entities = [&](const std::string& cls,
+                                     std::vector<std::vector<LOid>>& by_db,
+                                     const auto& insert) {
+    for (std::size_t e = 3 + rng.index(6); e > 0; --e) {
+      std::vector<bool> present(n_db);
+      bool any = false;
+      for (std::size_t i = 0; i < n_db; ++i)
+        any |= present[i] = rng.bernoulli(0.6);
+      if (!any) present[rng.index(n_db)] = true;
+      std::vector<LOid> isomers;
+      for (std::size_t i = 0; i < n_db; ++i) {
+        if (!present[i]) continue;
+        isomers.push_back(insert(i));
+        by_db[i].push_back(isomers.back());
+      }
+      (void)goids.register_entity(cls, isomers);
+    }
+  };
+  register_entities("Q", qs, [&](std::size_t i) {
+    return databases[i]->insert("Q", primitives(q_defines[i]));
+  });
+  const auto pick = [&](std::size_t i) -> LOid {
+    const DbId db = databases[i]->db();
+    switch (rng.index(8)) {
+      case 0:
+        return LOid{db, 100'000};  // dangling
+      case 1:
+        return junk[i][rng.index(junk[i].size())];  // unmapped
+      case 2: {
+        const std::size_t other = rng.index(n_db);  // maybe another database
+        if (!qs[other].empty()) return qs[other][rng.index(qs[other].size())];
+        return LOid{db, 100'000};
+      }
+      case 3:
+        if (!ps[i].empty()) return ps[i][rng.index(ps[i].size())];  // a P
+        [[fallthrough]];
+      default:
+        if (qs[i].empty()) return LOid{db, 100'000};
+        return qs[i][rng.index(qs[i].size())];
+    }
+  };
+  register_entities("P", ps, [&](std::size_t i) {
+    std::vector<NamedValue> values = primitives(p_defines[i]);
+    if (p_defines[i][4] && !rng.bernoulli(0.15))
+      values.emplace_back("q", Value(LocalRef{pick(i)}));
+    if (p_defines[i][5] && !rng.bernoulli(0.15)) {
+      LocalRefSet set;
+      for (std::size_t m = rng.index(4); m > 0; --m)
+        set.targets.push_back(pick(i));
+      values.emplace_back("qs", Value(std::move(set)));
+    }
+    return databases[i]->insert("P", values);
+  });
+
+  IntegrationSpec spec;
+  for (const char* name : {"Q", "P"}) {
+    ClassSpec& cls = spec.add_class(name);
+    for (const auto& database : databases)
+      cls.constituents.push_back(Constituent{database->db(), name});
+  }
+  std::vector<const ComponentSchema*> schemas;
+  for (const auto& database : databases) schemas.push_back(&database->schema());
+  GlobalSchema global = integrate(schemas, spec);
+
+  ParityFederation out;
+  out.query.range_class = "P";
+  const auto terminal = [&]() { return q_attrs[rng.index(q_attrs.size())]; };
+  const auto draw_path = [&](const std::string& end) {
+    switch (rng.index(3)) {
+      case 0:
+        return PathExpr({end});
+      case 1:
+        return PathExpr({"q", end});
+      default:
+        return PathExpr({"qs", end});
+    }
+  };
+  for (std::size_t p = 1 + rng.index(4); p > 0; --p) {
+    const std::string end = terminal();
+    Value literal = end == "n"   ? Value(rng.bernoulli(0.3) ? kBig : 1)
+                    : end == "r" ? Value(1.0)
+                    : end == "s" ? Value("b")
+                                 : Value(true);
+    if (rng.bernoulli(0.1)) literal = Value::null();
+    constexpr CompOp kOps[] = {CompOp::Eq, CompOp::Ne, CompOp::Lt,
+                               CompOp::Le, CompOp::Gt, CompOp::Ge};
+    // Bools are equality-comparable only.
+    const CompOp op = kOps[rng.index(end == "b" ? 2 : 6)];
+    out.query.predicates.push_back(Predicate{draw_path(end), op, literal});
+  }
+  for (std::size_t t = 1 + rng.index(3); t > 0; --t) {
+    const std::size_t pick_target = rng.index(4);
+    out.query.targets.push_back(pick_target == 0   ? PathExpr({"q"})
+                                : pick_target == 1 ? PathExpr({"qs"})
+                                                   : draw_path(terminal()));
+  }
+  out.federation = std::make_unique<Federation>(
+      std::move(global), std::move(databases), std::move(goids));
+  return out;
+}
+
+class ViewParity : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(ViewParity, ColumnsMatchTheRowView) {
+  const ParityFederation pf = make_view_federation(GetParam());
+  const Federation& fed = *pf.federation;
+  const GlobalQuery& query = pf.query;
+  const std::vector<std::string> classes = {"P", "Q"};
+  const AttributeProjection involved =
+      involved_attributes(fed.schema(), query);
+  const std::set<DbId> exclude{fed.db_ids().front()};
+
+  for (const MergePolicy policy :
+       {MergePolicy::FirstNonNull, MergePolicy::UnionSets}) {
+    for (const std::set<DbId>* excluded :
+         {static_cast<const std::set<DbId>*>(nullptr), &exclude}) {
+      AccessMeter oracle_meter, walk_meter;
+      const oracle::RowView reference = oracle::materialize(
+          fed, classes, &oracle_meter, policy, excluded);
+      const QueryResult walked =
+          oracle::evaluate_global(reference, fed.schema(), query, &walk_meter);
+      for (const AttributeProjection* project :
+           {static_cast<const AttributeProjection*>(nullptr), &involved}) {
+        AccessMeter join_meter, eval_meter;
+        const MaterializedView view = materialize(
+            fed, classes, &join_meter, policy, excluded, project);
+        EXPECT_EQ(join_meter, oracle_meter);
+        expect_same_view(view, reference, classes, project);
+        expect_same_result(
+            evaluate_global(view, fed.schema(), query, &eval_meter), walked);
+        EXPECT_EQ(eval_meter, walk_meter);
+      }
+    }
+  }
+}
+
+TEST_P(ViewParity, ColumnKindsFollowTheValues) {
+  // The column path is the one under test: numbers and bools are typed
+  // columns and `q` a reference column whenever some database holds a value;
+  // strings and reference sets are held cell by cell.
+  const ParityFederation pf = make_view_federation(GetParam());
+  const MaterializedView view = materialize(*pf.federation, {"P", "Q"});
+  const MaterializedExtent& ps = view.extent("P");
+  using ColKind = ColumnarExtent::ColKind;
+  const std::pair<const char*, ColKind> expected[] = {
+      {"n", ColKind::Num}, {"r", ColKind::Num}, {"s", ColKind::Other},
+      {"b", ColKind::Bool}, {"q", ColKind::Ref}, {"qs", ColKind::Other}};
+  for (const auto& [name, kind] : expected) {
+    const auto attr = ps.cls().def().find_attribute(name);
+    ASSERT_TRUE(attr.has_value()) << name;
+    const ColKind got = ps.column(*attr).kind;
+    EXPECT_TRUE(got == kind || got == ColKind::AllNull) << name;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, ViewParity,
+                         ::testing::Range<std::uint64_t>(700, 760));
 
 // ---- Table-2 synthetic federations --------------------------------------
 

@@ -68,12 +68,13 @@ struct ProjectsFixture {
 TEST(MultiValued, FirstNonNullTakesOneDatabasesView) {
   const ProjectsFixture fix;
   const MaterializedView view = materialize(*fix.federation, {"Prof"});
-  const MaterializedObject* ada = view.extent("Prof").find(fix.gprof);
-  ASSERT_NE(ada, nullptr);
+  const MaterializedExtent& profs = view.extent("Prof");
+  const auto ada = profs.position(fix.gprof);
+  ASSERT_TRUE(ada.has_value());
   const auto projects =
       fix.federation->schema().cls("Prof").def().find_attribute("projects");
   // DB1's set wins wholesale: {alpha, beta}.
-  EXPECT_EQ(ada->values[*projects],
+  EXPECT_EQ(profs.cell(*ada, *projects),
             Value(GlobalRefSet{{fix.gpa, fix.gpb}}));
 }
 
@@ -81,14 +82,16 @@ TEST(MultiValued, UnionSetsMergesAcrossDatabases) {
   const ProjectsFixture fix;
   const MaterializedView view = materialize(
       *fix.federation, {"Prof"}, nullptr, MergePolicy::UnionSets);
-  const MaterializedObject* ada = view.extent("Prof").find(fix.gprof);
+  const MaterializedExtent& profs = view.extent("Prof");
+  const auto ada = profs.position(fix.gprof);
+  ASSERT_TRUE(ada.has_value());
   const auto projects =
       fix.federation->schema().cls("Prof").def().find_attribute("projects");
   // Union over isomers, deduplicated through the GOid space: beta appears
   // once even though both databases store it under different LOids.
   GlobalRefSet expected{{fix.gpa, fix.gpb, fix.gpc}};
   std::sort(expected.targets.begin(), expected.targets.end());
-  EXPECT_EQ(ada->values[*projects], Value(expected));
+  EXPECT_EQ(profs.cell(*ada, *projects), Value(expected));
 }
 
 TEST(MultiValued, UnionEnablesCrossDatabaseExistentialQueries) {

@@ -147,11 +147,11 @@ TEST_F(PaperExample, MaterializedStudentMatchesFigure6) {
 
   // gs1 (John): age 31 from DB1, address from DB2 — the outerjoin fills
   // missing data from isomeric objects (s2' gains age 31 from s1).
-  const MaterializedObject* john = students.find(g(example_.ids.s1));
-  ASSERT_NE(john, nullptr);
+  const auto john = students.position(g(example_.ids.s1));
+  ASSERT_TRUE(john.has_value());
   const ClassDef& def = fed().schema().cls("Student").def();
-  const auto value = [&](const MaterializedObject& obj, const char* attr) {
-    return obj.values[*def.find_attribute(attr)];
+  const auto value = [&](std::size_t pos, const char* attr) {
+    return students.cell(pos, *def.find_attribute(attr));
   };
   EXPECT_EQ(value(*john, "name"), Value("John"));
   EXPECT_EQ(value(*john, "age"), Value(31));
@@ -161,18 +161,18 @@ TEST_F(PaperExample, MaterializedStudentMatchesFigure6) {
   EXPECT_EQ(value(*john, "advisor"), Value(GlobalRef{g(example_.ids.t1)}));
 
   // gs2 (Tony): address stays null — no isomeric object provides it.
-  const MaterializedObject* tony = students.find(g(example_.ids.s2));
-  ASSERT_NE(tony, nullptr);
+  const auto tony = students.position(g(example_.ids.s2));
+  ASSERT_TRUE(tony.has_value());
   EXPECT_TRUE(value(*tony, "address").is_null());
 
   // gt4 (Kelly): department from DB3, speciality from DB2.
   const MaterializedExtent& teachers = view.extent("Teacher");
-  const MaterializedObject* kelly = teachers.find(g(example_.ids.t1p));
-  ASSERT_NE(kelly, nullptr);
+  const auto kelly = teachers.position(g(example_.ids.t1p));
+  ASSERT_TRUE(kelly.has_value());
   const ClassDef& tdef = fed().schema().cls("Teacher").def();
-  EXPECT_EQ(kelly->values[*tdef.find_attribute("speciality")],
+  EXPECT_EQ(teachers.cell(*kelly, *tdef.find_attribute("speciality")),
             Value("database"));
-  EXPECT_EQ(kelly->values[*tdef.find_attribute("department")],
+  EXPECT_EQ(teachers.cell(*kelly, *tdef.find_attribute("department")),
             Value(GlobalRef{g(example_.ids.d1)}));
 }
 

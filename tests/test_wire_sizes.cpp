@@ -135,7 +135,7 @@ TEST(WireSizes, BatchedCheckRequestsNeverExceedUnbatched) {
 TEST(WireSizes, InvolvedAttributesFollowQueryPaths) {
   const paper::UniversityExample example = paper::make_university();
   const auto involved =
-      detail::involved_attributes(example.federation->schema(), paper::q1());
+      involved_attributes(example.federation->schema(), paper::q1());
   // Student: name (target), advisor (nav), address (nav) => 3 attributes.
   ASSERT_TRUE(involved.count("Student"));
   EXPECT_EQ(involved.at("Student").size(), 3u);
@@ -150,7 +150,7 @@ TEST(WireSizes, CaProjectionSkipsMissingAttributes) {
   const paper::UniversityExample example = paper::make_university();
   const CostParams costs;
   const auto involved =
-      detail::involved_attributes(example.federation->schema(), paper::q1());
+      involved_attributes(example.federation->schema(), paper::q1());
   // DB3 ships Teacher (name prim + department ref, speciality missing) and
   // Department (name prim); per object: LOid + attrs.
   const Bytes teacher_obj = 16 + 32 + 16;     // loid + name + department ref
@@ -168,7 +168,7 @@ TEST(WireSizes, CaProjectionOmitsUninvolvedDatabases) {
   narrow.range_class = "Address";
   narrow.select("city");
   const auto involved =
-      detail::involved_attributes(example.federation->schema(), narrow);
+      involved_attributes(example.federation->schema(), narrow);
   EXPECT_EQ(detail::ca_projected_bytes(*example.federation, DbId{1}, involved,
                                        costs),
             0u)
