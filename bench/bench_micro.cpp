@@ -15,6 +15,7 @@
 #include "isomer/federation/goid_table.hpp"
 #include "isomer/federation/materializer.hpp"
 #include "isomer/query/kernels.hpp"
+#include "isomer/query/reach.hpp"
 #include "isomer/obs/trace_session.hpp"
 #include "isomer/schema/translate.hpp"
 #include "isomer/sim/barrier.hpp"
@@ -56,7 +57,7 @@ void BM_LocalQueryEvaluation(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
-BENCHMARK(BM_LocalQueryEvaluation)->Arg(1000)->Arg(5000);
+BENCHMARK(BM_LocalQueryEvaluation)->Arg(1000)->Arg(5000)->Arg(20000);
 
 /// The synthetic query keeping only its predicates of `length` steps.
 GlobalQuery navigating_query(const SynthFederation& synth,
@@ -88,32 +89,63 @@ BENCHMARK(BM_BoundNavigation)
     ->Args({2, 5000})
     ->Args({3, 5000});
 
-/// The 2-step local query of BM_BoundNavigation, arg 0 objects per class
-/// and database, evaluated by the row walk (`use_columnar = false`) and by
-/// the column path alternately in one process (the order flips every
-/// iteration), as BM_PredicateEvalPaired does. `nav_speedup` is the row
-/// time over the column time summed across the repetition's iterations;
-/// tools/check_bench_micro.py gates its median over repetitions. Both
-/// sides pay the same root scan, survivor probes and target walks.
+/// The 2-step predicates of BM_BoundNavigation over every root at DB1, arg
+/// 0 objects per class and database, evaluated by BoundQuery::evaluate and
+/// by a per-object BoundQuery::eval_predicate pass alternately in one
+/// process (the order flips every iteration), as BM_PredicateEvalPaired
+/// does. `nav_speedup` is the walk time over the evaluator time summed
+/// across the repetition's iterations; tools/check_bench_micro.py gates its
+/// median over repetitions. Both sides charge one meter through one buffer
+/// pool and keep every outcome.
 void BM_NavigationPaired(benchmark::State& state) {
   using Clock = std::chrono::steady_clock;
   const SynthFederation synth = make_synth(static_cast<int>(state.range(0)));
   const GlobalQuery query = navigating_query(synth, 2);
-  double row_s = 0, column_s = 0;
-  const auto time = [&](bool use_columnar, double& total) {
+  const Federation& fed = *synth.federation;
+  const BoundQuery bound(fed, query);
+  const BoundQuery::Site site = bound.site(DbId{1});
+  const GlobalClass& range = fed.schema().cls(query.range_class);
+  const Extent& roots = fed.db(DbId{1}).extent(
+      range.constituents()[*range.constituent_in(DbId{1})].local_class);
+  std::vector<LOid> ids;
+  for (const Object& obj : roots.objects()) ids.push_back(obj.id());
+  const std::vector<std::uint32_t> preds =
+      every_index(query.predicates.size());
+  const auto walk = [&] {
+    AccessMeter meter;
+    FetchCache cache;
+    std::vector<LocalPredOutcome> outcomes;
+    outcomes.reserve(roots.size() * query.predicates.size());
+    for (const Object& obj : roots.objects())
+      for (std::size_t p = 0; p < query.predicates.size(); ++p)
+        outcomes.push_back(bound.eval_predicate(site, p, obj, 0, &meter, &cache));
+    benchmark::DoNotOptimize(outcomes.data());
+  };
+  const auto evaluate = [&] {
+    AccessMeter meter;
+    FetchCache cache;
+    const std::vector<std::vector<LocalPredOutcome>> outcomes = bound.evaluate(
+        site, 0, ids, preds, &meter, &cache);
+    benchmark::DoNotOptimize(outcomes.data());
+  };
+  double walk_s = 0, eval_s = 0;
+  const auto time = [](const auto& pass, double& total) {
     const Clock::time_point start = Clock::now();
-    LocalExecution exec = run_local_query(*synth.federation, query, DbId{1},
-                                          nullptr, use_columnar);
-    benchmark::DoNotOptimize(exec.rows.size());
+    pass();
     total += std::chrono::duration<double>(Clock::now() - start).count();
   };
-  bool row_first = true;
+  bool walk_first = true;
   for (auto _ : state) {
-    time(!row_first, row_first ? row_s : column_s);
-    time(row_first, row_first ? column_s : row_s);
-    row_first = !row_first;
+    if (walk_first) {
+      time(walk, walk_s);
+      time(evaluate, eval_s);
+    } else {
+      time(evaluate, eval_s);
+      time(walk, walk_s);
+    }
+    walk_first = !walk_first;
   }
-  state.counters["nav_speedup"] = row_s / column_s;
+  state.counters["nav_speedup"] = walk_s / eval_s;
 }
 BENCHMARK(BM_NavigationPaired)->Arg(5000);
 
@@ -444,25 +476,6 @@ void BM_Certify(benchmark::State& state) {
 }
 BENCHMARK(BM_Certify)->Arg(2000);
 
-/// Full local query execution, row path vs columnar fast path, on the same
-/// synthetic federation. The two are bitwise-identical in results and meter
-/// (tests/test_columnar_parity.cpp); this pair measures the wall-clock gap.
-void BM_LocalQueryRowVsColumnar(benchmark::State& state) {
-  const SynthFederation synth = make_synth(static_cast<int>(state.range(1)));
-  const bool use_columnar = state.range(0) != 0;
-  for (auto _ : state) {
-    LocalExecution exec = run_local_query(*synth.federation, synth.query,
-                                          DbId{1}, nullptr, use_columnar);
-    benchmark::DoNotOptimize(exec.rows.size());
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(1));
-  state.counters["objects_per_s"] = benchmark::Counter(
-      static_cast<double>(state.iterations() * state.range(1)),
-      benchmark::Counter::kIsRate);
-}
-BENCHMARK(BM_LocalQueryRowVsColumnar)
-    ->Args({0, 20000})
-    ->Args({1, 20000});
 
 /// n shuffled (GOid, signature) certificate keys — probe order is
 /// cache-miss-bound like a real repeated serving pool.

@@ -1,4 +1,4 @@
-// bench_scale — row-vs-columnar scaling sweep (docs/PERFORMANCE.md).
+// bench_scale — the predicate evaluator's scaling sweep (docs/PERFORMANCE.md).
 //
 // Sweeps the per-constituent object count across decades (default
 // 10K -> 1M; pass --sizes=...,10000000 for the full 10M sweep) and, at each
@@ -8,12 +8,14 @@
 // path and navigation through reference columns (with null references).
 //
 // At every size the bench is its own at-scale parity check:
-//   * the local query runs row-at-a-time and columnar at every home and the
-//     two LocalExecutions must match field for field (rows, statuses,
-//     meters) — any divergence aborts with a nonzero exit;
+//   * at every home, BoundQuery::evaluate over every root and a per-object
+//     BoundQuery::eval_predicate pass must agree on every outcome (truth,
+//     unsolved holder and step) and on the meter — any divergence aborts
+//     with a nonzero exit;
 //   * up to --strategy-cap objects (default 200000, 0 = uncapped) CA/BL/PL
-//     execute twice, columnar on and off, composed with --faults/--batch,
-//     and the full StrategyReports must be bitwise identical.
+//     execute composed with --faults/--batch, and each answer must equal
+//     reference_answer, or degraded_reference for the sites a run lost
+//     under degrade=partial.
 // Everything reported except the wall_* timings is deterministic in
 // (--sizes, --samples, --seed, --faults, --batch) and invariant under
 // --jobs: trials run on the pool but reduce in trial order.
@@ -24,12 +26,15 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <set>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "harness.hpp"
 #include "isomer/core/local_exec.hpp"
+#include "isomer/fault/degrade.hpp"
+#include "isomer/query/reach.hpp"
 
 namespace {
 
@@ -70,35 +75,48 @@ SampleParams make_sample(int n_objects, std::uint64_t seed) {
   return sample;
 }
 
-bool same_status(const PredStatus& a, const PredStatus& b) {
-  return a.truth == b.truth && a.item == b.item && a.step == b.step &&
-         a.root_level == b.root_level;
+bool same_outcome(const LocalPredOutcome& a, const LocalPredOutcome& b) {
+  return a.truth == b.truth && a.holder == b.holder && a.step == b.step;
 }
 
-bool same_exec(const LocalExecution& a, const LocalExecution& b) {
-  if (a.db != b.db || !(a.meter == b.meter) || a.considered != b.considered ||
-      a.rows.size() != b.rows.size())
-    return false;
-  for (std::size_t i = 0; i < a.rows.size(); ++i) {
-    const LocalRow& x = a.rows[i];
-    const LocalRow& y = b.rows[i];
-    if (x.root != y.root || x.entity != y.entity || x.targets != y.targets ||
-        x.preds.size() != y.preds.size())
-      return false;
-    for (std::size_t p = 0; p < x.preds.size(); ++p)
-      if (!same_status(x.preds[p], y.preds[p])) return false;
-  }
+/// Times the per-object walk and the evaluator over every root at `db`,
+/// adding the timings to `walk_ms`/`eval_ms`; false when any outcome or the
+/// meters differ.
+bool evaluator_matches_walk(const Federation& fed, const GlobalQuery& query,
+                            DbId db, double& walk_ms, double& eval_ms) {
+  const BoundQuery bound(fed, query);
+  const BoundQuery::Site site = bound.site(db);
+  const GlobalClass& range = fed.schema().cls(query.range_class);
+  const Extent& roots = fed.db(db).extent(
+      range.constituents()[*range.constituent_in(db)].local_class);
+  const std::size_t n_preds = query.predicates.size();
+  AccessMeter walk_meter, eval_meter;
+  FetchCache walk_cache, eval_cache;
+
+  std::vector<LOid> ids;
+  for (const Object& obj : roots.objects()) ids.push_back(obj.id());
+
+  const auto t0 = std::chrono::steady_clock::now();
+  std::vector<LocalPredOutcome> walked;
+  walked.reserve(roots.size() * n_preds);
+  for (const Object& obj : roots.objects())
+    for (std::size_t p = 0; p < n_preds; ++p)
+      walked.push_back(
+          bound.eval_predicate(site, p, obj, 0, &walk_meter, &walk_cache));
+  const auto t1 = std::chrono::steady_clock::now();
+  const std::vector<std::vector<LocalPredOutcome>> evaluated =
+      bound.evaluate(site, 0, ids, every_index(n_preds), &eval_meter,
+                     &eval_cache);
+  const auto t2 = std::chrono::steady_clock::now();
+  walk_ms += wall_ms(t0, t1);
+  eval_ms += wall_ms(t1, t2);
+
+  if (!(walk_meter == eval_meter)) return false;
+  for (std::size_t r = 0; r < roots.size(); ++r)
+    for (std::size_t p = 0; p < n_preds; ++p)
+      if (!same_outcome(walked[r * n_preds + p], evaluated[p][r]))
+        return false;
   return true;
-}
-
-bool same_report(const StrategyReport& a, const StrategyReport& b) {
-  return a.result == b.result && a.response_ns == b.response_ns &&
-         a.total_ns == b.total_ns && a.cpu_ns == b.cpu_ns &&
-         a.disk_ns == b.disk_ns && a.net_ns == b.net_ns &&
-         a.bytes_transferred == b.bytes_transferred &&
-         a.messages == b.messages && a.work == b.work &&
-         a.unavailable_sites == b.unavailable_sites &&
-         a.retries == b.retries && a.failed_messages == b.failed_messages;
 }
 
 /// Deterministic per-(size, strategy) figures plus wall-clock timings.
@@ -108,15 +126,14 @@ struct SizeResult {
   std::uint64_t local_rows = 0;
   std::uint64_t local_comparisons = 0;
   std::uint64_t local_table_probes = 0;
-  double wall_local_row_ms = 0;
-  double wall_local_col_ms = 0;
+  double wall_walk_ms = 0;  ///< per-object eval_predicate pass
+  double wall_eval_ms = 0;  ///< BoundQuery::evaluate over the same roots
   // Full-strategy parity (empty when the size exceeds --strategy-cap).
   struct PerStrategy {
     StrategyKind kind{};
     double sim_total_s = 0;     ///< summed over trials (deterministic)
     double sim_response_s = 0;  ///< summed over trials (deterministic)
-    double wall_row_ms = 0;
-    double wall_col_ms = 0;
+    double wall_ms = 0;
   };
   std::vector<PerStrategy> strategies;
   bool parity_ok = true;
@@ -140,19 +157,13 @@ SizeResult run_size(std::int64_t size, const HarnessOptions& options,
 
     for (std::size_t i = 1; i <= 2; ++i) {
       const DbId db{static_cast<std::uint16_t>(i)};
-      const auto t0 = std::chrono::steady_clock::now();
-      const LocalExecution row_exec =
-          run_local_query(fed, synth.query, db, nullptr, /*use_columnar=*/false);
-      const auto t1 = std::chrono::steady_clock::now();
-      const LocalExecution col_exec =
-          run_local_query(fed, synth.query, db, nullptr, /*use_columnar=*/true);
-      const auto t2 = std::chrono::steady_clock::now();
-      out.wall_local_row_ms += wall_ms(t0, t1);
-      out.wall_local_col_ms += wall_ms(t1, t2);
-      if (!same_exec(row_exec, col_exec)) out.parity_ok = false;
-      out.local_rows += row_exec.rows.size();
-      out.local_comparisons += row_exec.meter.comparisons;
-      out.local_table_probes += row_exec.meter.table_probes;
+      if (!evaluator_matches_walk(fed, synth.query, db, out.wall_walk_ms,
+                                  out.wall_eval_ms))
+        out.parity_ok = false;
+      const LocalExecution exec = run_local_query(fed, synth.query, db);
+      out.local_rows += exec.rows.size();
+      out.local_comparisons += exec.meter.comparisons;
+      out.local_table_probes += exec.meter.table_probes;
     }
 
     if (!run_strategies) return;
@@ -162,6 +173,7 @@ SizeResult run_size(std::int64_t size, const HarnessOptions& options,
       plan.seed = derive_stream(
           derive_stream(options.seed, options.faults.plan.seed), s);
     }
+    const QueryResult reference = reference_answer(fed, synth.query);
     for (const StrategyKind kind : kPaperStrategies) {
       StrategyOptions exec_options;
       if (options.batch_set) exec_options.batch = options.batch;
@@ -170,22 +182,23 @@ SizeResult run_size(std::int64_t size, const HarnessOptions& options,
         exec_options.retry = options.faults.retry;
         exec_options.degrade = options.faults.degrade;
       }
-      StrategyOptions row_options = exec_options;
-      row_options.columnar = false;
       const auto t0 = std::chrono::steady_clock::now();
-      const StrategyReport row_report =
-          execute_strategy(kind, fed, synth.query, row_options);
-      const auto t1 = std::chrono::steady_clock::now();
-      const StrategyReport col_report =
+      const StrategyReport report =
           execute_strategy(kind, fed, synth.query, exec_options);
-      const auto t2 = std::chrono::steady_clock::now();
+      const auto t1 = std::chrono::steady_clock::now();
       SizeResult::PerStrategy per;
       per.kind = kind;
-      per.sim_total_s = to_seconds(col_report.total_ns);
-      per.sim_response_s = to_seconds(col_report.response_ns);
-      per.wall_row_ms = wall_ms(t0, t1);
-      per.wall_col_ms = wall_ms(t1, t2);
-      if (!same_report(row_report, col_report)) out.parity_ok = false;
+      per.sim_total_s = to_seconds(report.total_ns);
+      per.sim_response_s = to_seconds(report.response_ns);
+      per.wall_ms = wall_ms(t0, t1);
+      const bool partial = faulting && exec_options.degrade ==
+                                           fault::DegradeMode::Partial;
+      const std::set<DbId> lost(report.unavailable_sites.begin(),
+                                report.unavailable_sites.end());
+      if (report.result !=
+          (partial ? fault::degraded_reference(fed, synth.query, lost)
+                   : reference))
+        out.parity_ok = false;
       out.strategies.push_back(per);
     }
   });
@@ -196,19 +209,18 @@ SizeResult run_size(std::int64_t size, const HarnessOptions& options,
   total.size = size;
   if (run_strategies)
     for (const StrategyKind kind : kPaperStrategies)
-      total.strategies.push_back({kind, 0, 0, 0, 0});
+      total.strategies.push_back({kind, 0, 0, 0});
   for (const SizeResult& t : trials) {
     total.parity_ok = total.parity_ok && t.parity_ok;
     total.local_rows += t.local_rows;
     total.local_comparisons += t.local_comparisons;
     total.local_table_probes += t.local_table_probes;
-    total.wall_local_row_ms += t.wall_local_row_ms;
-    total.wall_local_col_ms += t.wall_local_col_ms;
+    total.wall_walk_ms += t.wall_walk_ms;
+    total.wall_eval_ms += t.wall_eval_ms;
     for (std::size_t k = 0; k < t.strategies.size(); ++k) {
       total.strategies[k].sim_total_s += t.strategies[k].sim_total_s;
       total.strategies[k].sim_response_s += t.strategies[k].sim_response_s;
-      total.strategies[k].wall_row_ms += t.strategies[k].wall_row_ms;
-      total.strategies[k].wall_col_ms += t.strategies[k].wall_col_ms;
+      total.strategies[k].wall_ms += t.strategies[k].wall_ms;
     }
   }
   return total;
@@ -222,7 +234,7 @@ void write_json(const char* path, const HarnessOptions& options,
     std::exit(1);
   }
   std::fprintf(file,
-               "[\n  {\"format\": \"isomer-bench-scale-v1\", \"jobs\": %u, "
+               "[\n  {\"format\": \"isomer-bench-scale-v2\", \"jobs\": %u, "
                "\"samples\": %d, \"seed\": %llu, \"batch\": \"%s\", "
                "\"faulted\": %s},\n",
                effective_jobs(options.jobs), options.samples,
@@ -235,18 +247,18 @@ void write_json(const char* path, const HarnessOptions& options,
     std::fprintf(file,
                  "  {\"size\": %lld, \"parity_ok\": %s, \"local_rows\": %llu, "
                  "\"local_comparisons\": %llu, \"local_table_probes\": %llu, "
-                 "\"wall_local_row_ms\": %.3f, \"wall_local_col_ms\": %.3f",
+                 "\"wall_walk_ms\": %.3f, \"wall_eval_ms\": %.3f",
                  static_cast<long long>(r.size), r.parity_ok ? "true" : "false",
                  static_cast<unsigned long long>(r.local_rows),
                  static_cast<unsigned long long>(r.local_comparisons),
                  static_cast<unsigned long long>(r.local_table_probes),
-                 r.wall_local_row_ms, r.wall_local_col_ms);
+                 r.wall_walk_ms, r.wall_eval_ms);
     for (const SizeResult::PerStrategy& s : r.strategies)
       std::fprintf(file,
                    ", \"%s\": {\"sim_total_s\": %.9f, \"sim_response_s\": "
-                   "%.9f, \"wall_row_ms\": %.3f, \"wall_col_ms\": %.3f}",
+                   "%.9f, \"wall_ms\": %.3f}",
                    std::string(to_string(s.kind)).c_str(), s.sim_total_s,
-                   s.sim_response_s, s.wall_row_ms, s.wall_col_ms);
+                   s.sim_response_s, s.wall_ms);
     std::fprintf(file, "}%s\n", i + 1 < results.size() ? "," : "");
   }
   std::fprintf(file, "]\n");
@@ -283,14 +295,14 @@ int main(int argc, char** argv) {
       parse_options(static_cast<int>(rest.size()), rest.data());
   if (!options.samples_set) options.samples = 1;
 
-  std::printf("# bench_scale: row vs columnar, %d sample(s)/size, seed %llu, "
-              "jobs %u, batch %s%s\n",
+  std::printf("# bench_scale: evaluator vs walk, %d sample(s)/size, seed "
+              "%llu, jobs %u, batch %s%s\n",
               options.samples, static_cast<unsigned long long>(options.seed),
               effective_jobs(options.jobs),
               batch_spec_string(options.batch).c_str(),
               options.faults_set ? ", faulted" : "");
   std::printf("%12s %10s %14s %14s %8s  %s\n", "objects/db", "rows",
-              "local row ms", "local col ms", "speedup", "strategies");
+              "walk ms", "evaluator ms", "speedup", "strategies");
 
   std::vector<SizeResult> results;
   bool all_ok = true;
@@ -299,20 +311,15 @@ int main(int argc, char** argv) {
     SizeResult r = run_size(size, options, run_strategies);
     all_ok = all_ok && r.parity_ok;
     std::string strategy_note;
-    for (const SizeResult::PerStrategy& s : r.strategies) {
+    for (const SizeResult::PerStrategy& s : r.strategies)
       strategy_note += std::string(to_string(s.kind)) + " " +
-                       std::to_string(s.wall_row_ms / 1e3).substr(0, 5) +
-                       "s/" + std::to_string(s.wall_col_ms / 1e3).substr(0, 5) +
-                       "s ";
-    }
+                       std::to_string(s.wall_ms / 1e3).substr(0, 5) + "s ";
     if (r.strategies.empty()) strategy_note = "(skipped: over --strategy-cap)";
     std::printf("%12lld %10llu %14.2f %14.2f %7.2fx  %s%s\n",
                 static_cast<long long>(r.size),
-                static_cast<unsigned long long>(r.local_rows),
-                r.wall_local_row_ms, r.wall_local_col_ms,
-                r.wall_local_col_ms > 0
-                    ? r.wall_local_row_ms / r.wall_local_col_ms
-                    : 0.0,
+                static_cast<unsigned long long>(r.local_rows), r.wall_walk_ms,
+                r.wall_eval_ms,
+                r.wall_eval_ms > 0 ? r.wall_walk_ms / r.wall_eval_ms : 0.0,
                 strategy_note.c_str(), r.parity_ok ? "" : "  PARITY BROKEN");
     results.push_back(std::move(r));
   }
@@ -320,10 +327,11 @@ int main(int argc, char** argv) {
     write_json(options.json_path.c_str(), options, results);
   if (!all_ok) {
     std::fprintf(stderr,
-                 "bench_scale: row and columnar executions diverged\n");
+                 "bench_scale: the evaluator diverged from the walk, or a "
+                 "strategy from its reference answer\n");
     return 1;
   }
-  std::printf("# parity: every row/columnar pair identical (rows, meters, "
-              "reports)\n");
+  std::printf("# parity: evaluator equals the walk (outcomes, meters); every "
+              "answer equals its reference\n");
   return 0;
 }

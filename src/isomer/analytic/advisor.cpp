@@ -77,20 +77,22 @@ DbProfile profile_database(const Federation& federation,
   std::vector<UnsolvedItem> sampled_items;
   AccessMeter nav_meter;
   FetchCache cache;  // shared across the sample, like one local execution
-  for (const std::size_t pick : picks) {
-    const Object& obj = objects[pick];
-    std::vector<Truth> truths;
+  std::vector<LOid> sample;
+  for (const std::size_t pick : picks) sample.push_back(objects[pick].id());
+  const std::vector<std::vector<LocalPredOutcome>> outcomes =
+      bound.evaluate(site, 0, sample, every_index(query.predicates.size()),
+                     &nav_meter, &cache);
+  std::vector<Truth> truths(query.predicates.size());
+  for (std::size_t c = 0; c < sample.size(); ++c) {
     const std::size_t first_item = sampled_items.size();
-    truths.reserve(query.predicates.size());
     for (std::size_t p = 0; p < query.predicates.size(); ++p) {
-      const LocalPredOutcome outcome =
-          bound.eval_predicate(site, p, obj, 0, &nav_meter, &cache);
-      truths.push_back(outcome.truth);
+      const LocalPredOutcome& outcome = outcomes[p][c];
+      truths[p] = outcome.truth;
       if (is_unknown(outcome.truth) && outcome.step > 0) {
         const auto entity = federation.goids().goid_of(outcome.holder);
-        if (entity)
-          sampled_items.push_back(
-              UnsolvedItem{*entity, p, outcome.step, *entity});
+        ensures(entity.has_value(), "every constituent object is GOid-mapped");
+        sampled_items.push_back(
+            UnsolvedItem{*entity, p, outcome.step, *entity});
       }
     }
     const std::size_t nested = sampled_items.size() - first_item;

@@ -390,7 +390,7 @@ void local_filter(const std::shared_ptr<OperatorContext>& ctx,
                   const std::shared_ptr<HomeRun>& run) {
   ExecEnv& env = ctx->env;
   run->exec = run_local_query(env.fed(), env.query(), run->home,
-                              env.options().indexes, env.options().columnar);
+                              env.options().indexes);
   AccessMeter p_meter = run->exec.meter;
   if (ctx->plan.eager) {
     // Pages already read by the eager walk stay cached in memory.

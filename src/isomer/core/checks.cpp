@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <optional>
+#include <span>
+#include <utility>
 
 #include "isomer/common/error.hpp"
 
@@ -46,26 +48,22 @@ std::vector<UnsolvedItem> unsolved_items_of_all_roots(
   // nulls alike. The discovery walk is the same navigation phase P performs
   // later (one buffer pool; the executors subtract this meter from the
   // evaluation meter), but no predicate comparisons are charged here: those
-  // belong to phase P.
-  std::vector<UnsolvedItem> items;
+  // belong to phase P. Only nested sites (step > 0) are collected.
   AccessMeter local;
   FetchCache cache;
-  for (const Object& obj : database.scan(root_class, &local, &cache)) {
-    for (std::size_t p = 0; p < query.predicates.size(); ++p) {
-      // A single-step predicate can only be unsolved at the root (step 0),
-      // which this collection ignores, and its walk touches no nested
-      // object and charges only comparisons — zeroed below. Skipping it is
-      // meter- and item-identical to evaluating it.
-      if (query.predicates[p].path.length() == 1) continue;
-      const LocalPredOutcome outcome =
-          bound.eval_predicate(site, p, obj, 0, &local, &cache);
-      if (is_unknown(outcome.truth) && outcome.step > 0) {
-        const auto entity = federation.goids().goid_of(outcome.holder, &local);
-        ensures(entity.has_value(), "every constituent object is GOid-mapped");
-        items.push_back(UnsolvedItem{*entity, p, outcome.step, *entity});
-      }
+  std::vector<LOid> roots;
+  for (const Object& obj : database.scan(root_class, &local, &cache))
+    roots.push_back(obj.id());
+  const std::vector<std::vector<LocalPredOutcome>> outcomes = bound.evaluate(
+      site, 0, roots, every_index(query.predicates.size()), &local, &cache);
+  std::vector<UnsolvedItem> items;
+  for (std::size_t p = 0; p < outcomes.size(); ++p)
+    for (const LocalPredOutcome& outcome : outcomes[p]) {
+      if (!is_unknown(outcome.truth) || outcome.step == 0) continue;
+      const auto entity = federation.goids().goid_of(outcome.holder, &local);
+      ensures(entity.has_value(), "every constituent object is GOid-mapped");
+      items.push_back(UnsolvedItem{*entity, p, outcome.step, *entity});
     }
-  }
   // Discovery inspects values but performs no predicate comparisons.
   local.comparisons = 0;
   if (meter != nullptr) *meter += local;
@@ -135,16 +133,17 @@ CheckOutcome run_checks(const Federation& federation, const GlobalQuery& query,
 
   CheckOutcome outcome;
   outcome.db = target;
-  outcome.verdicts.reserve(tasks.size());
-  std::vector<UnsolvedItem> cascaded;
+  outcome.verdicts.resize(tasks.size());
   // Each listed LOid is retrieved individually (paper BL_C3: "retrieve the
   // objects for the LOid list of the assistant objects") — check batches are
-  // random point lookups, not buffered scans, so no FetchCache here.
-  for (const CheckTask& task : tasks) {
+  // random point lookups, not buffered scans, so no FetchCache here. The
+  // assistants of one (predicate, step) are one candidate list.
+  std::map<std::pair<std::uint32_t, std::size_t>, std::vector<std::size_t>>
+      groups;
+  for (std::size_t i = 0; i < tasks.size(); ++i) {
+    const CheckTask& task = tasks[i];
     expects(task.assistant.db == target, "check task routed to wrong database");
-    const Object* assistant =
-        database.fetch(task.assistant, &outcome.meter);
-    if (assistant == nullptr)
+    if (database.fetch(task.assistant, &outcome.meter) == nullptr)
       throw FederationError("assistant object " + to_string(task.assistant) +
                             " does not exist");
     // The object model has no subclassing, so an item reached at step k is
@@ -152,22 +151,31 @@ CheckOutcome run_checks(const Federation& federation, const GlobalQuery& query,
     ensures(goids.class_of(task.item) ==
                 bound.step_class(task.predicate, task.step).name(),
             "check task item is of its step's global class");
-    const LocalPredOutcome eval = bound.eval_predicate(
-        site, task.predicate, *assistant, task.step, &outcome.meter);
-    outcome.verdicts.push_back(
-        CheckVerdict{task.origin, task.predicate, eval.truth});
+    groups[{static_cast<std::uint32_t>(task.predicate), task.step}].push_back(
+        i);
+  }
 
-    if (is_unknown(eval.truth)) {
+  std::vector<UnsolvedItem> cascaded;
+  std::vector<LOid> assistants;
+  for (const auto& [key, members] : groups) {
+    const auto& [p, step] = key;
+    assistants.clear();
+    for (const std::size_t i : members)
+      assistants.push_back(tasks[i].assistant);
+    const std::vector<std::vector<LocalPredOutcome>> evals = bound.evaluate(
+        site, step, assistants, std::span(&p, 1), &outcome.meter);
+    for (std::size_t c = 0; c < members.size(); ++c) {
+      const CheckTask& task = tasks[members[c]];
+      const LocalPredOutcome& eval = evals[0][c];
+      outcome.verdicts[members[c]] = CheckVerdict{task.origin, p, eval.truth};
       // A deeper unsolved site (strictly past the checked step) is a new
       // item whose assistants this database can look up itself; the site at
       // the checked step is the original item, whose other assistants the
       // home database already fanned out to.
-      if (eval.step > task.step) {
-        const auto entity = goids.goid_of(eval.holder, &outcome.meter);
-        ensures(entity.has_value(), "every constituent object is GOid-mapped");
-        cascaded.push_back(
-            UnsolvedItem{*entity, task.predicate, eval.step, task.origin});
-      }
+      if (!is_unknown(eval.truth) || eval.step <= step) continue;
+      const auto entity = goids.goid_of(eval.holder, &outcome.meter);
+      ensures(entity.has_value(), "every constituent object is GOid-mapped");
+      cascaded.push_back(UnsolvedItem{*entity, p, eval.step, task.origin});
     }
   }
   std::sort(cascaded.begin(), cascaded.end());

@@ -74,14 +74,15 @@ Explanation explain(const Federation& federation, const GlobalQuery& query,
   std::vector<LocalExecution> locals;
   for (const LOid& isomer : goids.isomers_of(entity)) {
     const BoundQuery::Site site = bound.site(isomer.db);
-    const Object* root = site.database->fetch(isomer);
-    ensures(root != nullptr, "GOid table validated at construction");
+    const std::vector<std::vector<LocalPredOutcome>> outcomes =
+        bound.evaluate(site, 0, std::span(&isomer, 1),
+                       every_index(query.predicates.size()));
     LocalRow row{isomer, entity,
                  std::vector<Value>(query.targets.size(), Value::null()),
                  {}};
     std::vector<Truth> truths;
     for (std::size_t p = 0; p < query.predicates.size(); ++p) {
-      const LocalPredOutcome outcome = bound.eval_predicate(site, p, *root);
+      const LocalPredOutcome& outcome = outcomes[p][0];
       truths.push_back(outcome.truth);
       PredStatus& status = row.preds.emplace_back();
       status.truth = outcome.truth;

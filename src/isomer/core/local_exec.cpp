@@ -2,10 +2,10 @@
 
 #include <span>
 #include <string_view>
+#include <utility>
 #include <variant>
 
 #include "isomer/common/error.hpp"
-#include "isomer/query/reach.hpp"
 
 namespace isomer {
 
@@ -122,14 +122,17 @@ namespace {
 
 /// The reaches' storage policy at one component database: single-reference
 /// columns of the extents' mirrors, followed through the LOid directory;
-/// holders are LOid::local.
+/// fetches charged through `cache` on first touch, or with no cache once per
+/// arrival, as the walk's.
 struct LocalReach {
   using Extent = isomer::Extent;
-  using Holder = std::uint32_t;
-  using Hop = PathHop<Extent, Holder>;
+  using Holder = LOid;
+  using Reach = PathReach<Extent, Holder>;
 
   const BoundQuery* bound;
   BoundQuery::Site site;
+  AccessMeter* meter;
+  FetchCache* cache;
 
   [[nodiscard]] const Extent* extent(std::size_t p, std::size_t step) const {
     const GlobalClass& cls = bound->step_class(p, step);
@@ -141,8 +144,7 @@ struct LocalReach {
   /// The reference column, or null when the attribute is schema-missing
   /// (or nothing is live, so `base` may have no extent): every walk stops.
   [[nodiscard]] std::optional<const ColumnarExtent::Column*> link(
-      const PathReach<Extent, Holder>& base, std::size_t p,
-      std::size_t step) const {
+      const Reach& base, std::size_t p, std::size_t step) const {
     const auto attr = bound->local_attr(site, p, step);
     if (!attr || base.live.empty()) return nullptr;
     const ColumnarExtent::Column& col = base.extent->columnar().column(*attr);
@@ -151,40 +153,64 @@ struct LocalReach {
       return std::nullopt;  // reference sets, or the row walk's throw
     return &col;
   }
-  [[nodiscard]] Hop hop(const ColumnarExtent::Column* col,
-                        std::uint32_t row) const {
+  [[nodiscard]] PathHop<Extent, Holder> hop(const ColumnarExtent::Column* col,
+                                            std::uint32_t row) const {
     if (col == nullptr || !col->is_valid(row)) return {};
-    const ComponentDatabase::Location to =
-        site.database->locate(LOid{site.database->db(), col->refs[row]});
-    return {to.extent, static_cast<std::uint32_t>(to.row), col->refs[row]};
+    const LOid target{site.database->db(), col->refs[row]};
+    const ComponentDatabase::Location to = site.database->locate(target);
+    return {to.extent, static_cast<std::uint32_t>(to.row), target};
+  }
+  [[nodiscard]] std::optional<ColumnarExtent::Column> column(
+      const Reach& reach, std::size_t p, std::size_t step) const {
+    const auto attr = bound->local_attr(site, p, step);
+    if (!attr || reach.live.empty()) return std::nullopt;
+    return reach.extent->columnar().column(*attr);
+  }
+  bool charge(Reach& reach) const {
+    if (cache != nullptr && std::exchange(reach.admitted, true)) return true;
+    std::uint64_t fresh = 0;
+    for (const std::uint32_t c : reach.live)
+      fresh += cache == nullptr || cache->admit(reach.holder[c]) ? 1u : 0u;
+    if (fresh == 0) return false;  // no live objects: maybe no extent either
+    meter->objects_fetched += fresh;
+    meter->prim_slots += fresh * reach.extent->prim_slots();
+    meter->ref_slots += fresh * reach.extent->ref_slots();
+    return false;
   }
 };
 
-using LocalReaches = Reaches<LocalReach>;
-
-/// Admits the live objects of reach `i` and of its ancestors through
-/// `cache`, charging each first touch as the row walk's fetch does.
-void admit(LocalReaches& reaches, std::size_t i, DbId db, AccessMeter& meter,
-           FetchCache& cache) {
-  for (; i != 0 && !reaches[i].admitted; i = reaches[i].parent) {
-    LocalReaches::Reach& reach = reaches[i];
-    reach.admitted = true;
-    std::uint64_t fresh = 0;
-    for (const std::uint32_t r : reach.live)
-      fresh += cache.admit(LOid{db, reach.holder[r]}) ? 1u : 0u;
-    if (fresh == 0) continue;  // no live objects: maybe no extent either
-    meter.objects_fetched += fresh;
-    meter.prim_slots += fresh * reach.extent->prim_slots();
-    meter.ref_slots += fresh * reach.extent->ref_slots();
-  }
-}
-
 }  // namespace
+
+std::vector<std::vector<LocalPredOutcome>> BoundQuery::evaluate(
+    Site site, std::size_t step, std::span<const LOid> candidates,
+    std::span<const std::uint32_t> preds, AccessMeter* meter,
+    FetchCache* cache) const {
+  if (preds.empty()) return {};
+  const LocalReach policy{this, site, meter, cache};
+  const Extent* start = policy.extent(preds.front(), step);
+  for (const std::uint32_t p : preds)
+    expects(start != nullptr && policy.extent(p, step) == start &&
+                step < query_->predicates[p].path.length(),
+            "predicates of one start class");
+  std::vector<std::uint32_t> rows;
+  rows.reserve(candidates.size());
+  for (const LOid id : candidates) {
+    const ComponentDatabase::Location at = site.database->locate(id);
+    expects(at.extent == start, "candidates are objects of the start class");
+    rows.push_back(static_cast<std::uint32_t>(at.row));
+  }
+  const std::vector<Object>& objects = start->objects();
+  Reaches<LocalReach> reaches(policy, *start, step, rows,
+                              {candidates.begin(), candidates.end()});
+  return reaches.evaluate(
+      query_->predicates, preds, [&](std::size_t p, std::size_t c) {
+        return eval_predicate(site, p, objects[rows[c]], step, meter, cache);
+      });
+}
 
 LocalExecution run_local_query(const Federation& federation,
                                const GlobalQuery& query, DbId db,
-                               const ExtentIndexes* indexes,
-                               bool use_columnar) {
+                               const ExtentIndexes* indexes) {
   const GlobalSchema& schema = federation.schema();
   const GlobalClass& range = schema.cls(query.range_class);
   const auto constituent = range.constituent_in(db);
@@ -211,7 +237,7 @@ LocalExecution run_local_query(const Federation& federation,
   // narrows the roots to matches plus the null bucket (anything else is
   // provably False on that predicate). Disjunctive queries must scan — an
   // object failing one alternative may pass another.
-  std::vector<const Object*> candidates;
+  std::vector<LOid> candidates;
   bool via_index = false;
   if (indexes != nullptr && query.disjuncts.empty()) {
     for (const Predicate& pred : query.predicates) {
@@ -224,116 +250,43 @@ LocalExecution run_local_query(const Federation& federation,
       for (const std::vector<LOid>* bucket :
            {lookup->matches, lookup->unknowns})
         for (const LOid id : *bucket)
-          candidates.push_back(database.fetch(id, &exec.meter, &cache));
+          candidates.push_back(database.fetch(id, &exec.meter, &cache)->id());
       break;
     }
   }
   if (!via_index)
     for (const Object& obj :
          database.scan(root_class_name, &exec.meter, &cache))
-      candidates.push_back(&obj);
+      candidates.push_back(obj.id());
   exec.considered = candidates.size();
 
-  // How each predicate is evaluated over this candidate set:
-  //   Row     row-at-a-time walk per candidate (the reference path);
-  //   Column  bottom-up over the columnar mirrors: the path's prefix is one
-  //           Reach for all candidates, then one kernel pass compares the
-  //           terminal attribute of the candidates live there. A one-step
-  //           path is the zero-hop case: its prefix is the root extent.
-  // Column applies only to full scans (candidates == extent rows in order);
-  // index executions keep the row walk. Every fallback is decided before
-  // any charge, and the charges are the row walk's totals in bulk.
-  enum class PredMode : unsigned char { Row, Column };
+  // Every predicate is evaluated on every candidate (no short-circuiting):
+  // comparison counts stay deterministic, and under disjunctive queries a
+  // False conjunct does not decide the object's fate by itself.
   const std::size_t n_preds = query.predicates.size();
-  std::vector<PredMode> modes(n_preds, PredMode::Row);
-  std::vector<std::size_t> reach_of(n_preds);
-  std::vector<std::vector<Truth>> column_truths(n_preds);
-  std::optional<LocalReaches> reaches;
-  if (use_columnar && !via_index && !candidates.empty() && n_preds != 0) {
-    const Extent& root = database.extent(root_class_name);
-    std::vector<std::uint32_t> holders;
-    holders.reserve(root.size());
-    for (const Object& obj : root.objects()) holders.push_back(obj.id().local);
-    reaches.emplace(LocalReach{&bound, site}, root, std::move(holders));
-    for (std::size_t p = 0; p < n_preds; ++p) {
-      const Predicate& pred = query.predicates[p];
-      const std::size_t last = pred.path.length() - 1;
-      const auto at = reaches->prefix(p, pred.path, last);
-      if (!at) continue;
-      const LocalReaches::Reach& reach = (*reaches)[*at];
-      const auto attr = bound.local_attr(site, p, last);
-      if (attr && !reach.live.empty() &&
-          !kernel_applicable(reach.extent->columnar().column(*attr).kind,
-                             pred.op, pred.literal))
-        continue;
-      modes[p] = PredMode::Column;
-      reach_of[p] = *at;
-    }
-    for (std::size_t p = 0; p < n_preds; ++p) {
-      if (modes[p] != PredMode::Column) continue;
-      const Predicate& pred = query.predicates[p];
-      const std::size_t last = pred.path.length() - 1;
-      admit(*reaches, reach_of[p], db, exec.meter, cache);
-      const LocalReaches::Reach& reach = (*reaches)[reach_of[p]];
-      std::vector<Truth>& truths = column_truths[p];
-      truths.assign(candidates.size(), Truth::Unknown);
-      const auto attr = bound.local_attr(site, p, last);
-      if (attr && !reach.live.empty()) {
-        // One comparison per arrival at a present terminal attribute, nulls
-        // included (apply() still runs).
-        exec.meter.comparisons += reach.live.size();
-        reaches->compare(reach_of[p], reach.extent->columnar().column(*attr),
-                         pred, truths);
-      }
-      // One goid probe per Unknown outcome, surviving or not.
-      exec.meter.table_probes += count_truth(truths, Truth::Unknown);
-    }
-  }
+  const std::vector<std::vector<LocalPredOutcome>> outcomes = bound.evaluate(
+      site, 0, candidates, every_index(n_preds), &exec.meter, &cache);
 
-  // Per-candidate scratch, reused across iterations: each predicate's
-  // status, rewritten whole for every candidate.
+  // Per-candidate scratch, rewritten whole for every candidate.
   std::vector<PredStatus> evals(n_preds);
   std::vector<Truth> truths(n_preds);
-
-  for (std::size_t r = 0; r < candidates.size(); ++r) {
-    const Object& obj = *candidates[r];
-
-    // Every predicate is evaluated (no short-circuiting): comparison counts
-    // stay deterministic, and under disjunctive queries a False conjunct
-    // does not decide the object's fate by itself.
+  for (std::size_t c = 0; c < candidates.size(); ++c) {
     for (std::size_t p = 0; p < n_preds; ++p) {
+      const LocalPredOutcome& outcome = outcomes[p][c];
       PredStatus& e = evals[p] = PredStatus{};
-      if (modes[p] == PredMode::Row) {
-        const LocalPredOutcome outcome =
-            bound.eval_predicate(site, p, obj, 0, &exec.meter, &cache);
-        e.truth = outcome.truth;
-        if (is_unknown(outcome.truth)) {
-          const auto item_entity =
-              federation.goids().goid_of(outcome.holder, &exec.meter);
-          ensures(item_entity.has_value(),
-                  "every constituent object is GOid-mapped");
-          e.item = *item_entity;
-          e.step = outcome.step;
-          e.root_level = (outcome.holder == obj.id() && outcome.step == 0);
-        }
-      } else {
-        // An Unknown's probe was bulk-charged above; its holder's entity is
-        // filled in below only if the candidate survives.
-        e.truth = column_truths[p][r];
-        if (is_unknown(e.truth)) {
-          const std::uint32_t stop = (*reaches)[reach_of[p]].stop[r];
-          e.step = stop == LocalReaches::Reach::kLive
-                       ? query.predicates[p].path.length() - 1
-                                        : stop;
-          e.root_level = e.step == 0;
-        }
-      }
-      truths[p] = e.truth;
+      e.truth = truths[p] = outcome.truth;
+      if (!is_unknown(outcome.truth)) continue;
+      // One goid probe per Unknown outcome, surviving or not; the holder's
+      // entity is resolved below only if the candidate survives.
+      ++exec.meter.table_probes;
+      e.step = outcome.step;
+      e.root_level = outcome.step == 0;  // a step-0 gap is the root's
     }
     // The object is eliminated locally when the whole matching formula is
     // provably False here (for conjunctive queries: any False conjunct).
     if (is_false(query.combine(truths))) continue;
 
+    const Object& obj = *database.fetch(candidates[c]);
     const auto entity = federation.goids().goid_of(obj.id(), &exec.meter);
     ensures(entity.has_value(), "every constituent object is GOid-mapped");
 
@@ -342,15 +295,11 @@ LocalExecution run_local_query(const Federation& federation,
     row.entity = *entity;
     row.preds = evals;
     for (std::size_t p = 0; p < n_preds; ++p) {
-      if (modes[p] == PredMode::Row || !is_unknown(row.preds[p].truth))
-        continue;
-      const auto item_entity = federation.goids().goid_of(
-          LOid{db, (*reaches)[reach_of[p]].holder[r]});
-      ensures(item_entity.has_value(),
-              "every constituent object is GOid-mapped");
-      row.preds[p].item = *item_entity;
+      if (!is_unknown(row.preds[p].truth)) continue;
+      const auto item = federation.goids().goid_of(outcomes[p][c].holder);
+      ensures(item.has_value(), "every constituent object is GOid-mapped");
+      row.preds[p].item = *item;
     }
-
     row.targets.reserve(query.targets.size());
     for (std::size_t t = 0; t < query.targets.size(); ++t)
       row.targets.push_back(

@@ -11,25 +11,26 @@
 //
 // The translation is a property of the query and the schemas, not of the
 // object: BoundQuery resolves every path step once per call — to a local
-// attribute index per database, or to "missing at this step" — so the
-// per-object walk only indexes. This is equivalent to evaluating the derived
+// attribute index per database, or to "missing at this step" — so
+// evaluation only indexes. This is equivalent to evaluating the derived
 // LocalQuery's local predicates plus marking its schema-unsolved predicates
 // per object (the LocalQuery form exists for the protocol and the cost
-// model, this evaluator for the logic). The walk is query/navigate.hpp's,
-// the one the global site runs over the integrated view; BoundQuery only
-// supplies the component-side storage policy (local indexes, LOid fetches
-// through the FetchCache, globalized targets). The parity suite checks it
-// against a by-name reference walker.
+// model, this evaluator for the logic). BoundQuery::evaluate serves every
+// caller over a candidate list (query/reach.hpp): phase P's roots or index
+// hits, PL's discovery, an assistant check's assistants, explain and the
+// advisor. The parity suites check it against a by-name reference walker
+// (tests/eval_oracle.hpp).
 #pragma once
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "isomer/federation/federation.hpp"
 #include "isomer/federation/indexes.hpp"
-#include "isomer/query/navigate.hpp"
 #include "isomer/query/query.hpp"
+#include "isomer/query/reach.hpp"
 
 namespace isomer {
 
@@ -74,11 +75,23 @@ class BoundQuery {
   [[nodiscard]] std::optional<std::size_t> local_attr(Site site, std::size_t p,
                                                       std::size_t step) const;
 
+  /// Evaluates each predicate of `preds` from `step` on every candidate, an
+  /// object of step_class(p, step) (one class for every p): out[i][c]
+  /// is eval_predicate's outcome of preds[i] on candidate c, and `meter` is
+  /// charged its totals — fetches through `cache` on first touch, or with
+  /// no cache once per arrival (point lookups). Fetching the candidates and
+  /// probing holders' GOids are the caller's.
+  [[nodiscard]] std::vector<std::vector<LocalPredOutcome>> evaluate(
+      Site site, std::size_t step, std::span<const LOid> candidates,
+      std::span<const std::uint32_t> preds, AccessMeter* meter = nullptr,
+      FetchCache* cache = nullptr) const;
+
   /// Evaluates predicate `p` from `step` on `obj`, an object of
-  /// step_class(p, step)'s constituent in `site`'s database, entirely within
-  /// that database. Step 0 evaluates the whole predicate on a root object;
-  /// a later step is an assistant check's suffix, and the reported unsolved
-  /// step stays absolute. Charges fetches/comparisons to `meter`.
+  /// step_class(p, step)'s constituent in `site`'s database, by
+  /// query/navigate.hpp's walk: evaluate()'s fallback for paths the reaches
+  /// cannot mirror. A later step than 0 is an assistant check's suffix; the
+  /// reported unsolved step stays absolute. Charges fetches/comparisons to
+  /// `meter`.
   [[nodiscard]] LocalPredOutcome eval_predicate(
       Site site, std::size_t p, const Object& obj, std::size_t step = 0,
       AccessMeter* meter = nullptr, FetchCache* cache = nullptr) const;
@@ -156,29 +169,17 @@ struct LocalExecution {
 };
 
 /// Runs the global query locally at `db` (which must hold a constituent of
-/// the range class): evaluates every predicate per root object, drops False
-/// objects, and builds rows with globalized target values and unsolved
-/// sites. The root extent is scanned unless `indexes` covers one of the
-/// query's conjunctive equality predicates here, in which case only the
-/// matching + null-bucket candidates are fetched (identical rows, less
-/// disk; see federation/indexes.hpp for why the null bucket is required).
-///
-/// With `use_columnar` (the default), full-scan executions evaluate
-/// predicates bottom-up through the extents' columnar mirrors: each distinct
-/// path prefix is followed once for all candidates through reference
-/// columns, and the vectorized kernels (query/kernels.hpp) compare the
-/// terminal attribute of the candidates that reach it. Predicates the
-/// mirrors cannot reproduce exactly — reference-set steps, references into
-/// another class's extent, terminal columns no kernel takes — and index
-/// executions take the row-at-a-time walk per object. Rows, meter totals
-/// and the buffer pool's contents are bitwise identical either way;
-/// `use_columnar = false` forces the row walk everywhere and exists as the
-/// parity suite's reference.
+/// the range class): evaluates every predicate on every candidate root
+/// (BoundQuery::evaluate), drops False objects, and builds rows with
+/// globalized target values and unsolved sites. The root extent is scanned
+/// unless `indexes` covers one of the query's conjunctive equality
+/// predicates here, in which case only the matching + null-bucket
+/// candidates are fetched (identical rows, less disk; see
+/// federation/indexes.hpp for why the null bucket is required).
 [[nodiscard]] LocalExecution run_local_query(const Federation& federation,
                                              const GlobalQuery& query,
                                              DbId db,
                                              const ExtentIndexes* indexes =
-                                                 nullptr,
-                                             bool use_columnar = true);
+                                                 nullptr);
 
 }  // namespace isomer

@@ -33,7 +33,7 @@ void central_evaluate(const std::shared_ptr<OperatorContext>& ctx,
                       Simulator::Callback then) {
   ExecEnv& env = ctx->env;
   run->exec = run_local_query(env.fed(), env.query(), run->home,
-                              env.options().indexes, env.options().columnar);
+                              env.options().indexes);
   if (run->decision != nullptr) {
     run->decision->executed = SitePath::Central;
     run->decision->observed_rows_bytes =

@@ -129,13 +129,6 @@ struct StrategyOptions {
   /// What to do once retries are exhausted: abort the query (Fail) or
   /// degrade gracefully per fault/degrade.hpp (Partial).
   fault::DegradeMode degrade = fault::DegradeMode::Fail;
-  /// Evaluate predicates, navigating ones included, through the columnar
-  /// extent mirrors and vectorized kernels (query/kernels.hpp) during
-  /// full-scan local executions (see run_local_query for the cases that
-  /// keep the row walk). Rows, meter counts and simulated times are bitwise
-  /// identical either way; `false` forces the row-at-a-time walk everywhere
-  /// and exists as the parity suite's reference and for layout ablations.
-  bool columnar = true;
   /// Batched semijoin shipping; off by default (see BatchOptions).
   BatchOptions batch{};
   /// Cross-query certificate cache (core/cert_cache.hpp). Null (the

@@ -38,7 +38,9 @@ ExtentIndexes ExtentIndexes::build(const Federation& federation,
           database.schema().cls(local_class).find_attribute(*local_name);
       ensures(attr_index.has_value(), "bound local attribute must exist");
 
-      Index& index = out.indexes_[index_key(db, attr)];
+      const auto [slot, fresh] = out.indexes_.try_emplace(index_key(db, attr));
+      if (!fresh) continue;  // another predicate on the attribute built it
+      Index& index = slot->second;
       for (const Object& obj : database.extent(local_class).objects()) {
         const Value& v = obj.value(*attr_index);
         if (v.is_null())

@@ -460,18 +460,19 @@ ViewPath bind_path(const MaterializedView& view, const GlobalSchema& schema,
 struct ViewReach {
   using Extent = MaterializedExtent;
   using Holder = GOid;
+  using Reach = PathReach<Extent, Holder>;
   struct Link {
     const MaterializedExtent::Column* col;
     const MaterializedExtent* to;
   };
 
   const std::vector<ViewPath>* paths;
+  AccessMeter* meter;
 
   [[nodiscard]] const Extent* extent(std::size_t p, std::size_t step) const {
     return (*paths)[p].steps[step].at;
   }
-  [[nodiscard]] std::optional<Link> link(const PathReach<Extent, Holder>&,
-                                         std::size_t p,
+  [[nodiscard]] std::optional<Link> link(const Reach&, std::size_t p,
                                          std::size_t step) const {
     const ViewPath::Step& bound = (*paths)[p].steps[step];
     const MaterializedExtent::Column& col = bound.at->column(bound.attr);
@@ -489,6 +490,18 @@ struct ViewReach {
     const std::optional<std::size_t> pos = link.to->position(target);
     if (!pos) return {};
     return {link.to, static_cast<std::uint32_t>(*pos), target};
+  }
+  /// Every attribute is present in the view (the outerjoin holds a missing
+  /// one as null), so every arrival compares.
+  [[nodiscard]] std::optional<ColumnarExtent::Column> column(
+      const Reach&, std::size_t p, std::size_t step) const {
+    const ViewPath::Step& bound = (*paths)[p].steps[step];
+    return bound.at->column(bound.attr).kernel();
+  }
+  /// Every descent charges one fetched object, for every predicate.
+  bool charge(const Reach& reach) const {
+    meter->objects_fetched += reach.live.size();
+    return false;
   }
 };
 
@@ -511,41 +524,21 @@ QueryResult evaluate_global(const MaterializedView& view,
   const std::size_t n = extent.size();
   const std::size_t n_preds = query.predicates.size();
 
-  // A predicate whose path runs through single-reference columns to a
-  // column a kernel takes is evaluated for every entity at once, bottom-up
-  // (query/reach.hpp); the others walk each entity. The choice is made
-  // before anything is charged, and the bulk charges are the walk's totals.
-  constexpr std::size_t kWalk = SIZE_MAX;
-  std::vector<std::size_t> reach_of(n_preds, kWalk);
-  std::vector<std::vector<Truth>> column_truths(n_preds);
-  std::optional<Reaches<ViewReach>> reaches;
-  if (n != 0 && n_preds != 0) {
-    reaches.emplace(ViewReach{&predicates}, extent,
-                    std::vector<GOid>(extent.entities().begin(),
-                                      extent.entities().end()));
-    for (std::size_t p = 0; p < n_preds; ++p) {
-      const Predicate& pred = query.predicates[p];
-      const ViewPath::Step& last = predicates[p].steps.back();
-      const auto at = reaches->prefix(p, pred.path, pred.path.length() - 1);
-      if (!at || !kernel_applicable(last.at->column(last.attr).kind, pred.op,
-                                    pred.literal))
-        continue;
-      reach_of[p] = *at;
-      std::vector<Truth>& truths = column_truths[p];
-      truths.assign(n, Truth::Unknown);
-      const auto& reach = (*reaches)[*at];
-      if (meter != nullptr) {
-        for (std::size_t i = *at; i != 0; i = (*reaches)[i].parent)
-          meter->objects_fetched += (*reaches)[i].live.size();
-        meter->comparisons += reach.live.size();
-      }
-      reaches->compare(*at, last.at->column(last.attr).kernel(), pred, truths);
-    }
-  }
+  // Every predicate for every entity at once: bottom-up where the reaches
+  // mirror its path (query/reach.hpp), the walk per entity elsewhere.
+  Reaches<ViewReach> reaches(
+      ViewReach{&predicates, meter}, extent, 0, every_index(n),
+      std::vector<GOid>(extent.entities().begin(), extent.entities().end()));
+  const std::vector<std::vector<NavOutcome<GOid>>> outcomes =
+      reaches.evaluate(query.predicates, every_index(n_preds),
+                       [&](std::size_t p, std::size_t r) {
+                         return navigate_predicate(
+                             predicates[p], query.predicates[p],
+                             ViewRow{extent.entities()[r], r}, 0);
+                       });
 
   // Scratch reused across entities.
   std::vector<Truth> truths(n_preds);
-  std::vector<NavOutcome<GOid>> outcomes(n_preds);
   Condition::Builder builder;
   std::vector<Condition::Builder::Id> per_pred;
   per_pred.reserve(n_preds);
@@ -553,22 +546,7 @@ QueryResult evaluate_global(const MaterializedView& view,
   QueryResult result;
   for (std::size_t r = 0; r < n; ++r) {
     const ViewRow obj{extent.entities()[r], r};
-    for (std::size_t p = 0; p < n_preds; ++p) {
-      if (reach_of[p] == kWalk) {
-        outcomes[p] =
-            navigate_predicate(predicates[p], query.predicates[p], obj, 0);
-        truths[p] = outcomes[p].truth;
-        continue;
-      }
-      truths[p] = column_truths[p][r];
-      if (!is_unknown(truths[p])) continue;
-      const auto& reach = (*reaches)[reach_of[p]];
-      const std::uint32_t stop = reach.stop[r];
-      outcomes[p] = {Truth::Unknown, reach.holder[r],
-                     stop == PathReach<MaterializedExtent, GOid>::kLive
-                         ? query.predicates[p].path.length() - 1
-                         : stop};
-    }
+    for (std::size_t p = 0; p < n_preds; ++p) truths[p] = outcomes[p][r].truth;
     const Truth truth = query.combine(truths);
     if (is_false(truth)) continue;
 
@@ -586,7 +564,7 @@ QueryResult evaluate_global(const MaterializedView& view,
       per_pred.clear();
       for (std::size_t p = 0; p < n_preds; ++p) {
         if (is_unknown(truths[p])) {
-          const NavOutcome<GOid>& s = outcomes[p];
+          const NavOutcome<GOid>& s = outcomes[p][r];
           per_pred.push_back(builder.leaf(CondAtom{
               s.holder, p, s.step, s.step == 0 && s.holder == obj.id}));
         } else {

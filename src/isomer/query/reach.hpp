@@ -1,33 +1,42 @@
 // Navigation kernels, written once for both storages.
 //
-// A k-step predicate is evaluated over a whole candidate set bottom-up: the
-// path's prefix is walked once for every candidate through single-reference
-// columns, and the selection-vector kernel (query/kernels.hpp) compares the
-// terminal column of the candidates that reach it. Each distinct prefix is
-// one *reach*, shared by every predicate on it. A reach records, per
-// candidate, where the walk stands: live at a row of the prefix's last step
-// extent, or stopped at a step on a schema-missing attribute, a null or a
-// dangling reference. Either way `holder` names the last object reached —
-// the gap's holder when the walk stopped — exactly as query/navigate.hpp's
-// row walk reports it.
+// A k-step predicate is evaluated over a whole candidate list bottom-up:
+// the rows of the extent read at a start step (every root, or the listed
+// assistants from an unsolved step). Its path is walked once for every
+// candidate through single-reference columns, and the selection-vector
+// kernel (query/kernels.hpp) compares the terminal column of the candidates
+// that reach it. Each distinct path segment from the start is one *reach*,
+// shared by every predicate on it. A reach records, per candidate, where
+// the walk stands: live at a row of the segment's last step extent, or
+// stopped at a step on a schema-missing attribute, a null or a dangling
+// reference. Either way `holder` names the last object reached — the gap's
+// holder when the walk stopped — exactly as query/navigate.hpp's row walk
+// reports it. A predicate the reaches cannot mirror takes that walk per
+// candidate; every choice is made before anything is charged, and the bulk
+// charges are the walk's totals.
 //
 // The reaches run at a component database (core/local_exec.cpp) and over the
 // integrated view at the global site (federation/materializer.cpp). Each
 // supplies a storage policy `P` with
-//   Extent, Holder          an extent and the id a reach records per holder;
+//   Extent, Holder          an extent and the id of a holder;
+//   AccessMeter* meter      null charges nothing;
 //   extent(p, step)         the extent predicate `p` reads at `step`, null
 //                           when this storage has none;
 //   link(base, p, step)     the single-reference column `p` follows from
-//                           `base` at `step`, as an optional: nullopt when
-//                           only the row walk reproduces the step (a
-//                           reference set, a non-reference column);
+//                           `base` at `step`; nullopt when only the walk
+//                           reproduces the step (a reference set);
 //   hop(link, row)          where row `row` of that column leads, a Hop with
-//                           a null extent when the walk stops there.
-// A hop into an extent other than the step's makes the prefix unmirrored.
-// Callers charge their meters from the reaches in bulk.
+//                           a null extent when the walk stops there;
+//   column(reach, p, step)  the terminal column `p` compares at `step`;
+//                           nullopt when nothing is compared there;
+//   charge(reach)           charges a reach's live objects as the walk's
+//                           fetches; true when it (and so its ancestors)
+//                           was charged already.
+// A hop into an extent other than the step's makes the segment unmirrored.
 #pragma once
 
 #include <cstdint>
+#include <numeric>
 #include <optional>
 #include <span>
 #include <string_view>
@@ -35,6 +44,7 @@
 #include <vector>
 
 #include "isomer/query/kernels.hpp"
+#include "isomer/query/navigate.hpp"
 
 namespace isomer {
 
@@ -47,11 +57,18 @@ struct PathHop {
   Holder holder{};
 };
 
-/// The walk of one path prefix for every candidate.
+/// The indices 0 .. n-1: every row of an extent, or every predicate.
+inline std::vector<std::uint32_t> every_index(std::size_t n) {
+  std::vector<std::uint32_t> rows(n);
+  std::iota(rows.begin(), rows.end(), 0u);
+  return rows;
+}
+
+/// The walk of one path segment for every candidate.
 template <class Extent, class Holder>
 struct PathReach {
   static constexpr std::uint32_t kLive = UINT32_MAX;
-  std::size_t parent = 0;   ///< the prefix one step shorter
+  std::size_t parent = 0;   ///< the segment one step shorter
   std::string_view attr;    ///< global attribute followed from `parent`
   bool mirrored = true;     ///< false: only the row walk reproduces it
   bool admitted = false;    ///< live objects charged (storage-defined)
@@ -70,29 +87,91 @@ class Reaches {
   using Reach = PathReach<Extent, Holder>;
   using Hop = PathHop<Extent, Holder>;
 
-  /// Index 0 is the empty prefix: every candidate live at its own row of
-  /// `root`, holding itself.
-  Reaches(Policy policy, const Extent& root, std::vector<Holder> holders)
-      : policy_(std::move(policy)) {
+  /// Index 0 is the empty segment: candidate c live at row rows[c] of
+  /// `start`, the extent read at step `first`, holding holders[c].
+  Reaches(Policy policy, const Extent& start, std::size_t first,
+          std::vector<std::uint32_t> rows, std::vector<Holder> holders)
+      : policy_(std::move(policy)), first_(first) {
     Reach& all = reaches_.emplace_back();
-    all.extent = &root;
-    const auto n = static_cast<std::uint32_t>(holders.size());
+    all.extent = &start;
+    const auto n = static_cast<std::uint32_t>(rows.size());
     all.stop.assign(n, Reach::kLive);
     all.live.reserve(n);
-    for (std::uint32_t r = 0; r < n; ++r) all.live.push_back(r);
-    all.rows = all.live;
+    for (std::uint32_t c = 0; c < n; ++c) all.live.push_back(c);
+    dense_ = rows == all.live && n == start.size();
+    all.rows = std::move(rows);
     all.holder = std::move(holders);
   }
 
-  const Reach& operator[](std::size_t i) const { return reaches_[i]; }
-  Reach& operator[](std::size_t i) { return reaches_[i]; }
+  /// Evaluates each predicate of `preds` (indices into `predicates`) on
+  /// every candidate: out[i][c] is predicate preds[i] on candidate c, the
+  /// row walk's outcome. A predicate the reaches cannot mirror calls
+  /// `walk(p, c)` for each candidate instead.
+  template <class Walk>
+  std::vector<std::vector<NavOutcome<Holder>>> evaluate(
+      const std::vector<Predicate>& predicates,
+      std::span<const std::uint32_t> preds, Walk walk) {
+    const std::size_t n = reaches_[0].stop.size();
+    // Every choice first: (reach, terminal column), or the walk.
+    using Terminal = std::optional<ColumnarExtent::Column>;
+    std::vector<std::optional<std::pair<std::size_t, Terminal>>> bulk(
+        preds.size());
+    for (std::size_t i = 0; i < preds.size() && n != 0; ++i) {
+      const Predicate& pred = predicates[preds[i]];
+      const std::size_t last = pred.path.length() - 1;
+      const auto at = prefix(preds[i], pred.path, last);
+      if (!at) continue;
+      const Terminal col = policy_.column(reaches_[*at], preds[i], last);
+      if (!col || kernel_applicable(col->kind, pred.op, pred.literal))
+        bulk[i].emplace(*at, col);
+    }
+    std::vector<std::vector<NavOutcome<Holder>>> out(preds.size());
+    std::vector<Truth> truths, live;
+    for (std::size_t i = 0; i < preds.size(); ++i) {
+      out[i].reserve(n);
+      if (!bulk[i]) {
+        for (std::size_t c = 0; c < n; ++c) out[i].push_back(walk(preds[i], c));
+        continue;
+      }
+      const Predicate& pred = predicates[preds[i]];
+      const auto& [at, col] = *bulk[i];
+      const Reach& reach = reaches_[at];
+      truths.assign(n, Truth::Unknown);
+      if (col && at == 0 && dense_) {  // the whole extent, in order
+        eval_predicate_column(*col, n, pred.op, pred.literal, truths.data());
+      } else if (col) {
+        live.resize(reach.live.size());
+        eval_predicate_column(*col, reach.rows, pred.op, pred.literal,
+                              live.data());
+        for (std::size_t j = 0; j < live.size(); ++j)
+          truths[reach.live[j]] = live[j];
+      }
+      if (policy_.meter != nullptr) {
+        std::size_t j = at;
+        while (j != 0 && !policy_.charge(reaches_[j])) j = reaches_[j].parent;
+        // One comparison per arrival at a present terminal attribute,
+        // nulls included (apply() still runs).
+        if (col) policy_.meter->comparisons += reach.live.size();
+      }
+      for (std::size_t c = 0; c < n; ++c) {
+        auto& outcome = out[i].emplace_back();
+        outcome.truth = truths[c];
+        if (!is_unknown(truths[c])) continue;
+        outcome.holder = reach.holder[c];
+        outcome.step = reach.stop[c] == Reach::kLive ? pred.path.length() - 1
+                                                     : reach.stop[c];
+      }
+    }
+    return out;
+  }
 
-  /// The reach of predicate `p`'s first `depth` steps, built on first use;
-  /// nullopt when a step needs the row walk.
+ private:
+  /// The reach of predicate `p` from the start step up to (not including)
+  /// step `depth`, built on first use; nullopt when a step needs the walk.
   std::optional<std::size_t> prefix(std::size_t p, const PathExpr& path,
                                     std::size_t depth) {
     std::size_t at = 0;
-    for (std::size_t step = 0; step < depth; ++step) {
+    for (std::size_t step = first_; step < depth; ++step) {
       std::size_t next = at + 1;
       while (next < reaches_.size() && (reaches_[next].parent != at ||
                                         reaches_[next].attr != path.step(step)))
@@ -104,23 +183,6 @@ class Reaches {
     return at;
   }
 
-  /// The kernel's truth for every candidate at the terminal `col` of reach
-  /// `i`: out[c] for each candidate c live there (out holds one Truth per
-  /// candidate; stopped candidates are left as they are).
-  void compare(std::size_t i, const ColumnarExtent::Column& col,
-               const Predicate& pred, std::span<Truth> out) const {
-    const Reach& reach = reaches_[i];
-    if (i == 0) {
-      eval_predicate_column(col, out.size(), pred.op, pred.literal,
-                            out.data());
-      return;
-    }
-    std::vector<Truth> live(reach.live.size());
-    eval_predicate_column(col, reach.rows, pred.op, pred.literal, live.data());
-    for (std::size_t c = 0; c < live.size(); ++c) out[reach.live[c]] = live[c];
-  }
-
- private:
   /// Appends reach `from` followed one step through `step`'s attribute.
   void extend(std::size_t p, const PathExpr& path, std::size_t from,
               std::size_t step) {
@@ -150,6 +212,8 @@ class Reaches {
   }
 
   Policy policy_;
+  std::size_t first_ = 0;  ///< the start step
+  bool dense_ = false;     ///< the candidates are the start extent's rows
   std::vector<Reach> reaches_;
 };
 

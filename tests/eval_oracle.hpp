@@ -1,8 +1,10 @@
 // A by-name reference evaluator, for parity tests only.
 //
 // These are the walkers (and the outerjoin) the library used before queries
-// were bound once per call and before the two bound walks became one
-// navigator (query/navigate.hpp) under two storage policies: they resolve
+// were bound once per call, before the two bound walks became one
+// navigator (query/navigate.hpp) under two storage policies, and before one
+// evaluator over candidate lists replaced the per-object loops — phase P's
+// row walk is kept here as oracle::run_local_query. They resolve
 // every path step and attribute by name, for every object and step they
 // touch, with a separate walker per storage. They are kept as the oracle the
 // navigator must match exactly under either policy — truth, unsolved holder
@@ -169,6 +171,100 @@ inline Value eval_global_path(const Federation& federation, DbId db,
                      " is not a reference");
   }
   return Value::null();
+}
+
+/// Phase P as the row walk ran it: every candidate root — the scanned
+/// extent, or an index's matches plus null bucket under a conjunctive
+/// query — walked per predicate through one buffer pool, one goid probe per
+/// Unknown outcome and per surviving row, target values globalized.
+inline LocalExecution run_local_query(const Federation& federation,
+                                      const GlobalQuery& query, DbId db,
+                                      const ExtentIndexes* indexes = nullptr) {
+  const GlobalClass& range = federation.schema().cls(query.range_class);
+  const ComponentDatabase& database = federation.db(db);
+  const std::string& root_class =
+      range.constituents()[*range.constituent_in(db)].local_class;
+  const GoidTable& goids = federation.goids();
+  LocalExecution exec;
+  exec.db = db;
+  FetchCache cache;
+  std::vector<const Object*> candidates;
+  bool via_index = false;
+  if (indexes != nullptr && query.disjuncts.empty()) {
+    for (const Predicate& pred : query.predicates) {
+      if (pred.path.length() != 1 || pred.op != CompOp::Eq) continue;
+      const auto lookup =
+          indexes->lookup(db, pred.path.step(0), pred.literal, &exec.meter);
+      if (!lookup) continue;
+      via_index = true;
+      for (const std::vector<LOid>* bucket :
+           {lookup->matches, lookup->unknowns})
+        for (const LOid id : *bucket)
+          candidates.push_back(database.fetch(id, &exec.meter, &cache));
+      break;
+    }
+  }
+  if (!via_index)
+    for (const Object& obj : database.scan(root_class, &exec.meter, &cache))
+      candidates.push_back(&obj);
+  exec.considered = candidates.size();
+
+  for (const Object* obj : candidates) {
+    LocalRow row;
+    std::vector<Truth> truths;
+    for (const Predicate& pred : query.predicates) {
+      const LocalPredOutcome outcome = eval_global_predicate_at(
+          federation, db, *obj, range, pred, 0, &exec.meter, &cache);
+      PredStatus& status = row.preds.emplace_back();
+      status.truth = outcome.truth;
+      truths.push_back(outcome.truth);
+      if (!is_unknown(outcome.truth)) continue;
+      const auto item = goids.goid_of(outcome.holder, &exec.meter);
+      expects(item.has_value(), "every constituent object is GOid-mapped");
+      status.item = *item;
+      status.step = outcome.step;
+      status.root_level = outcome.holder == obj->id() && outcome.step == 0;
+    }
+    if (is_false(query.combine(truths))) continue;
+    row.root = obj->id();
+    row.entity = *goids.goid_of(obj->id(), &exec.meter);
+    for (const PathExpr& target : query.targets)
+      row.targets.push_back(eval_global_path(federation, db, *obj, range,
+                                             target, &exec.meter, &cache));
+    exec.rows.push_back(std::move(row));
+  }
+  return exec;
+}
+
+/// The first field where `got` differs from `want` — meter, candidate
+/// count, row count, and per row its root, entity, targets and every
+/// PredStatus field — or "" when they are identical.
+inline std::string exec_difference(const LocalExecution& got,
+                                   const LocalExecution& want) {
+  if (!(got.meter == want.meter)) return "meter";
+  if (got.considered != want.considered) return "considered";
+  if (got.rows.size() != want.rows.size())
+    return "row count " + std::to_string(got.rows.size()) + " vs " +
+           std::to_string(want.rows.size());
+  for (std::size_t r = 0; r < got.rows.size(); ++r) {
+    const LocalRow& a = got.rows[r];
+    const LocalRow& b = want.rows[r];
+    const std::string at = "row " + std::to_string(r) + " ";
+    if (a.root != b.root) return at + "root";
+    if (a.entity != b.entity) return at + "entity";
+    if (a.targets != b.targets) return at + "targets";
+    if (a.preds.size() != b.preds.size()) return at + "predicate count";
+    for (std::size_t p = 0; p < a.preds.size(); ++p) {
+      const PredStatus& x = a.preds[p];
+      const PredStatus& y = b.preds[p];
+      const std::string pred = at + "pred " + std::to_string(p) + " ";
+      if (x.truth != y.truth) return pred + "truth";
+      if (x.item != y.item) return pred + "item";
+      if (x.step != y.step) return pred + "step";
+      if (x.root_level != y.root_level) return pred + "root_level";
+    }
+  }
+  return "";
 }
 
 // ---- Materialized side (the centralized approach) ----------------------

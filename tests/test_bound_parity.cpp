@@ -9,8 +9,9 @@
 //   * BoundParity draws hand-built four-class chains with 2- to 4-step
 //     predicates, reference sets (some led by an Unknown branch), dangling
 //     references, nulls at every step and attributes schema-missing at any
-//     step, and covers phase P, PL discovery, assistant checks from steps
-//     1-3 (run_checks) and the centralized outerjoin + evaluation;
+//     step, and covers phase P (full scans and index executions), PL
+//     discovery, assistant checks from steps 1-3 (run_checks) and the
+//     centralized outerjoin + evaluation;
 //   * ViewParity checks the column view (cells, outerjoin meters, rows,
 //     conditions and evaluation meters) against the oracle's row view on
 //     federations with every column kind: Int cells past 2^53, a Real
@@ -355,36 +356,43 @@ TEST_P(BoundParity, LocalQueryAndDiscoveryMatchTheWalk) {
     EXPECT_EQ(unsolved_items_of_all_roots(fed, query, db, &meter), items);
     EXPECT_EQ(meter, discovery);
 
-    // Phase P rows, row walk and kernels alike.
-    for (const bool columnar : {false, true}) {
-      const LocalExecution exec =
-          run_local_query(fed, query, db, nullptr, columnar);
-      std::size_t r = 0;
-      for (const Object& obj : database.extent(chain_class(0)).objects()) {
-        std::vector<LocalPredOutcome> outcomes;
-        std::vector<Truth> truths;
-        for (const Predicate& pred : query.predicates) {
-          outcomes.push_back(
-              oracle::eval_global_predicate_at(fed, db, obj, range, pred, 0));
-          truths.push_back(outcomes.back().truth);
-        }
-        if (is_false(query.combine(truths))) continue;
-        ASSERT_LT(r, exec.rows.size());
-        const LocalRow& row = exec.rows[r++];
-        EXPECT_EQ(row.root, obj.id());
-        for (std::size_t p = 0; p < outcomes.size(); ++p) {
-          EXPECT_EQ(row.preds[p].truth, outcomes[p].truth);
-          if (!is_unknown(outcomes[p].truth)) continue;
-          EXPECT_EQ(row.preds[p].item, *goids.goid_of(outcomes[p].holder));
-          EXPECT_EQ(row.preds[p].step, outcomes[p].step);
-        }
-        for (std::size_t t = 0; t < query.targets.size(); ++t)
-          EXPECT_EQ(row.targets[t],
-                    oracle::eval_global_path(fed, db, obj, range,
-                                             query.targets[t]));
-      }
-      EXPECT_EQ(r, exec.rows.size());
-    }
+    // Phase P: rows, every PredStatus field and the meter.
+    EXPECT_EQ(oracle::exec_difference(run_local_query(fed, query, db),
+                                      oracle::run_local_query(fed, query, db)),
+              "")
+        << "DB" << db.value();
+  }
+}
+
+TEST_P(BoundParity, IndexExecutionsMatchTheWalkAndTheScan) {
+  const ParityFederation pf = make_parity_federation(GetParam());
+  const Federation& fed = *pf.federation;
+  // A root equality, so every database defining `v` answers from its index
+  // (matches plus the null bucket); the query stays conjunctive.
+  GlobalQuery query = pf.query;
+  query.where("v", CompOp::Eq, Value(static_cast<int>(GetParam() % 3)));
+  const ExtentIndexes indexes = ExtentIndexes::build(fed, query);
+  ASSERT_GT(indexes.index_count(), 0u);
+
+  const auto by_root = [](LocalExecution exec) {
+    std::sort(exec.rows.begin(), exec.rows.end(),
+              [](const LocalRow& a, const LocalRow& b) {
+                return a.root < b.root;
+              });
+    exec.meter = {};
+    exec.considered = 0;
+    return exec;
+  };
+  for (const DbId db : fed.db_ids()) {
+    const LocalExecution via_index = run_local_query(fed, query, db, &indexes);
+    EXPECT_EQ(oracle::exec_difference(
+                  via_index, oracle::run_local_query(fed, query, db, &indexes)),
+              "")
+        << "DB" << db.value();
+    EXPECT_EQ(oracle::exec_difference(by_root(via_index),
+                                      by_root(run_local_query(fed, query, db))),
+              "")
+        << "DB" << db.value();
   }
 }
 

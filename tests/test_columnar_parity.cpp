@@ -1,11 +1,16 @@
-// Row-vs-columnar bitwise parity — the contract that makes the columnar
-// fast path safe to enable by default: with StrategyOptions::columnar
-// toggled, every strategy execution must produce the *identical*
-// StrategyReport — answer rows, simulated times, wire bytes and messages,
-// and the full aggregated AccessMeter — across randomized Table-2
-// workloads, plain, batched and fault-injected. A single diverging counter
-// anywhere fails the suite, so a kernel that reorders (rather than
-// preserves) metered work cannot land silently.
+// Parity of the one predicate evaluator (BoundQuery::evaluate: reaches and
+// kernels over the columnar mirrors, the walk where they cannot follow).
+//
+//   * ColumnarParity: on randomized Table-2 workloads, every local
+//     execution equals the oracle's row walk (tests/eval_oracle.hpp) field
+//     for field, meters included; and every strategy, plain, batched and
+//     fault-injected, gives the identical StrategyReport whether its mirror
+//     columns are built lazily mid-execution or were built before, with the
+//     answer of reference_answer (degraded_reference for the sites a
+//     faulted run lost). A single diverging counter anywhere fails.
+//   * NavigationParity: hand-made reference chains with every fallback —
+//     reference sets, references into another class's extent, non-kernel
+//     terminals, schema-missing steps — against the oracle's walk.
 //
 // The ASan recipe (docs/PERFORMANCE.md): configure with
 // `cmake -DISOMER_SANITIZE=address` and run this binary — the kernels'
@@ -13,8 +18,12 @@
 // AddressSanitizer on every seed.
 #include <gtest/gtest.h>
 
+#include <set>
+
+#include "eval_oracle.hpp"
 #include "isomer/core/local_exec.hpp"
 #include "isomer/core/strategy.hpp"
+#include "isomer/fault/degrade.hpp"
 #include "isomer/fault/fault_plan.hpp"
 #include "isomer/schema/integrator.hpp"
 #include "isomer/workload/synth.hpp"
@@ -29,41 +38,43 @@ ParamConfig parity_config(std::size_t n_db) {
   return config;
 }
 
-void expect_same_report(const StrategyReport& row, const StrategyReport& col,
+void expect_same_report(const StrategyReport& a, const StrategyReport& b,
                         StrategyKind kind, std::uint64_t seed,
                         const char* mode) {
-  EXPECT_EQ(col.result, row.result)
+  EXPECT_EQ(b.result, a.result)
       << to_string(kind) << " rows diverged (" << mode << ", seed " << seed
       << ")";
-  EXPECT_EQ(col.response_ns, row.response_ns) << to_string(kind) << " " << mode;
-  EXPECT_EQ(col.total_ns, row.total_ns) << to_string(kind) << " " << mode;
-  EXPECT_EQ(col.cpu_ns, row.cpu_ns) << to_string(kind) << " " << mode;
-  EXPECT_EQ(col.disk_ns, row.disk_ns) << to_string(kind) << " " << mode;
-  EXPECT_EQ(col.net_ns, row.net_ns) << to_string(kind) << " " << mode;
-  EXPECT_EQ(col.bytes_transferred, row.bytes_transferred)
+  EXPECT_EQ(b.response_ns, a.response_ns) << to_string(kind) << " " << mode;
+  EXPECT_EQ(b.total_ns, a.total_ns) << to_string(kind) << " " << mode;
+  EXPECT_EQ(b.cpu_ns, a.cpu_ns) << to_string(kind) << " " << mode;
+  EXPECT_EQ(b.disk_ns, a.disk_ns) << to_string(kind) << " " << mode;
+  EXPECT_EQ(b.net_ns, a.net_ns) << to_string(kind) << " " << mode;
+  EXPECT_EQ(b.bytes_transferred, a.bytes_transferred)
       << to_string(kind) << " " << mode;
-  EXPECT_EQ(col.messages, row.messages) << to_string(kind) << " " << mode;
-  EXPECT_TRUE(col.work == row.work)
+  EXPECT_EQ(b.messages, a.messages) << to_string(kind) << " " << mode;
+  EXPECT_TRUE(b.work == a.work)
       << to_string(kind) << " meter diverged (" << mode << ", seed " << seed
       << ")";
-  EXPECT_EQ(col.unavailable_sites, row.unavailable_sites)
+  EXPECT_EQ(b.unavailable_sites, a.unavailable_sites)
       << to_string(kind) << " " << mode;
-  EXPECT_EQ(col.retries, row.retries) << to_string(kind) << " " << mode;
-  EXPECT_EQ(col.failed_messages, row.failed_messages)
+  EXPECT_EQ(b.retries, a.retries) << to_string(kind) << " " << mode;
+  EXPECT_EQ(b.failed_messages, a.failed_messages)
       << to_string(kind) << " " << mode;
 }
 
 class ColumnarParity : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(ColumnarParity, StrategiesBitwiseIdenticalRowVsColumnar) {
+  // The name predates the one evaluator, when this compared a row-walk
+  // execution with a columnar one. Each strategy now runs twice on one
+  // freshly built federation: first with no mirror column built, so the
+  // evaluator builds them mid-execution, then with them built.
   Rng rng(GetParam());
   const std::size_t n_db = 2 + static_cast<std::size_t>(rng.uniform_int(0, 2));
   const SampleParams sample = draw_sample(parity_config(n_db), rng);
-  const SynthFederation synth = materialize_sample(sample);
 
   // Three execution environments: plain, batched semijoin shipping, and
-  // fault injection with graceful degradation. The columnar toggle must be
-  // invisible in all of them.
+  // fault injection with graceful degradation.
   fault::FaultPlan plan;
   plan.drop_probability = 0.08;
   plan.spike_probability = 0.1;
@@ -86,13 +97,19 @@ TEST_P(ColumnarParity, StrategiesBitwiseIdenticalRowVsColumnar) {
         options.retry.max_retries = 5;
         options.degrade = fault::DegradeMode::Partial;
       }
-      StrategyOptions row_options = options;
-      row_options.columnar = false;
-      const StrategyReport row =
-          execute_strategy(kind, *synth.federation, synth.query, row_options);
-      const StrategyReport col =
-          execute_strategy(kind, *synth.federation, synth.query, options);
-      expect_same_report(row, col, kind, GetParam(), mode.name);
+      const SynthFederation synth = materialize_sample(sample);
+      const Federation& fed = *synth.federation;
+      const StrategyReport cold =
+          execute_strategy(kind, fed, synth.query, options);
+      const StrategyReport warm =
+          execute_strategy(kind, fed, synth.query, options);
+      expect_same_report(cold, warm, kind, GetParam(), mode.name);
+      const std::set<DbId> lost(cold.unavailable_sites.begin(),
+                                cold.unavailable_sites.end());
+      EXPECT_EQ(cold.result,
+                mode.faulted ? fault::degraded_reference(fed, synth.query, lost)
+                             : reference_answer(fed, synth.query))
+          << to_string(kind) << " " << mode.name << " seed " << GetParam();
     }
   }
 }
@@ -101,7 +118,7 @@ TEST_P(ColumnarParity, LocalExecutionsFieldIdentical) {
   // One level below the strategies: the LocalExecution a home database
   // ships — row list, per-row predicate statuses (including which entity
   // holds the missing data), targets, meter, candidate count — must match
-  // field for field at every database of the federation.
+  // the oracle's row walk field for field at every database.
   Rng rng(GetParam() + 100000);
   const std::size_t n_db = 2 + static_cast<std::size_t>(rng.uniform_int(0, 2));
   const SampleParams sample = draw_sample(parity_config(n_db), rng);
@@ -110,29 +127,11 @@ TEST_P(ColumnarParity, LocalExecutionsFieldIdentical) {
 
   for (std::size_t i = 1; i <= n_db; ++i) {
     const DbId db{static_cast<std::uint16_t>(i)};
-    const LocalExecution row =
-        run_local_query(fed, synth.query, db, nullptr, false);
-    const LocalExecution col =
-        run_local_query(fed, synth.query, db, nullptr, true);
-    EXPECT_TRUE(row.meter == col.meter) << "meter diverged at DB" << i;
-    EXPECT_EQ(row.considered, col.considered);
-    ASSERT_EQ(row.rows.size(), col.rows.size()) << "at DB" << i;
-    for (std::size_t r = 0; r < row.rows.size(); ++r) {
-      const LocalRow& a = row.rows[r];
-      const LocalRow& b = col.rows[r];
-      EXPECT_EQ(a.root, b.root);
-      EXPECT_EQ(a.entity, b.entity);
-      EXPECT_EQ(a.targets, b.targets);
-      ASSERT_EQ(a.preds.size(), b.preds.size());
-      for (std::size_t p = 0; p < a.preds.size(); ++p) {
-        EXPECT_EQ(a.preds[p].truth, b.preds[p].truth)
-            << "DB" << i << " row " << r << " pred " << p;
-        EXPECT_EQ(a.preds[p].item, b.preds[p].item)
-            << "DB" << i << " row " << r << " pred " << p;
-        EXPECT_EQ(a.preds[p].step, b.preds[p].step);
-        EXPECT_EQ(a.preds[p].root_level, b.preds[p].root_level);
-      }
-    }
+    EXPECT_EQ(oracle::exec_difference(run_local_query(fed, synth.query, db),
+                                      oracle::run_local_query(fed, synth.query,
+                                                              db)),
+              "")
+        << "at DB" << i;
   }
 }
 
@@ -297,36 +296,13 @@ std::vector<Predicate> nav_predicates(const NavFixture& fx) {
   return q.predicates;
 }
 
-void expect_same_exec(const LocalExecution& row, const LocalExecution& col,
-                      const std::string& where) {
-  EXPECT_TRUE(row.meter == col.meter) << "meter diverged: " << where;
-  EXPECT_EQ(row.considered, col.considered) << where;
-  ASSERT_EQ(row.rows.size(), col.rows.size()) << where;
-  for (std::size_t r = 0; r < row.rows.size(); ++r) {
-    const LocalRow& a = row.rows[r];
-    const LocalRow& b = col.rows[r];
-    EXPECT_EQ(a.root, b.root) << where;
-    EXPECT_EQ(a.entity, b.entity) << where;
-    EXPECT_EQ(a.targets, b.targets) << where;
-    ASSERT_EQ(a.preds.size(), b.preds.size()) << where;
-    for (std::size_t p = 0; p < a.preds.size(); ++p) {
-      const std::string at = where + " row " + std::to_string(r) + " pred " +
-                             std::to_string(p);
-      EXPECT_EQ(a.preds[p].truth, b.preds[p].truth) << at;
-      EXPECT_EQ(a.preds[p].item, b.preds[p].item) << at;
-      EXPECT_EQ(a.preds[p].step, b.preds[p].step) << at;
-      EXPECT_EQ(a.preds[p].root_level, b.preds[p].root_level) << at;
-    }
-  }
-}
-
 void expect_nav_parity(const Federation& fed, const GlobalQuery& query,
                        const std::string& name) {
-  for (const DbId db : fed.db_ids()) {
-    const LocalExecution row = run_local_query(fed, query, db, nullptr, false);
-    const LocalExecution col = run_local_query(fed, query, db, nullptr, true);
-    expect_same_exec(row, col, name + " at DB" + std::to_string(db.value()));
-  }
+  for (const DbId db : fed.db_ids())
+    EXPECT_EQ(oracle::exec_difference(run_local_query(fed, query, db),
+                                      oracle::run_local_query(fed, query, db)),
+              "")
+        << name << " at DB" << db.value();
 }
 
 class NavigationParity : public ::testing::TestWithParam<std::uint64_t> {};
@@ -368,17 +344,15 @@ TEST_P(NavigationParity, SharedPrefixesInOneQueryMatchTheRowWalk) {
 }
 
 TEST_P(NavigationParity, NonReferenceStepThrowsOnBothPaths) {
-  // A path through a primitive attribute: the row walk throws on the first
-  // non-null value, and the column path must leave it to the row walk.
+  // A comparison no kernel takes: the walk throws on the first non-null
+  // value, and the evaluator must leave it to the walk.
   const NavFixture fx = make_nav_federation(GetParam());
   GlobalQuery query;
   query.range_class = "A";
   query.where("b.y", CompOp::Eq, Value("q"));  // Int vs String
-  EXPECT_THROW((void)run_local_query(*fx.federation, query, kNavDb1, nullptr,
-                                     false),
+  EXPECT_THROW((void)oracle::run_local_query(*fx.federation, query, kNavDb1),
                QueryError);
-  EXPECT_THROW((void)run_local_query(*fx.federation, query, kNavDb1, nullptr,
-                                     true),
+  EXPECT_THROW((void)run_local_query(*fx.federation, query, kNavDb1),
                QueryError);
 }
 
@@ -393,7 +367,7 @@ TEST(NavigationStops, HeldByTheReferrerAtItsStep) {
   query.range_class = "A";
   query.where("b.c.d.v", CompOp::Eq, Value(1));
   const LocalExecution col =
-      run_local_query(*fx.federation, query, kNavDb1, nullptr, true);
+      run_local_query(*fx.federation, query, kNavDb1);
   std::size_t seen = 0;
   for (const LocalRow& row : col.rows) {
     if (row.root != fx.dangling_root && row.root != fx.foreign_root &&
@@ -410,7 +384,7 @@ TEST(NavigationStops, HeldByTheReferrerAtItsStep) {
   // At DB2, C.d is schema-missing: a live walk stops at step 2 on the C
   // object, which is not the root.
   const LocalExecution db2 =
-      run_local_query(*fx.federation, query, kNavDb2, nullptr, true);
+      run_local_query(*fx.federation, query, kNavDb2);
   std::size_t mid_path = 0;
   for (const LocalRow& row : db2.rows)
     if (row.preds[0].step == 2) {

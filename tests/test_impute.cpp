@@ -4,9 +4,8 @@
 //   * thresh=1.0 identity, 200 seeds: smoothed confidences are strictly
 //     below 1, so a threshold of 1.0 never clears a check and IM is
 //     *bitwise* identical to BL — full StrategyReport digest, every cost
-//     figure and simulator timestamp — including composed with batching,
-//     the row-at-a-time reference path (columnar off), and fault injection
-//     with partial degradation;
+//     figure and simulator timestamp — including composed with batching
+//     and fault injection with partial degradation;
 //   * confidence calibration at a working threshold: pooled over many
 //     seeds, the precision of the confident rows against the complete-data
 //     ground truth (the clean twin re-materialized with R_m = 0) is at
@@ -102,20 +101,17 @@ TEST_P(ImThresholdOneIdentity, ImIsBitwiseBlUnderEveryComposition) {
 
   struct Variant {
     const char* label;
-    bool columnar;
     bool batch;
     bool faults;
   };
   const Variant variants[] = {
-      {"plain", true, false, false},
-      {"row-at-a-time", false, false, false},
-      {"batched", true, true, false},
-      {"faulted", true, false, true},
-      {"all-composed", false, true, true},
+      {"plain", false, false},
+      {"batched", true, false},
+      {"faulted", false, true},
+      {"all-composed", true, true},
   };
   for (const Variant& v : variants) {
     StrategyOptions exec;
-    exec.columnar = v.columnar;
     exec.batch.enabled = v.batch;
     if (v.faults) {
       exec.faults = &plan;

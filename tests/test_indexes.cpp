@@ -76,6 +76,27 @@ TEST(Indexes, MissLiteralGivesNullBucketOnly) {
   }
 }
 
+TEST(Indexes, TwoPredicatesOnOneAttributeListEachObjectOnce) {
+  const SynthFederation synth = eq_workload(14);
+  if (!has_root_eq_pred(synth.query)) GTEST_SKIP();
+  GlobalQuery query = synth.query;
+  const Predicate* eq = nullptr;
+  for (const Predicate& pred : synth.query.predicates)
+    if (pred.path.length() == 1 && pred.op == CompOp::Eq) eq = &pred;
+  query.where(eq->path.step(0), CompOp::Eq, Value(123456789));
+  const ExtentIndexes once = ExtentIndexes::build(*synth.federation,
+                                                  synth.query);
+  const ExtentIndexes twice = ExtentIndexes::build(*synth.federation, query);
+  for (const DbId db : synth.federation->db_ids()) {
+    const auto a = once.lookup(db, eq->path.step(0), eq->literal);
+    const auto b = twice.lookup(db, eq->path.step(0), eq->literal);
+    ASSERT_EQ(a.has_value(), b.has_value());
+    if (!a) continue;
+    EXPECT_EQ(*a->matches, *b->matches);
+    EXPECT_EQ(*a->unknowns, *b->unknowns);
+  }
+}
+
 class IndexEquivalence : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(IndexEquivalence, SameAnswersLessDisk) {

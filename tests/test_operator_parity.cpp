@@ -4,7 +4,7 @@
 // PR 7 rebuilt the monolithic CA/BL/PL drivers as operator pipelines; this
 // suite proves the rebuild is *bitwise invisible*: across a seed sweep of
 // randomized Table-2 federations, every strategy × execution mode (plain,
-// row-layout, batched, frame-capped, fault-injected, faulted+batched) must
+// batched, frame-capped, fault-injected, faulted+batched) must
 // reproduce the exact StrategyReport the pre-refactor executors produced —
 // response/total/cpu/disk/net times, wire bytes and messages, the full
 // AccessMeter, fault-side figures, and the answer rows. The expected values
@@ -46,16 +46,15 @@ ParamConfig parity_config(std::size_t n_db) {
 
 struct Mode {
   const char* name;
-  bool columnar;
   bool batched;
   std::size_t batch_cap;
   bool faulted;
 };
 
 constexpr Mode kModes[] = {
-    {"plain", true, false, 0, false},   {"row", false, false, 0, false},
-    {"batch", true, true, 0, false},    {"batch3", true, true, 3, false},
-    {"faults", true, false, 0, true},   {"faults+batch", true, true, 0, true},
+    {"plain", false, 0, false},  {"batch", true, 0, false},
+    {"batch3", true, 3, false},  {"faults", false, 0, true},
+    {"faults+batch", true, 0, true},
 };
 
 /// Computes every case's digest line for one seed, in a fixed case order.
@@ -74,7 +73,6 @@ std::vector<std::string> digest_seed(std::uint64_t seed) {
   for (const Mode& mode : kModes) {
     for (const StrategyKind kind : kAllStrategies) {
       StrategyOptions options;
-      options.columnar = mode.columnar;
       options.batch.enabled = mode.batched;
       options.batch.max_records = mode.batch_cap;
       if (mode.faulted) {
@@ -149,7 +147,7 @@ TEST_P(OperatorParity, ReportsMatchPreRefactorGoldens) {
   }
 }
 
-// 30 seeds x 6 modes x 5 strategies = 900 pinned executions.
+// 30 seeds x 5 modes x 5 strategies = 750 pinned executions.
 INSTANTIATE_TEST_SUITE_P(Seeds, OperatorParity,
                          ::testing::Range<std::uint64_t>(1, kSeeds + 1));
 
